@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
-from .graphs import Digraph, _check_atom
+from .graphs import Digraph, Universe, _check_atom
 
 
 class Literal(NamedTuple):
@@ -75,6 +75,18 @@ class Clause:
 
     def __repr__(self) -> str:
         return f"Clause({str(self)!r})"
+
+
+def intern_clause(clause: Clause, universe: Universe) -> tuple[int, int]:
+    """A clause as (positive, negative) atom bitmasks over ``universe``."""
+    pos = neg = 0
+    for lit in clause.literals:
+        bit = 1 << universe.index(lit.atom)
+        if lit.negated:
+            neg |= bit
+        else:
+            pos |= bit
+    return pos, neg
 
 
 def clause_sort_key(clause: Clause) -> tuple:

@@ -313,7 +313,7 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         "--max-clauses",
         type=int,
         default=DEFAULT_MAX_CLAUSES,
-        help="cap for the resolution closure",
+        help="cap for the whole resolution closure, all components together",
     )
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .clauses import ClausalTheory
+from .clauses import ClausalTheory, Clause, Literal
 from .errors import ResourceLimitError
 from .graphs import Digraph
 from .kernels import Partition3
 
 BRUTE_MAX_ATOMS = 16
+BRUTE_CLOSURE_MAX_ATOMS = 6
 _MASK64 = (1 << 64) - 1
 
 
@@ -148,3 +149,33 @@ def truth_table_models(
         if ok:
             found.append(assignment)
     return found
+
+
+def brute_closure(theory: ClausalTheory) -> frozenset[Clause]:
+    """The resolution closure by a naive fixpoint over clause sets.
+
+    Starts from the input clauses and one axiom ``x ~x`` per universe
+    atom, and resolves every pair of known clauses on every pivot until
+    a round adds nothing; no subsumption, no tautology deletion.
+    """
+    if len(theory.universe) > BRUTE_CLOSURE_MAX_ATOMS:
+        raise ResourceLimitError(
+            f"brute-force closure is capped at {BRUTE_CLOSURE_MAX_ATOMS} atoms"
+        )
+    known = set(theory.clauses)
+    known |= {Clause([Literal(a), Literal(a, True)]) for a in theory.universe}
+    while True:
+        found = set()
+        for left in known:
+            for right in known:
+                for lit in left.literals:
+                    if not lit.negated and lit.complement() in right.literals:
+                        found.add(
+                            Clause(
+                                (left.literals - {lit})
+                                | (right.literals - {lit.complement()})
+                            )
+                        )
+        if found <= known:
+            return frozenset(known)
+        known |= found

@@ -8,17 +8,25 @@ admissible in this logic, so exact membership in the closure IS the
 derivability relation and pruning would change the meaning, not just
 the performance.
 
+Two clauses that share no atom never resolve, so the closure is the
+union of the closures of the connected components of the clause
+hypergraph (atoms linked when they share a clause; an atom in no clause
+is a component holding only its axiom). Saturation closes each
+component on its own sub-universe and merges the results into one
+closure; the empty clause, common to all components, keeps the earliest
+round at which any of them derives it.
+
 Closures of paradoxical theories tend to fill large parts of the clause
-lattice, which makes clause-pair scanning hopeless. Saturation therefore
-runs as a fixpoint over the full lattice of clauses, encoded as bit
-indices: one round performs, for every pivot atom, an exact union
-convolution (zeta transform, pointwise product, Moebius inversion) of
-the clauses containing the positive pivot against those containing the
-negative pivot. Rounds repeat until nothing new appears; the round
-number of each clause is kept so that proofs can later be rebuilt by
-searching strictly earlier rounds for a parent pair. Universes too wide
-for lattice arrays fall back to a classic worklist loop that records
-parents eagerly.
+lattice, which makes clause-pair scanning hopeless. A component of at
+most ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
+full lattice of its clauses, encoded as bit indices: one round performs,
+for every pivot atom, an exact union convolution (zeta transform,
+pointwise product, Moebius inversion) of the clauses containing the
+positive pivot against those containing the negative pivot. Rounds
+repeat until nothing new appears; the round number of each clause is
+kept so that proofs can later be rebuilt by searching strictly earlier
+rounds for a parent pair. Only components too wide for lattice arrays
+use a classic worklist loop that records parents eagerly.
 
 On top of the closure this module derives the provably paradoxical
 atoms (both the atom and its negation derivable), the consistent
@@ -43,6 +51,7 @@ from .clauses import (
     clausal_theory,
     clause_sort_key,
     complement_units,
+    intern_clause,
     remove_atoms,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -86,14 +95,7 @@ class Closure:
 
     def clause_masks(self, clause: Clause) -> tuple[int, int]:
         """Intern a clause over this closure's universe."""
-        pos = neg = 0
-        for lit in clause.literals:
-            bit = 1 << self._u.index(lit.atom)
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        return pos, neg
+        return intern_clause(clause, self._u)
 
     def clause_of(self, masks: tuple[int, int]) -> Clause:
         pos, neg = masks
@@ -180,19 +182,8 @@ class Closure:
 
 def _seed_entries(theory: ClausalTheory, u: Universe):
     entries: dict[tuple[int, int], tuple[str, int]] = {}
-
-    def intern(clause: Clause) -> tuple[int, int]:
-        pos = neg = 0
-        for lit in clause.literals:
-            bit = 1 << u.index(lit.atom)
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        return pos, neg
-
     for clause in sorted(theory.clauses, key=clause_sort_key):
-        entries.setdefault(intern(clause), (_INPUT, 0))
+        entries.setdefault(intern_clause(clause, u), (_INPUT, 0))
     for i in range(len(u)):
         bit = 1 << i
         entries.setdefault((bit, bit), (_AXIOM, 0))
@@ -306,16 +297,115 @@ def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> 
     return Closure(u, entries, parents)
 
 
+def _components(theory: ClausalTheory, u: Universe) -> list[tuple[int, list[Clause]]]:
+    """The connected components of the clause hypergraph, as atom masks.
+
+    Each component comes with its clauses; atoms in no clause are
+    components of their own, and the empty clause belongs to none.
+    Components are ordered by their lowest atom.
+    """
+    groups: list[tuple[int, list[Clause]]] = []
+    for clause in theory.clauses:
+        pos, neg = intern_clause(clause, u)
+        mask = pos | neg
+        if not mask:
+            continue
+        members = [clause]
+        apart = []
+        for gmask, gclauses in groups:
+            if gmask & mask:
+                mask |= gmask
+                members += gclauses
+            else:
+                apart.append((gmask, gclauses))
+        groups = apart + [(mask, members)]
+    covered = 0
+    for mask, _ in groups:
+        covered |= mask
+    groups += [(1 << i, []) for i in bits(u.full_mask & ~covered)]
+    groups.sort(key=lambda group: group[0] & -group[0])
+    return groups
+
+
 def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> Closure:
     """Close a theory under resolution, with axioms for every universe atom.
 
-    Raises :class:`ResourceLimitError` once the closure would exceed
-    ``max_clauses`` clauses.
+    Each connected component is saturated on its own: on the clause
+    lattice up to ``LATTICE_MAX_ATOMS`` atoms, by the worklist loop
+    beyond. Raises :class:`ResourceLimitError` once the whole closure,
+    all components together, would exceed ``max_clauses`` clauses.
     """
     u = Universe(theory.universe)
-    if len(u) <= LATTICE_MAX_ATOMS:
-        return _saturate_lattice(theory, u, max_clauses)
-    return _saturate_pairwise(theory, u, max_clauses)
+    empty = (0, 0)
+    entries: dict[tuple[int, int], tuple[str, int]] = {}
+    parents: dict[tuple[int, int], Optional[tuple]] = {}
+    if Clause() in theory.clauses:
+        entries[empty] = (_INPUT, 0)
+    for comp, clauses in _components(theory, u):
+        names = u.sorted_atoms_of(comp)
+        local = Universe(names)
+        # The empty clause is shared: a component may derive it again
+        # without growing the union.
+        budget = max_clauses - len(entries) + (empty in entries)
+        saturator = (
+            _saturate_lattice if len(local) <= LATTICE_MAX_ATOMS else _saturate_pairwise
+        )
+        try:
+            part = saturator(ClausalTheory(frozenset(clauses), names), local, budget)
+        except ResourceLimitError:
+            raise ResourceLimitError(f"closure exceeded {max_clauses} clauses") from None
+        entries, parents = _merge(entries, parents, part, list(bits(comp)))
+    # As in each saturator, a closure that resolves nothing is not refused.
+    if len(entries) > max_clauses and any(
+        kind == _RESOLVENT for kind, _ in entries.values()
+    ):
+        raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
+    return Closure(u, entries, parents)
+
+
+def _merge(
+    entries: "dict[tuple[int, int], tuple[str, int]]",
+    parents: "dict[tuple[int, int], Optional[tuple]]",
+    part: Closure,
+    atom_index: list[int],
+) -> "tuple[dict, dict]":
+    """Add a component closure, consumed, to the global entries and parents.
+
+    ``atom_index[i]`` is the global position of the component's atom
+    ``i``. Local entry order and round numbers carry over unchanged. A
+    clause already present (only ever the empty clause) keeps the
+    earlier of its two rounds, with that round's parents. Returns the
+    merged entries and parents.
+    """
+    if atom_index == list(range(len(atom_index))):
+        # The component holds the lowest atoms: local bits are global.
+        lifted, links = part._entries, part._parents_m
+    else:
+        halves = {half for m in part._entries for half in m}
+        spread = {h: sum(1 << atom_index[i] for i in bits(h)) for h in halves}
+
+        def lift(m: tuple[int, int]) -> tuple[int, int]:
+            return spread[m[0]], spread[m[1]]
+
+        lifted = {lift(m): value for m, value in part._entries.items()}
+        links = {}
+        for m, par in part._parents_m.items():
+            if par is not None:
+                left, right, i = par
+                links[lift(m)] = (lift(left), lift(right), atom_index[i])
+    if not entries:
+        return lifted, links
+    empty = (0, 0)
+    seen, mine = entries.get(empty), lifted.get(empty)
+    if seen is not None and mine is not None:
+        if seen[1] <= mine[1]:
+            del lifted[empty]
+            links.pop(empty, None)
+        else:
+            parents.pop(empty, None)
+    entries.update(lifted)
+    parents.update(links)
+    return entries, parents
 
 
 def derives(closure: Closure, clause: Clause) -> bool:
@@ -370,12 +460,10 @@ def paradoxical_atoms(closure: Closure) -> frozenset[str]:
     # Two complementary units resolve to the empty clause, and an empty
     # clause that was RESOLVED (not handed in as input) came from such a
     # pair; an input empty clause carries no atom information.
-    assert not mask or empty is not None, (
-        "paradoxical atoms without a derivable empty clause"
-    )
-    assert empty is None or empty[0] == _INPUT or mask, (
-        "derived empty clause without a paradoxical atom"
-    )
+    if mask and empty is None:
+        raise AssertionError("paradoxical atoms without a derivable empty clause")
+    if empty is not None and empty[0] != _INPUT and not mask:
+        raise AssertionError("derived empty clause without a paradoxical atom")
     return closure._u.atoms_of(mask)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .clauses import ClausalTheory, Clause, clausal_theory
+from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, Universe, bits, underlying_components
 from .kernels import DEFAULT_MAX_ATOMS, Partition3, models
@@ -105,18 +105,8 @@ def classical_entails(
     if n > max_atoms:
         raise ResourceLimitError(f"universe has {n} atoms, truth-table cap is {max_atoms}")
 
-    def intern(cl: Clause) -> tuple[int, int]:
-        pos = neg = 0
-        for lit in cl.literals:
-            bit = 1 << u.index(lit.atom)
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        return pos, neg
-
-    theory_masks = [intern(cl) for cl in theory.clauses]
-    goal_pos, goal_neg = intern(clause)
+    theory_masks = [intern_clause(cl, u) for cl in theory.clauses]
+    goal_pos, goal_neg = intern_clause(clause, u)
     for assignment in range(1 << n):
         if all(p & assignment or q & ~assignment for p, q in theory_masks):
             if not (goal_pos & assignment or goal_neg & ~assignment):

@@ -1,9 +1,11 @@
 """Saturation, the consistent subtheory, entailment, weakening, proofs."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kernelogic as kl
-from kernelogic import Clause, Literal
+from kernelogic import Clause, Literal, resolution
 from kernelogic.oracle import splitmix64
 
 from conftest import clause, clauses
@@ -476,11 +478,143 @@ def test_saturate_cap():
         kl.saturate(t, max_clauses=5)
 
 
-def test_wide_universe_uses_pairwise_path():
-    atoms = tuple(f"w{i:02d}" for i in range(13))
-    t = kl.ClausalTheory(clauses("w00 w01", "~w00"), atoms)
+@pytest.mark.parametrize(
+    "texts",
+    [
+        # Two liars: each closure holds its units, its axiom and [].
+        ("x", "~x", "y", "~y"),
+        # A consistent component after a paradoxical one.
+        ("x", "~x", "y ~z", "z"),
+        # An input [] belongs to no component and is counted once too.
+        ("[]", "x", "~x", "y", "~y"),
+    ],
+)
+def test_saturate_cap_counts_the_whole_union(texts):
+    t = kl.ClausalTheory(clauses(*texts))
+    size = len(kl.saturate(t))
+    assert size == len(kl.brute_closure(t))
+    assert len(kl.saturate(t, max_clauses=size)) == size
+    with pytest.raises(kl.ResourceLimitError, match=f"exceeded {size - 1} clauses"):
+        kl.saturate(t, max_clauses=size - 1)
+
+
+def test_paradoxical_atoms_checks_the_empty_clause():
+    u = kl.Universe(["x"])
+    units = {(1, 0): ("input", 0), (0, 1): ("input", 0), (1, 1): ("axiom", 0)}
+    with pytest.raises(AssertionError, match="without a derivable empty clause"):
+        kl.paradoxical_atoms(kl.Closure(u, units, {}))
+    lone = {(0, 0): ("resolvent", 1), (1, 1): ("axiom", 0)}
+    with pytest.raises(AssertionError, match="without a paradoxical atom"):
+        kl.paradoxical_atoms(kl.Closure(u, lone, {}))
+
+
+def test_wide_universe_uses_pairwise_path(monkeypatch):
+    # An implication chain w00 -> w01 -> ... -> w12 is one connected
+    # component wider than the lattice path takes.
+    n = 13
+    atoms = [f"w{i:02d}" for i in range(n)]
+    texts = ["w00"] + [f"~{a} {b}" for a, b in zip(atoms, atoms[1:])]
+    t = kl.ClausalTheory(clauses(*texts))
+    widths = []
+    real = resolution._saturate_pairwise
+
+    def spy(theory, u, max_clauses):
+        widths.append(len(u))
+        return real(theory, u, max_clauses)
+
+    monkeypatch.setattr(resolution, "_saturate_pairwise", spy)
     closure = kl.saturate(t)
-    assert kl.derives(closure, clause("w01"))
-    assert len(closure) == 13 + 2 + 1
-    proof = kl.proof_of(closure, clause("w01"))
+    assert widths == [n]
+    assert kl.derives(closure, clause("w12"))
+    assert kl.derives(closure, clause("~w03 w09"))
+    assert not kl.derives(closure, clause("~w09 w03"))
+    # Every "~wi wj" with i < j, every unit wj, and every axiom.
+    assert len(closure) == n * (n - 1) // 2 + n + n
+    proof = kl.proof_of(closure, clause("w12"))
     check_replay(proof, t)
+
+
+@pytest.mark.parametrize("liar", ["a", "z"])
+def test_empty_clause_takes_the_earliest_round(liar):
+    # The wide chain derives [] late on the worklist path; the liar
+    # derives it in round 1, and its proof is the one kept whether its
+    # component is merged before the chain or after it.
+    atoms = [f"w{i:02d}" for i in range(13)]
+    texts = ["w00", "~w12", liar, f"~{liar}"]
+    texts += [f"~{a} {b}" for a, b in zip(atoms, atoms[1:])]
+    t = kl.ClausalTheory(clauses(*texts))
+    closure = kl.saturate(t)
+    assert closure.origin[Clause()] == "resolvent"
+    assert closure._entries[(0, 0)][1] == 1
+    assert kl.proof_of(closure, Clause()).to_text() == (
+        f"1. {liar} [input]\n2. ~{liar} [input]\n3. [] [res 1 2 on {liar}]"
+    )
+    check_replay(kl.proof_of(closure, clause("w12")), t)
+
+
+def split_theory(stream, groups=("abc", "de", "fg"), max_clauses=4, max_len=3):
+    """A random clause set whose clauses each stay inside one atom group."""
+    cls = set()
+    for group in groups:
+        for _ in range(next(stream) % (max_clauses + 1)):
+            lits = []
+            for _ in range(next(stream) % (max_len + 1)):
+                atom = group[next(stream) % len(group)]
+                lits.append(Literal(atom, next(stream) % 2 == 1))
+            cls.add(Clause(lits))
+    return kl.ClausalTheory(frozenset(cls), tuple("".join(groups)))
+
+
+def test_split_matches_whole_lattice():
+    # Per-component saturation keeps the whole-universe lattice closure:
+    # same clauses, origins and rounds, and the same proof text.
+    stream = splitmix64(5151)
+    for _ in range(40):
+        t = split_theory(stream)
+        u = kl.Universe(t.universe)
+        whole = resolution._saturate_lattice(t, u, resolution.DEFAULT_MAX_CLAUSES)
+        closure = kl.saturate(t)
+        assert closure._entries == whole._entries
+        for c in sorted(whole.derived, key=kl.clause_sort_key):
+            assert kl.proof_of(closure, c).to_text() == kl.proof_of(whole, c).to_text()
+
+
+@st.composite
+def component_theories(draw):
+    """Clause sets over up to three atom groups of at most three atoms."""
+    names = iter("pqrstu")
+    groups = []
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        group = [a for _, a in zip(range(size), names)]
+        if group:
+            groups.append(group)
+    literals = [
+        st.builds(Literal, st.sampled_from(group), st.booleans()) for group in groups
+    ]
+    cls = set()
+    for lits in literals:
+        for chosen in draw(st.lists(st.frozensets(lits, max_size=3), max_size=4)):
+            cls.add(Clause(chosen))
+    if draw(st.booleans()) and draw(st.booleans()):
+        cls.add(Clause())
+    return kl.ClausalTheory(frozenset(cls), tuple(a for g in groups for a in g))
+
+
+@given(component_theories())
+def test_saturation_paths_match_brute_closure(t):
+    expected = kl.brute_closure(t)
+    u = kl.Universe(t.universe)
+    cap = resolution.DEFAULT_MAX_CLAUSES
+    for closure in (
+        resolution._saturate_lattice(t, u, cap),
+        resolution._saturate_pairwise(t, u, cap),
+        kl.saturate(t),
+    ):
+        assert closure.derived == expected
+        assert len(closure) == len(expected)
+
+
+def test_brute_closure_cap():
+    wide = kl.ClausalTheory(frozenset(), tuple("abcdefg"))
+    with pytest.raises(kl.ResourceLimitError, match="capped"):
+        kl.brute_closure(wide)
