@@ -1,8 +1,9 @@
 """Command line interface.
 
 One executable, one subcommand per question you can ask a discourse.
-Decision commands exit 0 for yes and 1 for no; malformed input or usage
-exits 2; a blown size cap exits 3.
+Decision commands exit 0 for yes and 1 for no; malformed input (bytes
+that are not UTF-8 included) or usage exits 2; a blown size cap or
+exhausted memory exits 3.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .clauses import ClausalTheory, Clause, clausal_theory, clause_sort_key
+from .clauses import ClausalTheory, Clause, clausal_theory
 from .errors import KernelogicError, ParseError, ResourceLimitError, ValidationError
 from .graphs import Digraph, theory_to_graph
 from .io_text import (
@@ -57,10 +58,14 @@ _FORMAT_KINDS = {"gnf": GNF_THEORY, "edges": EDGE_LIST, "clauses": CLAUSE_SET}
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read(), path
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read(), source
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read(), source
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
 
 def _load(args) -> tuple[Optional[Digraph], ClausalTheory]:
@@ -97,25 +102,26 @@ def _fmt_partition3(p) -> str:
     )
 
 
-def _emit(args, command: str, result, human_lines) -> None:
+def _emit(args, command: str, result, render) -> None:
+    """Print ``result`` as JSON, or else the lines ``render()`` returns."""
     if args.json:
         print(to_json(result, command))
     else:
-        for line in human_lines:
+        for line in render():
             print(line)
 
 
 def cmd_models(args) -> int:
     graph = _require_graph(_load(args)[0])
     found = brute_models(graph) if args.oracle else models(graph, args.max_atoms)
-    _emit(args, "models", found, (_fmt_partition3(p) for p in found))
+    _emit(args, "models", found, lambda: map(_fmt_partition3, found))
     return EXIT_YES
 
 
 def cmd_kernels(args) -> int:
     graph = _require_graph(_load(args)[0])
     found = brute_kernels(graph) if args.oracle else enumerate_kernels(graph, args.max_atoms)
-    _emit(args, "kernels", found, (_fmt_set(k) for k in found))
+    _emit(args, "kernels", found, lambda: map(_fmt_set, found))
     return EXIT_YES
 
 
@@ -126,14 +132,14 @@ def cmd_semikernels(args) -> int:
         if args.oracle
         else enumerate_semikernels(graph, args.max_atoms)
     )
-    _emit(args, "semikernels", found, (_fmt_set(s) for s in found))
+    _emit(args, "semikernels", found, lambda: map(_fmt_set, found))
     return EXIT_YES
 
 
 def cmd_paradox(args) -> int:
     _, theory = _load(args)
     bad = paradoxical_atoms(saturate(theory, args.max_clauses))
-    _emit(args, "paradox", bad, [_fmt_set(bad)])
+    _emit(args, "paradox", bad, lambda: [_fmt_set(bad)])
     return EXIT_YES
 
 
@@ -147,14 +153,14 @@ def cmd_subdiscourse(args) -> int:
         "theory:",
     ]
     lines += [f"  {c}" for c in sorted_clause_strings(report.theory.clauses)]
-    _emit(args, "subdiscourse", report, lines)
+    _emit(args, "subdiscourse", report, lambda: lines)
     return EXIT_YES
 
 
 def cmd_closure(args) -> int:
     _, theory = _load(args)
     closure = saturate(theory, args.max_clauses)
-    _emit(args, "closure", closure, sorted_clause_strings(closure.derived))
+    _emit(args, "closure", closure, closure.clause_texts)
     return EXIT_YES
 
 
@@ -176,7 +182,7 @@ def cmd_prove(args) -> int:
                 lines.append(f"{goal} [weakening from {witness}]")
     else:
         lines = [f"not provable under weakening mode {args.weakening!r}"]
-    _emit(args, "prove", yes, lines)
+    _emit(args, "prove", yes, lambda: lines)
     return EXIT_YES if yes else EXIT_NO
 
 
@@ -196,11 +202,7 @@ def _weakening_witness(closure, goal: Clause, mode: str) -> Optional[Clause]:
         candidates.append((p, q))
     if not candidates:
         return None
-    best = min(
-        candidates,
-        key=lambda m: clause_sort_key(closure.clause_of(m)),
-    )
-    return closure.clause_of(best)
+    return closure.clause_of(closure.in_clause_order(candidates)[0])
 
 
 def cmd_entails(args) -> int:
@@ -213,13 +215,13 @@ def cmd_entails(args) -> int:
             lines.append(f"witness: {verdict.witness}")
         if verdict.countermodel is not None:
             lines.append(f"countermodel: {_fmt_partition3(verdict.countermodel)}")
-        _emit(args, "entails", verdict, lines)
+        _emit(args, "entails", verdict, lambda: lines)
         return EXIT_YES if verdict.holds else EXIT_NO
     if args.classical:
         yes = classical_entails(theory, goal, args.max_atoms)
     else:
         yes = entails_para(theory, goal, max_clauses=args.max_clauses)
-    _emit(args, "entails", yes, ["yes" if yes else "no"])
+    _emit(args, "entails", yes, lambda: ["yes" if yes else "no"])
     return EXIT_YES if yes else EXIT_NO
 
 
@@ -227,14 +229,14 @@ def cmd_relevant(args) -> int:
     _, theory = _load(args)
     goal = parse_clause(args.clause)
     yes = is_relevant(theory, goal, max_clauses=args.max_clauses)
-    _emit(args, "relevant", yes, ["yes" if yes else "no"])
+    _emit(args, "relevant", yes, lambda: ["yes" if yes else "no"])
     return EXIT_YES if yes else EXIT_NO
 
 
 def cmd_min(args) -> int:
     _, theory = _load(args)
     found = min_clauses(theory, max_clauses=args.max_clauses)
-    _emit(args, "min", found, sorted_clause_strings(found))
+    _emit(args, "min", found, lambda: sorted_clause_strings(found))
     return EXIT_YES
 
 
@@ -275,7 +277,7 @@ def cmd_check_random(args) -> int:
     ok = not mismatches
     rows.append(f"{args.count} graphs checked, {len(mismatches)} mismatches")
     result = {"count": args.count, "mismatches": mismatches, "ok": ok}
-    _emit(args, "check-random", result, rows)
+    _emit(args, "check-random", result, lambda: rows)
     return EXIT_YES if ok else EXIT_NO
 
 
@@ -397,6 +399,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KernelogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -228,7 +228,7 @@ def to_jsonable(value):
             "universe": list(value.universe),
         }
     if isinstance(value, Closure):
-        return sorted_clause_strings(value.derived)
+        return value.clause_texts()
     if isinstance(value, SubdiscourseReport):
         return {
             "paradox": sorted(value.paradox_atoms),

@@ -63,6 +63,27 @@ DEFAULT_MAX_CLAUSES = 1_000_000
 # Widest universe for which 4**n lattice arrays are still cheap.
 LATTICE_MAX_ATOMS = 11
 
+# The lattice round's accumulator for pair counts.
+_PAIR_COUNT = np.int64
+
+
+def _check_lattice_width(n: int) -> None:
+    """Refuse lattice widths whose pair counts overflow the accumulator.
+
+    The zeta transform of a 0/1 array over the 2n bits of a clause
+    counts up to 4**n subsets, so a pointwise product of two reaches
+    16**n; the Moebius inversion only takes it back down. int64 holds
+    that up to n = 15.
+    """
+    if 16**n > np.iinfo(_PAIR_COUNT).max:
+        raise ResourceLimitError(
+            f"a {n}-atom clause lattice overflows its "
+            f"{np.dtype(_PAIR_COUNT)} pair counts"
+        )
+
+
+_check_lattice_width(LATTICE_MAX_ATOMS)
+
 _INPUT = "input"
 _AXIOM = "axiom"
 _RESOLVENT = "resolvent"
@@ -105,6 +126,41 @@ class Closure:
 
     def iter_masks(self):
         return iter(self._entries)
+
+    def in_clause_order(self, masks) -> list[tuple[int, int]]:
+        """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
+        masks = list(masks)
+        order, _ = _clause_order(masks, len(self._u))
+        return [masks[i] for i in order.tolist()]
+
+    def clause_texts(self) -> list[str]:
+        """The text of every derived clause, in ``clause_sort_key`` order.
+
+        Equal to ``[str(c) for c in sorted(self.derived, key=clause_sort_key)]``
+        without building a single Clause: each text is joined from
+        per-atom pieces, looked up for four atoms at a time.
+        """
+        masks = list(self._entries)
+        order, codes = _clause_order(masks, len(self._u))
+        codes = codes[order]
+        text = np.full(len(masks), "", dtype=object)
+        names = self.universe
+        for lo in range(0, len(names), 4):
+            group = names[lo : lo + 4]
+            # table[((c0 * 4 + c1) * 4 + c2) * 4 + c3] joins the pieces
+            # of codes c0..c3 of the group's atoms.
+            table = [""]
+            for a in reversed(group):
+                table = [
+                    piece + rest
+                    for piece in (f"{a} ~{a} ", f"{a} ", f"~{a} ", "")
+                    for rest in table
+                ]
+            index = np.zeros(len(masks), dtype=np.int64)
+            for j in range(lo, lo + len(group)):
+                index = index * 4 + codes[:, j]
+            text += np.array(table, dtype=object)[index]
+        return [t[:-1] or "[]" for t in text.tolist()]
 
     @cached_property
     def derived(self) -> frozenset[Clause]:
@@ -150,13 +206,19 @@ class Closure:
         # A clause first seen in round r has a parent pair strictly
         # earlier, so restricting the scan keeps the links acyclic.
         pos, neg = m
+        # Each parent lies on the clause's literals plus one pivot
+        # literal, so one scan of the closure keeps every candidate for
+        # every pivot, in entry order.
+        near = [
+            (p, q)
+            for (p, q), (_, lay) in self._entries.items()
+            if lay < rnd and ((p & ~pos) | (q & ~neg)).bit_count() <= 1
+        ]
         for i in range(len(self._u)):
             bit = 1 << i
             pos_side = []
             neg_side = []
-            for (p, q), (_, lay) in self._entries.items():
-                if lay >= rnd:
-                    continue
+            for p, q in near:
                 if p & bit and (p & ~bit) & ~pos == 0 and q & ~neg == 0:
                     pos_side.append((p, q))
                 if q & bit and (q & ~bit) & ~neg == 0 and p & ~pos == 0:
@@ -178,6 +240,29 @@ class Closure:
                     if (rp | qp) == pos and (rn | (qn & ~bit)) == neg:
                         return ((pp, pn), (qp, qn), i)
         raise AssertionError("resolvent without a parent pair; layering is broken")
+
+
+def _clause_order(
+    masks: "list[tuple[int, int]]", n: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The ``clause_sort_key`` order of clause masks over ``n`` atoms.
+
+    Returns the sorting permutation and, unpermuted, one literal code
+    per clause and atom: 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x``
+    and 3 for neither. Universe names are sorted, so literals order by
+    atom index with the positive one first, and of two clauses of one
+    size the lowest atom where they differ decides. Sorting by size,
+    then by the codes of atoms 0, 1, ... is therefore the key's order,
+    for any number of atoms.
+    """
+    width = 2 * n // 8 + 1
+    raw = b"".join([(p | q << n).to_bytes(width, "little") for p, q in masks])
+    lits = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1, bitorder="little"
+    )
+    codes = 3 - 2 * lits[:, :n] - lits[:, n : 2 * n]
+    size = lits.sum(axis=1, dtype=np.int64)
+    return np.lexsort((*codes[:, ::-1].T, size)), codes
 
 
 def _seed_entries(theory: ClausalTheory, u: Universe):
@@ -212,6 +297,7 @@ def _moebius(values: np.ndarray, nbits: int) -> np.ndarray:
 
 def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
     n = len(u)
+    _check_lattice_width(n)
     size = 1 << (2 * n)
     entries = _seed_entries(theory, u)
     derived = np.zeros(size, dtype=bool)
@@ -230,8 +316,8 @@ def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> C
             with_neg = idxs[(idxs & neg_bit) != 0]
             if with_pos.size == 0 or with_neg.size == 0:
                 continue
-            f = np.zeros(size, dtype=np.int64)
-            g = np.zeros(size, dtype=np.int64)
+            f = np.zeros(size, dtype=_PAIR_COUNT)
+            g = np.zeros(size, dtype=_PAIR_COUNT)
             f[with_pos ^ pos_bit] = 1
             g[with_neg ^ neg_bit] = 1
             pairs = _zeta(f, 2 * n) * _zeta(g, 2 * n)
@@ -421,27 +507,15 @@ def witness_subclause(closure: Closure, clause: Clause) -> Optional[Clause]:
     derivable subclause.
     """
     pos, neg = closure.clause_masks(clause)
-    best: Optional[tuple[int, tuple]] = None
-    best_masks: Optional[tuple[int, int]] = None
-    empty_derivable = False
-    for (p, q) in closure.iter_masks():
-        if p & ~pos or q & ~neg:
-            continue
-        if p == 0 and q == 0:
-            empty_derivable = True
-            continue
-        size = p.bit_count() + q.bit_count()
-        if best is not None and size > best[0]:
-            continue
-        lits = closure.clause_of((p, q)).sorted_literals()
-        if best is None or (size, lits) < best:
-            best = (size, lits)
-            best_masks = (p, q)
-    if best_masks is not None:
-        return closure.clause_of(best_masks)
-    if empty_derivable:
-        return Clause()
-    return None
+    ranked = closure.in_clause_order(
+        (p, q) for p, q in closure.iter_masks() if not (p & ~pos or q & ~neg)
+    )
+    if not ranked:
+        return None
+    # The empty clause sorts first; it is the witness only when alone.
+    if ranked[0] == (0, 0) and len(ranked) > 1:
+        return closure.clause_of(ranked[1])
+    return closure.clause_of(ranked[0])
 
 
 def _paradox_mask(closure: Closure) -> int:

@@ -1,12 +1,17 @@
 """End-to-end command line behavior, including exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kernelogic as kl
+from kernelogic import cli
 from kernelogic.cli import main
+from kernelogic.io_text import CLAUSE_SET, EDGE_LIST, parse_document
 
 from test_io import DELTA_TEXT
 
@@ -162,9 +167,7 @@ def test_resource_caps(capsys, delta_file):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io as stdlib_io
-
-    monkeypatch.setattr("sys.stdin", stdlib_io.StringIO("a -> b\nb -> a\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("a -> b\nb -> a\n"))
     code, out, _ = run(capsys, "kernels")
     assert code == 0
     assert out.splitlines() == ["{a}", "{b}"]
@@ -196,3 +199,47 @@ def test_module_entry_point(delta_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{c,d,e}"
+
+
+def test_undecodable_input_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "bad.gnf"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+    undecodable = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", undecodable)
+    code, out, err = run(capsys, "paradox", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: <stdin>") and "UTF-8" in err
+
+
+def test_memory_error_exits_3(capsys, monkeypatch, delta_file):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "saturate", exhausted)
+    code, out, err = run(capsys, "closure", delta_file)
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
+
+
+DEMO_INPUTS = sorted((Path(__file__).parent.parent / "demos" / "data").iterdir())
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_closure_output_is_the_sorted_closure(capsys, path):
+    doc = parse_document(path.read_text())
+    if doc.kind == CLAUSE_SET:
+        theory = doc.payload
+    elif doc.kind == EDGE_LIST:
+        theory = kl.clausal_theory(doc.payload)
+    else:
+        theory = kl.clausal_theory(kl.theory_to_graph(doc.payload))
+    closure = kl.saturate(theory)
+    naive = [str(c) for c in sorted(closure.derived, key=kl.clause_sort_key)]
+    code, out, _ = run(capsys, "closure", str(path))
+    assert code == 0 and out == "".join(line + "\n" for line in naive)
+    code, out, _ = run(capsys, "closure", str(path), "--json")
+    assert code == 0 and json.loads(out)["result"] == naive

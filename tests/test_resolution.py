@@ -618,3 +618,64 @@ def test_brute_closure_cap():
     wide = kl.ClausalTheory(frozenset(), tuple("abcdefg"))
     with pytest.raises(kl.ResourceLimitError, match="capped"):
         kl.brute_closure(wide)
+
+
+def naive_listing(closure):
+    return [str(c) for c in sorted(closure.derived, key=kl.clause_sort_key)]
+
+
+def check_listing(closure):
+    expected = naive_listing(closure)
+    assert closure.clause_texts() == expected
+    shuffled = list(closure.iter_masks())[::-1]
+    ranked = closure.in_clause_order(shuffled)
+    assert [str(closure.clause_of(m)) for m in ranked] == expected
+
+
+@given(component_theories(), st.integers(0, 2))
+def test_clause_texts_match_sorted_clauses(t, loose):
+    # "v" and "w" sort after every clause atom and occur in no clause.
+    t = kl.ClausalTheory(t.clauses, t.universe + ("v", "w")[:loose])
+    check_listing(kl.saturate(t))
+
+
+WIDE_ATOMS = tuple(f"x{i:02d}" for i in range(40))
+
+
+@given(
+    st.lists(
+        st.frozensets(
+            st.builds(Literal, st.sampled_from(WIDE_ATOMS), st.booleans()),
+            min_size=1,
+            max_size=2,
+        ),
+        max_size=5,
+    )
+)
+def test_clause_texts_match_sorted_clauses_on_a_wide_universe(lits):
+    # Forty atoms: the clause order must not depend on masks fitting a
+    # machine word.
+    t = kl.ClausalTheory(frozenset(Clause(c) for c in lits), WIDE_ATOMS)
+    check_listing(kl.saturate(t))
+
+
+def test_witness_subclause_is_least_in_clause_order(our_cth, our_closure):
+    stream = splitmix64(77)
+    names = our_cth.universe
+    for _ in range(60):
+        goal = rand_clause(stream, names, max_len=5)
+        below = [c for c in our_closure.derived if c.issubset(goal)]
+        nonempty = [c for c in below if c.literals]
+        expected = min(nonempty or below, key=kl.clause_sort_key, default=None)
+        assert kl.witness_subclause(our_closure, goal) == expected
+
+
+def test_lattice_width_is_bounded_by_the_accumulator():
+    resolution._check_lattice_width(resolution.LATTICE_MAX_ATOMS)
+    resolution._check_lattice_width(15)
+    with pytest.raises(kl.ResourceLimitError, match="overflows"):
+        resolution._check_lattice_width(16)
+    # Refused before a single 4**16-cell array is allocated.
+    t = kl.ClausalTheory(frozenset(), tuple(f"y{i:02d}" for i in range(16)))
+    with pytest.raises(kl.ResourceLimitError, match="overflows"):
+        resolution._saturate_lattice(t, kl.Universe(t.universe), 10)
