@@ -206,7 +206,8 @@ def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> fr
             break
         reach = grown
     result = s_mask & reach
-    assert _is_semikernel(graph, result), "combinator broke the semikernel property"
+    if not _is_semikernel(graph, result):
+        raise AssertionError("combinator broke the semikernel property")
     return u.atoms_of(result)
 
 
@@ -225,7 +226,8 @@ def sk_union(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[st
     if graph.in_mask(s_mask) & t_mask:
         raise ValidationError("predecessors of s overlap t")
     result = s_mask | t_mask
-    assert _is_semikernel(graph, result), "combinator broke the semikernel property"
+    if not _is_semikernel(graph, result):
+        raise AssertionError("combinator broke the semikernel property")
     return u.atoms_of(result)
 
 
@@ -267,11 +269,9 @@ def extend_partition(graph: Digraph, alpha: Partition3, beta: Partition3) -> Par
     if not _is_psk_partition(graph, b_true, b_false):
         raise ValidationError("beta is not an inverse-closed semikernel partition")
     grown = a_true | (b_true & ~a_dom)
-    assert _is_semikernel(graph, grown) and _is_closed(graph, grown), (
-        "combined set is not an inverse-closed semikernel"
-    )
+    if not (_is_semikernel(graph, grown) and _is_closed(graph, grown)):
+        raise AssertionError("combined set is not an inverse-closed semikernel")
     new_dom = graph.in_closed_mask(grown)
-    assert a_dom & ~new_dom == 0 and a_dom != new_dom, (
-        "combined partition does not strictly extend alpha"
-    )
+    if a_dom & ~new_dom or a_dom == new_dom:
+        raise AssertionError("combined partition does not strictly extend alpha")
     return _partition_from_mask(graph, grown)

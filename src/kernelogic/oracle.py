@@ -155,27 +155,27 @@ def brute_closure(theory: ClausalTheory) -> frozenset[Clause]:
     """The resolution closure by a naive fixpoint over clause sets.
 
     Starts from the input clauses and one axiom ``x ~x`` per universe
-    atom, and resolves every pair of known clauses on every pivot until
+    atom. Each round resolves, on every pivot, every pair of known
+    clauses of which at least one is new since the round before, until
     a round adds nothing; no subsumption, no tautology deletion.
     """
     if len(theory.universe) > BRUTE_CLOSURE_MAX_ATOMS:
         raise ResourceLimitError(
             f"brute-force closure is capped at {BRUTE_CLOSURE_MAX_ATOMS} atoms"
         )
-    known = set(theory.clauses)
-    known |= {Clause([Literal(a), Literal(a, True)]) for a in theory.universe}
-    while True:
+    known = {c.literals for c in theory.clauses}
+    known |= {frozenset({Literal(a), Literal(a, True)}) for a in theory.universe}
+    # Pairs of clauses known before the last round were resolved then.
+    fresh = set(known)
+    while fresh:
         found = set()
-        for left in known:
-            for right in known:
-                for lit in left.literals:
-                    if not lit.negated and lit.complement() in right.literals:
-                        found.add(
-                            Clause(
-                                (left.literals - {lit})
-                                | (right.literals - {lit.complement()})
-                            )
-                        )
-        if found <= known:
-            return frozenset(known)
-        known |= found
+        for left in fresh:
+            for lit in left:
+                other = lit.complement()
+                rest = left - {lit}
+                for right in known:
+                    if other in right:
+                        found.add(rest | (right - {other}))
+        fresh = found - known
+        known |= fresh
+    return frozenset(Clause(c) for c in known)

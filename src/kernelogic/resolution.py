@@ -19,10 +19,14 @@ round at which any of them derives it.
 Closures of paradoxical theories tend to fill large parts of the clause
 lattice, which makes clause-pair scanning hopeless. A component of at
 most ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
-full lattice of its clauses, encoded as bit indices: one round performs,
-for every pivot atom, an exact union convolution (zeta transform,
-pointwise product, Moebius inversion) of the clauses containing the
-positive pivot against those containing the negative pivot. Rounds
+full lattice of its clauses, encoded as bit indices. One round takes a
+single zeta transform of the derived clauses; for every pivot atom the
+transforms of the clauses holding the positive and the negative pivot
+are differences of two of its cells, and their pointwise product is
+the pivot's union convolution in transform space. The products of all
+pivots are added up, and one Moebius inversion of the sum yields, for
+every clause, the number of resolvable pairs producing it: the
+clauses with a positive count are the round's resolvents. Rounds
 repeat until nothing new appears; the round number of each clause is
 kept so that proofs can later be rebuilt by searching strictly earlier
 rounds for a parent pair. Only components too wide for lattice arrays
@@ -40,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -70,12 +75,15 @@ _PAIR_COUNT = np.int64
 def _check_lattice_width(n: int) -> None:
     """Refuse lattice widths whose pair counts overflow the accumulator.
 
-    The zeta transform of a 0/1 array over the 2n bits of a clause
-    counts up to 4**n subsets, so a pointwise product of two reaches
-    16**n; the Moebius inversion only takes it back down. int64 holds
-    that up to n = 15.
+    A clause holding a given pivot literal is one of at most 4**n / 2
+    clauses over n atoms, so the zeta transform of one pivot's side
+    counts at most that many and the pointwise product of two sides
+    reaches 16**n / 4. A round adds the products of all n pivots, up to
+    n * 16**n / 4; the Moebius inversion's partial values are partial
+    zeta sums of non-negative counts and never exceed that sum. int64
+    holds it up to n = 15.
     """
-    if 16**n > np.iinfo(_PAIR_COUNT).max:
+    if n * 16**n // 4 > np.iinfo(_PAIR_COUNT).max:
         raise ResourceLimitError(
             f"a {n}-atom clause lattice overflows its "
             f"{np.dtype(_PAIR_COUNT)} pair counts"
@@ -275,23 +283,17 @@ def _seed_entries(theory: ClausalTheory, u: Universe):
     return entries
 
 
-def _zeta(values: np.ndarray, nbits: int) -> np.ndarray:
+def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
+    """Zeta (``sign`` 1) or Moebius (``sign`` -1) transform, in place.
+
+    The zeta transform sums each cell over the subsets of its index;
+    the Moebius transform inverts it.
+    """
+    step = np.add if sign > 0 else np.subtract
     size = values.shape[0]
     for b in range(nbits):
-        block = 1 << b
-        values = values.reshape(size >> (b + 1), 2, block)
-        values[:, 1, :] += values[:, 0, :]
-        values = values.reshape(size)
-    return values
-
-
-def _moebius(values: np.ndarray, nbits: int) -> np.ndarray:
-    size = values.shape[0]
-    for b in range(nbits):
-        block = 1 << b
-        values = values.reshape(size >> (b + 1), 2, block)
-        values[:, 1, :] -= values[:, 0, :]
-        values = values.reshape(size)
+        pair = values.reshape(size >> (b + 1), 2, 1 << b)
+        step(pair[:, 1, :], pair[:, 0, :], out=pair[:, 1, :])
     return values
 
 
@@ -303,36 +305,40 @@ def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> C
     derived = np.zeros(size, dtype=bool)
     for (pos, neg) in entries:
         derived[pos | (neg << n)] = True
+    low = (1 << n) - 1
 
     rnd = 0
     while True:
         rnd += 1
-        idxs = np.nonzero(derived)[0]
-        fresh = np.zeros(size, dtype=bool)
+        # zd[S] counts the derived clauses inside S. For the pivot bits
+        # p and q of atom i, the zeta transform of the derived clauses
+        # holding p, with p dropped, is zd[S | p] - zd[S & ~p]: it does
+        # not depend on bit p of S, and likewise for q.
+        zd = _subset_transform(derived.astype(_PAIR_COUNT), 2 * n, 1)
+        pairs = np.zeros(size, dtype=_PAIR_COUNT)
         for i in range(n):
-            pos_bit = 1 << i
-            neg_bit = 1 << (n + i)
-            with_pos = idxs[(idxs & pos_bit) != 0]
-            with_neg = idxs[(idxs & neg_bit) != 0]
-            if with_pos.size == 0 or with_neg.size == 0:
-                continue
-            f = np.zeros(size, dtype=_PAIR_COUNT)
-            g = np.zeros(size, dtype=_PAIR_COUNT)
-            f[with_pos ^ pos_bit] = 1
-            g[with_neg ^ neg_bit] = 1
-            pairs = _zeta(f, 2 * n) * _zeta(g, 2 * n)
-            exact = _moebius(pairs, 2 * n)
-            fresh |= exact > 0
-        fresh &= ~derived
-        if not fresh.any():
+            # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i).
+            cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
+            with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
+            with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
+            total = pairs.reshape(cells.shape)
+            total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
+        # Each pivot's union product counts resolvable pairs and is
+        # never negative, so one inversion of the sum has the union of
+        # their supports.
+        resolvents = _subset_transform(pairs, 2 * n, -1) > 0
+        fresh = np.nonzero(resolvents & ~derived)[0]
+        if fresh.size == 0:
             break
-        if int(derived.sum()) + int(fresh.sum()) > max_clauses:
+        if len(entries) + fresh.size > max_clauses:
             raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
-        derived |= fresh
-        low = (1 << n) - 1
-        for idx in np.nonzero(fresh)[0]:
-            idx = int(idx)
-            entries[(idx & low, idx >> n)] = (_RESOLVENT, rnd)
+        derived[fresh] = True
+        entries.update(
+            zip(
+                zip((fresh & low).tolist(), (fresh >> n).tolist()),
+                repeat((_RESOLVENT, rnd)),
+            )
+        )
 
     return Closure(u, entries, {})
 

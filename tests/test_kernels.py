@@ -3,6 +3,7 @@
 import pytest
 
 import kernelogic as kl
+from kernelogic import kernels
 
 
 def rand_graphs(count, sizes=(3, 4, 5, 6), probs=(0.15, 0.3, 0.5), base=4242):
@@ -217,3 +218,46 @@ def test_extend_partition_random():
                 gamma = kl.extend_partition(g, alpha, beta)
                 assert kl.classify_subset(g, gamma.true_set).psk
                 assert alpha.boolean_domain() < gamma.boolean_domain()
+
+
+def failing_on(graph, atoms, check):
+    """``check`` with its answer for one vertex set turned to False."""
+    bad = graph.universe.mask_of(atoms)
+    return lambda g, mask: mask != bad and check(g, mask)
+
+
+def test_combinator_post_checks_raise(monkeypatch):
+    # The post-checks are explicit raises, kept under python -O; they
+    # fire when a result breaks the property its inputs were checked for.
+    path = kl.Digraph(["w", "x", "y", "z"], [("w", "x"), ("x", "y"), ("y", "z")])
+    real = kernels._is_semikernel
+    monkeypatch.setattr(kernels, "_is_semikernel", failing_on(path, {"z"}, real))
+    with pytest.raises(AssertionError, match="broke the semikernel"):
+        kl.sk_intersect_reach(path, {"x", "z"}, {"z"})
+
+    two = kl.Digraph(["u", "v", "p", "q"], [("u", "v"), ("p", "q")])
+    monkeypatch.setattr(kernels, "_is_semikernel", failing_on(two, {"v", "q"}, real))
+    with pytest.raises(AssertionError, match="broke the semikernel"):
+        kl.sk_union(two, {"v"}, {"q"})
+
+
+def test_extend_partition_post_checks_raise(monkeypatch):
+    sinks = kl.Digraph(["a", "b"], [])
+    alpha = kl.partition_of(sinks, {"a"})
+    beta = kl.partition_of(sinks, {"b"})
+    real = kernels._is_closed
+    monkeypatch.setattr(kernels, "_is_closed", failing_on(sinks, {"a", "b"}, real))
+    with pytest.raises(AssertionError, match="not an inverse-closed semikernel"):
+        kl.extend_partition(sinks, alpha, beta)
+
+    # {z} is a semikernel whose settled domain {y, z} has the predecessor
+    # x, so alpha is not inverse-closed; beta settles only x anew, as a
+    # false atom, and the combined set adds nothing to alpha's.
+    g = kl.Digraph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "y")])
+    alpha = kl.partition_of(g, {"z"})
+    beta = kl.partition_of(g, {"y"})
+    with pytest.raises(kl.ValidationError, match="alpha is not an inverse-closed"):
+        kl.extend_partition(g, alpha, beta)
+    monkeypatch.setattr(kernels, "_is_closed", lambda graph, mask: True)
+    with pytest.raises(AssertionError, match="does not strictly extend"):
+        kl.extend_partition(g, alpha, beta)
