@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .clauses import ClausalTheory, Clause, clausal_theory
+from .clauses import ClausalTheory, clausal_theory
 from .errors import KernelogicError, ParseError, ResourceLimitError, ValidationError
 from .graphs import Digraph, theory_to_graph
 from .io_text import (
@@ -46,6 +46,7 @@ from .resolution import (
     proof_of,
     provable_weakened,
     saturate,
+    weakening_witness,
 )
 from .semantics import classical_entails, entails_semantic, is_relevant, min_clauses
 
@@ -174,7 +175,7 @@ def cmd_prove(args) -> int:
         if goal in closure:
             lines = proof_of(closure, goal).to_text().splitlines()
         else:
-            witness = _weakening_witness(closure, goal, args.weakening)
+            witness = weakening_witness(closure, goal, args.weakening)
             if witness is None:
                 lines = [f"{goal} [weakening: all atoms provably paradoxical]"]
             else:
@@ -184,25 +185,6 @@ def cmd_prove(args) -> int:
         lines = [f"not provable under weakening mode {args.weakening!r}"]
     _emit(args, "prove", yes, lambda: lines)
     return EXIT_YES if yes else EXIT_NO
-
-
-def _weakening_witness(closure, goal: Clause, mode: str) -> Optional[Clause]:
-    from .resolution import _paradox_mask
-
-    bad = _paradox_mask(closure)
-    pos, neg = closure.clause_masks(goal)
-    candidates = []
-    for p, q in closure.iter_masks():
-        if p & ~pos or q & ~neg:
-            continue
-        if mode == "awbw" and not (p or q):
-            continue
-        if mode == "awbw" and not ((p | q) & ~bad):
-            continue
-        candidates.append((p, q))
-    if not candidates:
-        return None
-    return closure.clause_of(closure.in_clause_order(candidates)[0])
 
 
 def cmd_entails(args) -> int:
@@ -281,6 +263,22 @@ def cmd_check_random(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
+def count(text: str) -> int:
+    """Argument type of counts and caps: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def probability(text: str) -> float:
+    """Argument type of probabilities: a number in [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         parser.add_argument(
@@ -307,13 +305,13 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     )
     parser.add_argument(
         "--max-atoms",
-        type=int,
+        type=count,
         default=DEFAULT_MAX_ATOMS,
         help="cap for enumeration and truth tables",
     )
     parser.add_argument(
         "--max-clauses",
-        type=int,
+        type=count,
         default=DEFAULT_MAX_CLAUSES,
         help="cap for the whole resolution closure, all components together",
     )
@@ -369,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         "differential run of engine versus brute-force oracle",
         with_input=False,
     )
-    rand.add_argument("--n", type=int, default=5, help="vertex count")
-    rand.add_argument("--p", type=float, default=0.3, help="edge probability")
+    rand.add_argument("--n", type=count, default=5, help="vertex count")
+    rand.add_argument("--p", type=probability, default=0.3, help="edge probability")
     rand.add_argument("--seed", type=int, default=1, help="first seed")
-    rand.add_argument("--count", type=int, default=20, help="number of graphs")
+    rand.add_argument("--count", type=count, default=20, help="number of graphs")
     return parser
 
 

@@ -12,6 +12,7 @@ and serialization round-trip for all three kinds.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -45,14 +46,17 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _column(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else len(line) + 1
+_TOKEN = re.compile(r"\S+")
 
 
-def _check_atom_token(token: str, lineno: int, line: str) -> str:
+def _tokens(line: str, start: int = 0) -> list[tuple[int, str]]:
+    """The whitespace-separated tokens of ``line[start:]`` with their 1-based columns."""
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
+
+
+def _atom(lineno: int, column: int, token: str) -> str:
     if not is_valid_atom(token):
-        raise ParseError(f"invalid atom {token!r}", lineno, _column(line, token))
+        raise ParseError(f"invalid atom {token!r}", lineno, column)
     return token
 
 
@@ -63,38 +67,30 @@ def parse_theory(text: str, *, complete_loose: bool = False) -> GnfTheory:
     twin instead of being rejected.
     """
     table: dict[str, list[str]] = {}
+    uses: list[tuple[int, int, str]] = []
     for lineno, line in _content_lines(text):
-        if ":" not in line:
+        colon = line.find(":")
+        if colon < 0:
             raise ParseError("expected 'atom : atoms...'", lineno, len(line.rstrip()) + 1)
-        left, _, right = line.partition(":")
-        head = left.split()
+        head = _tokens(line[:colon])
         if len(head) != 1:
-            raise ParseError(
-                "exactly one atom must stand left of ':'", lineno, _column(line, ":")
-            )
-        atom = _check_atom_token(head[0], lineno, line)
+            raise ParseError("exactly one atom must stand left of ':'", lineno, colon + 1)
+        atom = _atom(lineno, *head[0])
         if atom in table:
-            raise ParseError(f"duplicate definition of {atom!r}", lineno, _column(line, atom))
-        table[atom] = [_check_atom_token(tok, lineno, line) for tok in right.split()]
+            raise ParseError(f"duplicate definition of {atom!r}", lineno, head[0][0])
+        right = _tokens(line, colon + 1)
+        table[atom] = [_atom(lineno, *token) for token in right]
+        uses += [(lineno, *token) for token in right]
     if complete_loose:
         return complete_loose_atoms(table)
-    defined = set(table)
-    for atom, rhs in table.items():
-        for other in rhs:
-            if other not in defined:
-                raise ParseError(
-                    f"loose atom {other!r} (define it or pass the completion flag)",
-                    _line_of(text, other),
-                    0,
-                ) from None
+    for lineno, column, other in uses:
+        if other not in table:
+            raise ParseError(
+                f"loose atom {other!r} (define it or pass the completion flag)",
+                lineno,
+                column,
+            )
     return GnfTheory(table)
-
-
-def _line_of(text: str, token: str) -> int:
-    for lineno, line in _content_lines(text):
-        if token in line.split() or token in line.replace(":", " ").split():
-            return lineno
-    return 0
 
 
 def parse_edges(text: str) -> Digraph:
@@ -102,32 +98,31 @@ def parse_edges(text: str) -> Digraph:
     vertices: set[str] = set()
     edges: list[tuple[str, str]] = []
     for lineno, line in _content_lines(text):
-        tokens = line.split()
-        if len(tokens) == 2 and tokens[0] == "vertex":
-            vertices.add(_check_atom_token(tokens[1], lineno, line))
-        elif len(tokens) == 3 and tokens[1] == "->":
-            src = _check_atom_token(tokens[0], lineno, line)
-            dst = _check_atom_token(tokens[2], lineno, line)
+        tokens = _tokens(line)
+        words = [word for _, word in tokens]
+        if len(words) == 2 and words[0] == "vertex":
+            vertices.add(_atom(lineno, *tokens[1]))
+        elif len(words) == 3 and words[1] == "->":
+            src = _atom(lineno, *tokens[0])
+            dst = _atom(lineno, *tokens[2])
             vertices.update((src, dst))
             edges.append((src, dst))
         else:
-            raise ParseError(
-                "expected 'a -> b' or 'vertex x'", lineno, _column(line, tokens[0])
-            )
+            raise ParseError("expected 'a -> b' or 'vertex x'", lineno, tokens[0][0])
     return Digraph(vertices, edges)
 
 
 def parse_clause(text: str) -> Clause:
     """Parse one clause: ``~``-prefixed literals, or ``[]`` for empty."""
-    tokens = text.split()
-    if tokens == ["[]"]:
+    tokens = _tokens(text)
+    if [word for _, word in tokens] == ["[]"]:
         return Clause()
     literals = []
-    for token in tokens:
+    for column, token in tokens:
         negated = token.startswith("~")
         name = token[1:] if negated else token
         if not is_valid_atom(name):
-            raise ParseError(f"invalid literal {token!r}", 1, _column(text, token))
+            raise ParseError(f"invalid literal {token!r}", 1, column)
         literals.append(Literal(name, negated))
     return Clause(literals)
 

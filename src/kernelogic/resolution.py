@@ -36,7 +36,9 @@ On top of the closure this module derives the provably paradoxical
 atoms (both the atom and its negation derivable), the consistent
 subtheory obtained by deleting all literals over them, the classical
 models of that subtheory, the paraconsistent entailment decision, and
-three weakening variants of provability.
+three weakening variants of provability. Entailment, weakening and
+their witnesses all ask the closure for the derived subclauses of a
+clause (``Closure.subclauses``) and differ only in which of them count.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ class Closure:
 
     def iter_masks(self):
         return iter(self._entries)
+
+    def subclauses(self, pos: int, neg: int):
+        """The derived subclauses of the clause ``(pos, neg)``, lazily, in entry order."""
+        return ((p, q) for p, q in self._entries if not (p & ~pos or q & ~neg))
+
+    @cached_property
+    def paradox_mask(self) -> int:
+        """The atoms whose positive and negative units are both derived."""
+        mask = 0
+        for i in range(len(self._u)):
+            bit = 1 << i
+            if (bit, 0) in self._entries and (0, bit) in self._entries:
+                mask |= bit
+        return mask
 
     def in_clause_order(self, masks) -> list[tuple[int, int]]:
         """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
@@ -512,10 +528,7 @@ def witness_subclause(closure: Closure, clause: Clause) -> Optional[Clause]:
     literal order); falls back to the empty clause when that is the only
     derivable subclause.
     """
-    pos, neg = closure.clause_masks(clause)
-    ranked = closure.in_clause_order(
-        (p, q) for p, q in closure.iter_masks() if not (p & ~pos or q & ~neg)
-    )
+    ranked = closure.in_clause_order(closure.subclauses(*closure.clause_masks(clause)))
     if not ranked:
         return None
     # The empty clause sorts first; it is the witness only when alone.
@@ -524,18 +537,9 @@ def witness_subclause(closure: Closure, clause: Clause) -> Optional[Clause]:
     return closure.clause_of(ranked[0])
 
 
-def _paradox_mask(closure: Closure) -> int:
-    mask = 0
-    for i in range(len(closure.universe)):
-        bit = 1 << i
-        if (bit, 0) in closure._entries and (0, bit) in closure._entries:
-            mask |= bit
-    return mask
-
-
 def paradoxical_atoms(closure: Closure) -> frozenset[str]:
     """Atoms whose positive and negative units are both derivable."""
-    mask = _paradox_mask(closure)
+    mask = closure.paradox_mask
     empty = closure._entries.get((0, 0))
     # Two complementary units resolve to the empty clause, and an empty
     # clause that was RESOLVED (not handed in as input) came from such a
@@ -631,15 +635,10 @@ def entails_para(
     """
     closure = _closure_for(theory, closure, max_clauses)
     pos, neg = closure.clause_masks(clause)
-    bad_mask = _paradox_mask(closure)
-    if bad_mask and (pos | neg) & ~bad_mask == 0:
+    bad = closure.paradox_mask
+    if bad and not (pos | neg) & ~bad:
         return True
-    hpos = pos & ~bad_mask
-    hneg = neg & ~bad_mask
-    for (p, q) in closure.iter_masks():
-        if (p or q) and p & ~hpos == 0 and q & ~hneg == 0:
-            return True
-    return False
+    return any(p or q for p, q in closure.subclauses(pos & ~bad, neg & ~bad))
 
 
 WEAKENING_MODES = ("none", "awbw", "cw")
@@ -655,35 +654,43 @@ def provable_weakened(
 ) -> bool:
     """Provability under a choice of weakening discipline.
 
-    ``none`` is bare derivability. ``cw`` allows classical weakening, so
-    any derivable subclause (the empty clause included) suffices; this
-    recovers classical consequence together with its explosion. ``awbw``
-    restricts weakening so that either the derivable premise keeps a
-    healthy literal or the whole clause is a nonempty disjunction over
-    paradoxical atoms; that blocks deriving arbitrary clauses from a
+    ``none`` is bare derivability; the other modes also weaken from a
+    derivable subclause and differ in which may be the premise. ``cw``
+    takes any (the empty clause included), which recovers classical
+    consequence together with its explosion. ``awbw`` takes one that
+    keeps a healthy atom, and accepts a nonempty clause over paradoxical
+    atoms alone; that blocks deriving arbitrary clauses from a
     contradiction and coincides with paraconsistent entailment.
     """
     if mode not in WEAKENING_MODES:
         raise ValidationError(f"unknown weakening mode {mode!r}")
     closure = _closure_for(theory, closure, max_clauses)
     pos, neg = closure.clause_masks(clause)
-    if mode == "none":
-        return (pos, neg) in closure._entries
-    if mode == "cw":
-        for (p, q) in closure.iter_masks():
-            if p & ~pos == 0 and q & ~neg == 0:
-                return True
-        return False
-    # awbw
     if (pos, neg) in closure._entries:
         return True
-    bad_mask = _paradox_mask(closure)
-    if (pos | neg) and (pos | neg) & ~bad_mask == 0:
+    if mode == "awbw" and (pos | neg) and not (pos | neg) & ~closure.paradox_mask:
         return True
-    for (p, q) in closure.iter_masks():
-        if (p or q) and p & ~pos == 0 and q & ~neg == 0 and (p | q) & ~bad_mask:
-            return True
-    return False
+    return any(_weakening_premises(closure, pos, neg, mode))
+
+
+def _weakening_premises(closure: Closure, pos: int, neg: int, mode: str):
+    """The derived subclauses of ``(pos, neg)`` that ``mode`` weakens from."""
+    if mode == "none":
+        return iter(())
+    found = closure.subclauses(pos, neg)
+    if mode == "cw":
+        return found
+    healthy = ~closure.paradox_mask
+    return ((p, q) for p, q in found if (p | q) & healthy)
+
+
+def weakening_witness(closure: Closure, clause: Clause, mode: str) -> Optional[Clause]:
+    """The least premise, in ``clause_sort_key`` order, that ``mode`` may
+    weaken ``clause`` from; None when there is none (a clause provable
+    under ``awbw`` then has only provably paradoxical atoms)."""
+    premises = _weakening_premises(closure, *closure.clause_masks(clause), mode)
+    ranked = closure.in_clause_order(premises)
+    return closure.clause_of(ranked[0]) if ranked else None
 
 
 def closure_with_assumptions(

@@ -8,10 +8,10 @@ satisfaction.
 
 Paraconsistent entailment has two implementations on purpose. The
 decision procedure in :mod:`kernelogic.resolution` works straight off
-the saturated closure and is the source of truth for relevance and
-minimal clauses here; :func:`entails_semantic` enumerates models and
+the saturated closure; :func:`entails_semantic` enumerates models and
 reports witnesses or countermodels, and exists to cross-validate the
-other route.
+other route. Relevance and minimal clauses come from the closure too:
+one subclause query decides relevance.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, Universe, bits, underlying_components
 from .kernels import DEFAULT_MAX_ATOMS, Partition3, models
-from .resolution import Closure, DEFAULT_MAX_CLAUSES, _closure_for, entails_para
+from .resolution import Closure, DEFAULT_MAX_CLAUSES, _closure_for
 
 
 def satisfies(partition: Partition3, clause: Clause) -> bool:
@@ -124,19 +124,19 @@ def is_relevant(
     """Entailed, with no entailed nonempty proper subclause.
 
     A relevant clause says nothing that one of its proper parts already
-    says; the empty clause is outside the definition.
+    says; the empty clause is outside the definition. These are exactly
+    the derivable clauses with no derivable nonempty proper subclause:
+    an entailed clause has a nonempty derivable subclause, and a
+    nonempty derivable clause is entailed (resolving with the units of
+    paradoxical atoms deletes their literals).
     """
     if clause.is_empty:
         raise ValidationError("relevance is undefined for the empty clause")
     closure = _closure_for(theory, closure, max_clauses)
-    if not entails_para(theory, clause, closure=closure):
+    if clause not in closure:
         return False
-    lits = clause.sorted_literals()
-    for size in range(1, len(lits)):
-        for combo in combinations(lits, size):
-            if entails_para(theory, Clause(combo), closure=closure):
-                return False
-    return True
+    masks = closure.clause_masks(clause)
+    return all(m in ((0, 0), masks) for m in closure.subclauses(*masks))
 
 
 def min_clauses(

@@ -110,6 +110,78 @@ def test_prove_weakening_lewis(capsys, lewis_file):
     assert run(capsys, "prove", "a ~a", lewis_file, "--weakening", "awbw")[0] == 0
 
 
+DEMO_DATA = Path(__file__).parent.parent / "demos" / "data"
+
+PINNED_PROOFS = {
+    ("lewis.clauses", "b", "cw"): (
+        0,
+        """\
+1. a [input]
+2. ~a [input]
+3. [] [res 1 2 on a]
+b [weakening from []]
+""",
+    ),
+    ("lewis.clauses", "b", "awbw"): (1, "not provable under weakening mode 'awbw'\n"),
+    ("lewis.clauses", "a b ~b", "cw"): (
+        0,
+        """\
+1. a [input]
+2. ~a [input]
+3. [] [res 1 2 on a]
+a b ~b [weakening from []]
+""",
+    ),
+    ("lewis.clauses", "a b ~b", "awbw"): (
+        0,
+        """\
+1. b ~b [input]
+a b ~b [weakening from b ~b]
+""",
+    ),
+    ("delta.gnf", "c d e", "cw"): (
+        0,
+        """\
+1. c d [input]
+2. c e [input]
+3. ~d ~e [input]
+4. c ~d [res 2 3 on e]
+5. c [res 1 4 on d]
+6. d e [input]
+7. ~c ~e [input]
+8. ~c d [res 6 7 on e]
+9. ~c ~d [input]
+10. ~c [res 8 9 on d]
+11. [] [res 5 10 on c]
+c d e [weakening from []]
+""",
+    ),
+    ("delta.gnf", "c d e", "awbw"): (
+        0,
+        "c d e [weakening: all atoms provably paradoxical]\n",
+    ),
+    ("delta.gnf", "~b c", "awbw"): (
+        0,
+        """\
+1. c d [input]
+2. ~b ~c [input]
+3. ~b d [res 1 2 on c]
+4. c e [input]
+5. ~d ~e [input]
+6. c ~d [res 4 5 on e]
+7. ~b c [res 3 6 on d]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PROOFS), ids="|".join)
+def test_prove_weakening_output_is_pinned(capsys, case):
+    name, goal, mode = case
+    code, out, _ = run(capsys, "prove", goal, str(DEMO_DATA / name), "--weakening", mode)
+    assert (code, out) == PINNED_PROOFS[case]
+
+
 def test_entails_variants(capsys, delta_file):
     assert run(capsys, "entails", "~b", delta_file)[0] == 0
     assert run(capsys, "entails", "a' c", delta_file)[0] == 1
@@ -149,6 +221,26 @@ def test_usage_and_parse_errors(capsys, tmp_path, delta_file):
     assert run(capsys, "nonsense")[0] == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-random", "--count", "-2"],
+        ["check-random", "--n", "-1", "--count", "1"],
+        ["check-random", "--p", "1.5", "--count", "1"],
+        ["check-random", "--p", "-0.1", "--count", "1"],
+        ["check-random", "--p", "nan", "--count", "1"],
+        ["closure", "--max-clauses", "-5"],
+        ["models", "--max-atoms", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_numeric_flags_are_usage_errors(capsys, delta_file, argv):
+    inputs = [] if argv[0] == "check-random" else [delta_file]
+    code, out, err = run(capsys, *argv, *inputs)
+    assert code == 2 and out == ""
+    assert f"argument {argv[1]}:" in err
 
 
 def test_complete_loose_flag(capsys, tmp_path):
@@ -225,7 +317,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, delta_file):
     assert err == "error: out of memory\n"
 
 
-DEMO_INPUTS = sorted((Path(__file__).parent.parent / "demos" / "data").iterdir())
+DEMO_INPUTS = sorted(DEMO_DATA.iterdir())
 
 
 @pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)

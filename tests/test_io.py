@@ -49,6 +49,22 @@ def test_parse_theory_errors():
     assert err is not None and err.line == 2 and err.column >= 1
 
 
+def test_parse_error_columns_point_at_the_token():
+    cases = [
+        (lambda: io.parse_theory("a : b\n"), 1, 5),
+        (lambda: io.parse_theory("a :\nb : a\nc : d a\n"), 3, 5),
+        (lambda: io.parse_theory("a : a\na : a\n"), 2, 1),
+        (lambda: io.parse_theory("  a b : c\n"), 1, 7),
+        (lambda: io.parse_clause("~a ~"), 1, 4),
+        (lambda: io.parse_clause_set("a\nb b$\n"), 2, 3),
+        (lambda: io.parse_edges("b -> b$\n"), 1, 6),
+    ]
+    for parse, line, column in cases:
+        with pytest.raises(kl.ParseError) as info:
+            parse()
+        assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_parse_theory_complete_loose():
     t = io.parse_theory("a : b\n", complete_loose=True)
     assert t == kl.GnfTheory({"a": {"b"}, "b": {"b'"}, "b'": {"b"}})
@@ -135,6 +151,33 @@ def test_clause_roundtrip(lits):
 def test_clause_set_roundtrip(cs):
     t = kl.ClausalTheory(cs)
     assert io.parse_clause_set(io.format_clause_set(t)) == t
+
+
+# Lines shaped like those of every format, from atoms, markers and
+# stray characters that no format accepts.
+FUZZ_WORDS = st.lists(
+    st.sampled_from(["a", "b", "a'", "x_1", "~a", "~", "[]", "$", "é", "a:b", ""]),
+    max_size=3,
+)
+FUZZ_LINES = st.builds(
+    lambda left, mark, right, gap: gap.join([*left, mark, *right]),
+    FUZZ_WORDS,
+    st.sampled_from([":", "->", "vertex", "#", ""]),
+    FUZZ_WORDS,
+    st.sampled_from([" ", "  ", "\t", "\xa0"]),
+)
+FUZZ_TEXTS = st.lists(FUZZ_LINES, max_size=4).map("\n".join)
+
+
+@given(FUZZ_TEXTS)
+def test_parse_document_fails_only_with_a_located_parse_error(text):
+    lines = text.splitlines()
+    for kind in (None, io.GNF_THEORY, io.EDGE_LIST, io.CLAUSE_SET):
+        try:
+            io.parse_document(text, kind=kind)
+        except kl.ParseError as exc:
+            assert 1 <= exc.line <= len(lines), (kind, str(exc))
+            assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, (kind, str(exc))
 
 
 def test_to_json_models(our_graph):

@@ -1,5 +1,8 @@
 """Satisfaction, the two entailment routes, relevance, minimal clauses."""
 
+import time
+from itertools import combinations
+
 import pytest
 
 import kernelogic as kl
@@ -108,6 +111,48 @@ def test_is_relevant(our_cth, our_closure):
     assert kl.is_relevant(our_cth, clause("c"), closure=our_closure)
     with pytest.raises(kl.ValidationError, match="empty clause"):
         kl.is_relevant(our_cth, Clause(), closure=our_closure)
+
+
+def naive_is_relevant(theory, c, closure):
+    """Relevance by its definition, one entailment decision per subclause."""
+    if not kl.entails_para(theory, c, closure=closure):
+        return False
+    lits = c.sorted_literals()
+    return not any(
+        kl.entails_para(theory, Clause(combo), closure=closure)
+        for size in range(1, len(lits))
+        for combo in combinations(lits, size)
+    )
+
+
+def test_is_relevant_matches_its_definition():
+    stream = splitmix64(8080)
+    seen = set()
+    for _ in range(60):
+        t = rand_theory(stream)
+        closure = kl.saturate(t)
+        for _ in range(15):
+            c = rand_clause(stream, t.universe, max_len=4)
+            if c.is_empty:
+                continue
+            answer = kl.is_relevant(t, c, closure=closure)
+            assert answer == naive_is_relevant(t, c, closure), (t, str(c))
+            seen.add(answer)
+    assert seen == {True, False}
+
+
+def test_wide_relevant_clause_is_decided_at_once():
+    # The clause has 2**20 - 2 nonempty proper subclauses; deciding
+    # relevance reads the 21-clause closure once instead of asking
+    # about each of them.
+    names = tuple(f"x{i:02d}" for i in range(20))
+    wide = Clause(Literal(a, i % 2 == 1) for i, a in enumerate(names))
+    t = kl.ClausalTheory(frozenset({wide}), names)
+    closure = kl.saturate(t)
+    assert len(closure) == 21
+    start = time.perf_counter()
+    assert kl.is_relevant(t, wide, closure=closure)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_min_clauses_loop_chain(loop_chain_graph):
