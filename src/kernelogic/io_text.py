@@ -40,8 +40,10 @@ class InputDocument:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    # Lines end at "\n" alone, as wc -l counts them; str.splitlines
+    # would also break at form feeds, "\x1c"-"\x1e", "\x85" and more.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").split("#", 1)[0]
         if line.strip():
             yield lineno, line
 
@@ -113,7 +115,11 @@ def parse_edges(text: str) -> Digraph:
 
 
 def parse_clause(text: str) -> Clause:
-    """Parse one clause: ``~``-prefixed literals, or ``[]`` for empty."""
+    """Parse one clause: ``~``-prefixed literals, or ``[]`` for empty.
+
+    Errors give the line and column of the offending token within
+    ``text``.
+    """
     tokens = _tokens(text)
     if [word for _, word in tokens] == ["[]"]:
         return Clause()
@@ -122,7 +128,13 @@ def parse_clause(text: str) -> Clause:
         negated = token.startswith("~")
         name = token[1:] if negated else token
         if not is_valid_atom(name):
-            raise ParseError(f"invalid literal {token!r}", 1, column)
+            offset = column - 1
+            line_start = text.rfind("\n", 0, offset) + 1
+            raise ParseError(
+                f"invalid literal {token!r}",
+                text.count("\n", 0, offset) + 1,
+                offset - line_start + 1,
+            )
         literals.append(Literal(name, negated))
     return Clause(literals)
 

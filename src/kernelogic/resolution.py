@@ -12,9 +12,12 @@ Two clauses that share no atom never resolve, so the closure is the
 union of the closures of the connected components of the clause
 hypergraph (atoms linked when they share a clause; an atom in no clause
 is a component holding only its axiom). Saturation closes each
-component on its own sub-universe and merges the results into one
-closure; the empty clause, common to all components, keeps the earliest
-round at which any of them derives it.
+component on its own sub-universe, and a ``Closure`` keeps the
+component closures side by side: every question about a nonempty
+clause goes to the component that holds its atoms, and clause masks
+over the whole universe are built only where a caller asks for them.
+The empty clause, common to all components, takes the earliest round at
+which any of them derives it.
 
 Closures of paradoxical theories tend to fill large parts of the clause
 lattice, which makes clause-pair scanning hopeless. A component of at
@@ -27,10 +30,20 @@ the pivot's union convolution in transform space. The products of all
 pivots are added up, and one Moebius inversion of the sum yields, for
 every clause, the number of resolvable pairs producing it: the
 clauses with a positive count are the round's resolvents. Rounds
-repeat until nothing new appears; the round number of each clause is
-kept so that proofs can later be rebuilt by searching strictly earlier
-rounds for a parent pair. Only components too wide for lattice arrays
-use a classic worklist loop that records parents eagerly.
+repeat until nothing new appears. The component's closure is then one
+byte per lattice cell, the round in which that clause was derived
+(a reserved value marks clauses never derived; a closure needing that
+many rounds is refused), plus the order of its round-0 clauses; proofs
+are rebuilt from it by searching strictly earlier rounds for a parent
+pair. Only components too wide for lattice arrays use a classic
+worklist loop, which keeps a dict of clauses and records parents
+eagerly.
+
+The minimal derived clauses, those with no derived nonempty proper
+subclause, come from the same arrays: the zeta transform of a
+component's derived cells counts the derived clauses inside each cell,
+and a derived cell is minimal when that count is one, plus one when
+the empty clause is derived.
 
 On top of the closure this module derives the provably paradoxical
 atoms (both the atom and its negation derivable), the consistent
@@ -46,7 +59,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -98,31 +110,267 @@ _INPUT = "input"
 _AXIOM = "axiom"
 _RESOLVENT = "resolvent"
 
+# The round number of a lattice cell whose clause is not derived; a
+# round that would reach it is refused, never wrapped.
+_NOT_DERIVED = np.iinfo(np.uint8).max
+
+
+class _OverCap(ResourceLimitError):
+    """A component's closure ran past the clause budget it was given."""
+
+
+def _spread(atoms: "tuple[int, ...]", half: int) -> int:
+    """A component's atom mask over the closure's universe."""
+    return sum(1 << atoms[j] for j in bits(half))
+
+
+class _Spreader(dict):
+    """``_spread`` over one component, remembered per mask."""
+
+    def __init__(self, atoms: "tuple[int, ...]"):
+        super().__init__()
+        self.atoms = atoms
+
+    def __missing__(self, half: int) -> int:
+        self[half] = found = _spread(self.atoms, half)
+        return found
+
+
+def _subcells(cell: int) -> np.ndarray:
+    """Every cell whose bits lie inside ``cell``, in increasing order."""
+    subs = np.zeros(1, dtype=np.int64)
+    for b in bits(cell):
+        subs = np.concatenate((subs, subs | (1 << b)))
+    return subs
+
+
+# A component's closure is a part. Both kinds of part answer the same
+# questions in the component's own atom indices: ``entry``, ``items``,
+# ``subclauses`` (nonempty ones), ``codes``, ``minimal`` and
+# ``parents``, plus ``count`` and ``resolves``; only ``Closure`` maps
+# them to the universe.
+
+
+class _LatticePart:
+    """One component's closure as a round number per clause-lattice cell.
+
+    Cell ``pos | neg << n`` holds the round in which clause
+    ``(pos, neg)`` was derived, or ``_NOT_DERIVED``. Round 0 holds the
+    seeds: inputs, then axioms, in the order ``seeds`` keeps. Entry
+    order is the seeds, then each round in cell order.
+    """
+
+    def __init__(self, n: int, rounds: np.ndarray, seeds: "list[int]", inputs: int):
+        self.n = n
+        self.rounds = rounds
+        self.seeds = seeds
+        self.inputs = inputs  # the first ``inputs`` seeds are input clauses
+        self._seed_pos = {cell: k for k, cell in enumerate(seeds)}
+        self.count = int(np.count_nonzero(rounds != _NOT_DERIVED))
+        self.resolves = self.count > len(seeds)
+
+    def _masks(self, cell: int) -> tuple[int, int]:
+        return cell & ((1 << self.n) - 1), cell >> self.n
+
+    def _all_masks(self, cells: np.ndarray):
+        return zip((cells & ((1 << self.n) - 1)).tolist(), (cells >> self.n).tolist())
+
+    def _derived_cells(self) -> np.ndarray:
+        return np.flatnonzero(self.rounds != _NOT_DERIVED)
+
+    def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
+        cell = pos | neg << self.n
+        rnd = int(self.rounds[cell])
+        if rnd == _NOT_DERIVED:
+            return None
+        if rnd == 0:
+            return (_INPUT if self._seed_pos[cell] < self.inputs else _AXIOM), 0
+        return _RESOLVENT, rnd
+
+    def items(self):
+        for k, cell in enumerate(self.seeds):
+            yield self._masks(cell), (_INPUT if k < self.inputs else _AXIOM, 0)
+        later = self._derived_cells()
+        later = later[self.rounds[later] > 0]
+        later = later[np.argsort(self.rounds[later], kind="stable")]
+        for masks, rnd in zip(self._all_masks(later), self.rounds[later].tolist()):
+            yield masks, (_RESOLVENT, rnd)
+
+    def subclauses(self, pos: int, neg: int):
+        subs = _subcells(pos | neg << self.n)[1:]
+        return self._all_masks(subs[self.rounds[subs] != _NOT_DERIVED])
+
+    def codes(self) -> np.ndarray:
+        """The literal codes of ``_clause_order`` of every derived nonempty clause."""
+        cells = self._derived_cells()
+        cells = cells[cells != 0]
+        codes = np.empty((len(cells), self.n), dtype=np.uint8)
+        for j in range(self.n):
+            codes[:, j] = 3 - 2 * ((cells >> j) & 1) - ((cells >> (self.n + j)) & 1)
+        return codes
+
+    def minimal(self) -> "list[tuple[int, int]]":
+        # z[S] counts the derived clauses inside S; S is minimal when
+        # they are S itself and, if derived, the empty clause. Cell 0
+        # never qualifies: z[0] is its own bit.
+        derived = self.rounds != _NOT_DERIVED
+        z = _subset_transform(derived.astype(np.int32), 2 * self.n, 1)
+        return list(self._all_masks(np.flatnonzero(derived & (z == 1 + derived[0]))))
+
+    def parents(self, pos: int, neg: int, rnd: int) -> tuple:
+        # A clause first seen in round r has a parent pair strictly
+        # earlier, so restricting the search keeps the links acyclic.
+        n = self.n
+        cell = pos | neg << n
+        for i in range(n):
+            pbit, nbit = 1 << i, 1 << (n + i)
+            # Each parent lies on the clause's literals plus the pivot.
+            pos_side = self._earlier(cell & ~pbit, pbit, rnd)
+            neg_side = self._earlier(cell & ~nbit, nbit, rnd)
+            for c in pos_side:
+                if cell & nbit and not c & nbit:
+                    # A negated pivot in the result can only survive
+                    # through the positive-side parent.
+                    continue
+                direct = (cell & ~(c & ~pbit)) | nbit
+                if self.rounds[direct] < rnd:
+                    return self._masks(c), self._masks(direct), i
+            for c in pos_side:
+                rest = c & ~pbit
+                for d in neg_side:
+                    if rest | (d & ~nbit) == cell:
+                        return self._masks(c), self._masks(d), i
+        raise AssertionError("resolvent without a parent pair; layering is broken")
+
+    def _earlier(self, inside: int, bit: int, rnd: int) -> "list[int]":
+        """The cells holding ``bit`` within ``inside | bit`` derived before
+        round ``rnd``, in entry order."""
+        cells = _subcells(inside) | bit
+        rounds = self.rounds[cells]
+        keep = rounds < rnd
+        cells, rounds = cells[keep], rounds[keep]
+        key = rounds.astype(np.int64) << (2 * self.n) | cells
+        seeds = rounds == 0
+        key[seeds] = [self._seed_pos[c] for c in cells[seeds].tolist()]
+        return cells[np.argsort(key, kind="stable")].tolist()
+
+
+class _PairwisePart:
+    """One component's closure as a dict of clause masks, with the
+    parent step of every clause recorded as it was found."""
+
+    def __init__(
+        self,
+        n: int,
+        entries: "dict[tuple[int, int], tuple[str, int]]",
+        links: "dict[tuple[int, int], Optional[tuple]]",
+    ):
+        self.n = n
+        self.entries = entries  # masks -> (origin, round number), in entry order
+        self.links = links  # masks -> (pos parent, neg parent, atom index)
+        self.count = len(entries)
+        self.resolves = any(kind == _RESOLVENT for kind, _ in entries.values())
+
+    def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
+        return self.entries.get((pos, neg))
+
+    def items(self):
+        return iter(self.entries.items())
+
+    def subclauses(self, pos: int, neg: int):
+        return ((p, q) for p, q in self.entries if (p or q) and not (p & ~pos or q & ~neg))
+
+    def codes(self) -> np.ndarray:
+        return _mask_codes([m for m in self.entries if m != (0, 0)], self.n)
+
+    def minimal(self) -> "list[tuple[int, int]]":
+        sized = sorted(
+            ((p.bit_count() + q.bit_count(), (p, q)) for p, q in self.entries if p or q),
+            key=lambda item: item[0],
+        )
+        minimal: list[tuple[int, int]] = []
+        for _, (p, q) in sized:
+            # Any derivable proper subclause contains a minimal one of
+            # strictly smaller size, so checking the antichain so far is enough.
+            if not any(mp & ~p == 0 and mq & ~q == 0 for mp, mq in minimal):
+                minimal.append((p, q))
+        return minimal
+
+    def parents(self, pos: int, neg: int, rnd: int) -> tuple:
+        return self.links[pos, neg]
+
 
 class Closure:
     """The full set of derivable clauses for one theory.
 
-    ``derived``, ``origin`` and ``parents`` are name-level views built
-    on demand; the mask-level internals stay available to the other
-    operations in this module. Closures are immutable once returned.
+    A closure is the union of its components' closures (``parts``: the
+    universe indices of each component's atoms, and its part) and
+    holds each clause, as bitmasks, only in the part of its atoms; the
+    empty clause, shared by all, takes the earliest round any part
+    derives it at, round 0 when it is an input. ``derived``, ``origin``
+    and ``parents`` are name-level views built on demand. Closures are
+    immutable once returned.
     """
 
     def __init__(
         self,
         universe: Universe,
-        entries: "dict[tuple[int, int], tuple[str, int]]",
-        parents: "dict[tuple[int, int], Optional[tuple]]",
+        parts: "list[tuple[tuple[int, ...], _LatticePart | _PairwisePart]]",
+        empty_input: bool = False,
     ):
         self._u = universe
-        self._entries = entries  # masks -> (origin, round number)
-        self._parents_m = parents  # masks -> (pos parent, neg parent, atom index)
+        self._parts = parts
+        self._owner = [None] * len(universe)  # atom -> (part index, local atom)
+        for k, (atoms, _) in enumerate(parts):
+            for j, g in enumerate(atoms):
+                self._owner[g] = (k, j)
+        self._spans = [_spread(atoms, (1 << len(atoms)) - 1) for atoms, _ in parts]
+        self._local_bit = [1 << j for _, j in self._owner]
+        # (origin, round, part index or None for an input) of the empty clause
+        self._empty: Optional[tuple[str, int, Optional[int]]] = (
+            (_INPUT, 0, None) if empty_input else None
+        )
+        size = 0
+        for k, (_, part) in enumerate(parts):
+            own = part.entry(0, 0)
+            size += part.count - (own is not None)
+            if own is not None and (self._empty is None or own[1] < self._empty[1]):
+                self._empty = (*own, k)
+        self._size = size + (self._empty is not None)
+        self._parents_m: dict[tuple[int, int], Optional[tuple]] = {}
         self.universe: tuple[str, ...] = universe.names
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def __contains__(self, clause: Clause) -> bool:
-        return self.clause_masks(clause) in self._entries
+        return self._entry(self.clause_masks(clause)) is not None
+
+    def _part_of(self, pos: int, neg: int):
+        """The part holding the nonempty clause ``(pos, neg)``, and its
+        local masks; None when its atoms span several components."""
+        mask = pos | neg
+        k, _ = self._owner[(mask & -mask).bit_length() - 1]
+        if mask & ~self._spans[k]:
+            return None
+        atoms, part = self._parts[k]
+        return atoms, part, self._local(pos), self._local(neg)
+
+    def _local(self, half: int) -> int:
+        """An atom mask of one component in that component's own indices."""
+        out = 0
+        while half:
+            low = half & -half
+            out |= self._local_bit[low.bit_length() - 1]
+            half ^= low
+        return out
+
+    def _entry(self, m: tuple[int, int]) -> Optional[tuple[str, int]]:
+        """The origin and round of a derived clause, else None."""
+        if m == (0, 0):
+            return None if self._empty is None else self._empty[:2]
+        found = self._part_of(*m)
+        return None if found is None else found[1].entry(found[2], found[3])
 
     def clause_masks(self, clause: Clause) -> tuple[int, int]:
         """Intern a clause over this closure's universe."""
@@ -134,27 +382,70 @@ class Closure:
         lits += [Literal(a, True) for a in self._u.sorted_atoms_of(neg)]
         return Clause(lits)
 
+    def entries(self):
+        """Every derived clause as ``(masks, (origin, round))``, in entry order.
+
+        Entry order is the parts in turn, each in its own entry order,
+        and the empty clause where it first appears (first of all when
+        it is an input).
+        """
+        empty_seen = self._empty is not None and self._empty[2] is None
+        if empty_seen:
+            yield (0, 0), self._empty[:2]
+        for atoms, part in self._parts:
+            lift = _Spreader(atoms)
+            for (p, q), value in part.items():
+                if p or q:
+                    yield (lift[p], lift[q]), value
+                elif not empty_seen:
+                    empty_seen = True
+                    yield (0, 0), self._empty[:2]
+
     def iter_masks(self):
-        return iter(self._entries)
+        return (m for m, _ in self.entries())
 
     def subclauses(self, pos: int, neg: int):
-        """The derived subclauses of the clause ``(pos, neg)``, lazily, in entry order."""
-        return ((p, q) for p, q in self._entries if not (p & ~pos or q & ~neg))
+        """The derived subclauses of the clause ``(pos, neg)``, lazily: the
+        empty clause first when derived, then those of each component
+        the clause touches."""
+        if self._empty is not None:
+            yield (0, 0)
+        for k in sorted({self._owner[g][0] for g in bits(pos | neg)}):
+            atoms, part = self._parts[k]
+            lift, span = _Spreader(atoms), self._spans[k]
+            for p, q in part.subclauses(self._local(pos & span), self._local(neg & span)):
+                yield lift[p], lift[q]
+
+    def _units(self, g: int) -> "tuple[Optional[tuple[str, int]], ...]":
+        """The origin and round of the two units of atom ``g``, or None."""
+        k, j = self._owner[g]
+        part = self._parts[k][1]
+        return part.entry(1 << j, 0), part.entry(0, 1 << j)
 
     @cached_property
     def paradox_mask(self) -> int:
         """The atoms whose positive and negative units are both derived."""
-        mask = 0
-        for i in range(len(self._u)):
-            bit = 1 << i
-            if (bit, 0) in self._entries and (0, bit) in self._entries:
-                mask |= bit
-        return mask
+        return sum(1 << g for g in range(len(self._u)) if None not in self._units(g))
+
+    def minimal_clauses(self) -> frozenset[Clause]:
+        """The derived clauses with no derived nonempty proper subclause,
+        the empty clause excluded.
+
+        A proper subclause of a nonempty clause lies in the clause's own
+        component, so each part answers for itself: a lattice part with
+        one zeta transform of its derived cells, a pairwise part by an
+        antichain scan of its entries.
+        """
+        return frozenset(
+            self.clause_of((_spread(atoms, p), _spread(atoms, q)))
+            for atoms, part in self._parts
+            for p, q in part.minimal()
+        )
 
     def in_clause_order(self, masks) -> list[tuple[int, int]]:
         """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
         masks = list(masks)
-        order, _ = _clause_order(masks, len(self._u))
+        order = _code_order(_mask_codes(masks, len(self._u)))
         return [masks[i] for i in order.tolist()]
 
     def clause_texts(self) -> list[str]:
@@ -164,11 +455,17 @@ class Closure:
         without building a single Clause: each text is joined from
         per-atom pieces, looked up for four atoms at a time.
         """
-        masks = list(self._entries)
-        order, codes = _clause_order(masks, len(self._u))
-        codes = codes[order]
-        text = np.full(len(masks), "", dtype=object)
         names = self.universe
+        # The empty clause has no literal: code 3 for every atom.
+        blocks = [np.full((int(self._empty is not None), len(names)), 3, dtype=np.uint8)]
+        for atoms, part in self._parts:
+            local = part.codes()
+            block = np.full((len(local), len(names)), 3, dtype=np.uint8)
+            block[:, list(atoms)] = local
+            blocks.append(block)
+        codes = np.concatenate(blocks)
+        codes = codes[_code_order(codes)]
+        text = np.full(len(codes), "", dtype=object)
         for lo in range(0, len(names), 4):
             group = names[lo : lo + 4]
             # table[((c0 * 4 + c1) * 4 + c2) * 4 + c3] joins the pieces
@@ -180,7 +477,7 @@ class Closure:
                     for piece in (f"{a} ~{a} ", f"{a} ", f"~{a} ", "")
                     for rest in table
                 ]
-            index = np.zeros(len(masks), dtype=np.int64)
+            index = np.zeros(len(codes), dtype=np.int64)
             for j in range(lo, lo + len(group)):
                 index = index * 4 + codes[:, j]
             text += np.array(table, dtype=object)[index]
@@ -188,11 +485,11 @@ class Closure:
 
     @cached_property
     def derived(self) -> frozenset[Clause]:
-        return frozenset(self.clause_of(m) for m in self._entries)
+        return frozenset(self.clause_of(m) for m in self.iter_masks())
 
     @cached_property
     def origin(self) -> dict[Clause, str]:
-        return {self.clause_of(m): kind for m, (kind, _) in self._entries.items()}
+        return {self.clause_of(m): kind for m, (kind, _) in self.entries()}
 
     @property
     def parents(self) -> dict[Clause, Optional[tuple[Clause, Clause, str]]]:
@@ -202,7 +499,7 @@ class Closure:
         resolvent; intended for modest closures.
         """
         out = {}
-        for m in self._entries:
+        for m in self.iter_masks():
             par = self.parents_of_masks(m)
             if par is None:
                 out[self.clause_of(m)] = None
@@ -218,85 +515,70 @@ class Closure:
     def parents_of_masks(self, m: tuple[int, int]) -> Optional[tuple]:
         if m in self._parents_m:
             return self._parents_m[m]
-        kind, rnd = self._entries[m]
-        if kind != _RESOLVENT:
-            self._parents_m[m] = None
-            return None
-        found = self._search_parents(m, rnd)
+        kind, rnd = self._entry(m)
+        found = self._search_parents(m, rnd) if kind == _RESOLVENT else None
         self._parents_m[m] = found
         return found
 
     def _search_parents(self, m: tuple[int, int], rnd: int) -> tuple:
-        # A clause first seen in round r has a parent pair strictly
-        # earlier, so restricting the scan keeps the links acyclic.
-        pos, neg = m
-        # Each parent lies on the clause's literals plus one pivot
-        # literal, so one scan of the closure keeps every candidate for
-        # every pivot, in entry order.
-        near = [
-            (p, q)
-            for (p, q), (_, lay) in self._entries.items()
-            if lay < rnd and ((p & ~pos) | (q & ~neg)).bit_count() <= 1
-        ]
-        for i in range(len(self._u)):
-            bit = 1 << i
-            pos_side = []
-            neg_side = []
-            for p, q in near:
-                if p & bit and (p & ~bit) & ~pos == 0 and q & ~neg == 0:
-                    pos_side.append((p, q))
-                if q & bit and (q & ~bit) & ~neg == 0 and p & ~pos == 0:
-                    neg_side.append((p, q))
-            for pp, pn in pos_side:
-                if neg & bit and not pn & bit:
-                    # A negated pivot in the result can only survive
-                    # through the positive-side parent.
-                    continue
-                need_pos = pos & ~(pp & ~bit)
-                need_neg = (neg & ~pn) | bit
-                direct = (need_pos, need_neg)
-                hit = self._entries.get(direct)
-                if hit is not None and hit[1] < rnd:
-                    return ((pp, pn), direct, i)
-            for pp, pn in pos_side:
-                rp, rn = pp & ~bit, pn
-                for qp, qn in neg_side:
-                    if (rp | qp) == pos and (rn | (qn & ~bit)) == neg:
-                        return ((pp, pn), (qp, qn), i)
-        raise AssertionError("resolvent without a parent pair; layering is broken")
+        """The parent step of the resolvent ``m`` of round ``rnd``, asked
+        of the part that holds it."""
+        if m != (0, 0):
+            atoms, part, lp, ln = self._part_of(*m)
+            left, right, i = part.parents(lp, ln, rnd)
+        else:
+            atoms, part = self._parts[self._empty[2]]
+            if isinstance(part, _PairwisePart):
+                left, right, i = part.parents(0, 0, rnd)
+            else:
+                # A resolved empty clause comes from two complementary
+                # units; take the first atom, over every component,
+                # whose units both precede it.
+                for g in range(len(self._u)):
+                    if all(e is not None and e[1] < rnd for e in self._units(g)):
+                        return (1 << g, 0), (0, 1 << g), g
+                raise AssertionError("resolvent without a parent pair; layering is broken")
+        return (
+            (_spread(atoms, left[0]), _spread(atoms, left[1])),
+            (_spread(atoms, right[0]), _spread(atoms, right[1])),
+            atoms[i],
+        )
 
 
-def _clause_order(
-    masks: "list[tuple[int, int]]", n: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The ``clause_sort_key`` order of clause masks over ``n`` atoms.
+def _mask_codes(masks: "list[tuple[int, int]]", n: int) -> np.ndarray:
+    """One literal code per clause and atom, for clause masks over ``n`` atoms.
 
-    Returns the sorting permutation and, unpermuted, one literal code
-    per clause and atom: 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x``
-    and 3 for neither. Universe names are sorted, so literals order by
-    atom index with the positive one first, and of two clauses of one
-    size the lowest atom where they differ decides. Sorting by size,
-    then by the codes of atoms 0, 1, ... is therefore the key's order,
-    for any number of atoms.
+    The code is 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3
+    for neither.
     """
     width = 2 * n // 8 + 1
     raw = b"".join([(p | q << n).to_bytes(width, "little") for p, q in masks])
     lits = np.unpackbits(
         np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1, bitorder="little"
     )
-    codes = 3 - 2 * lits[:, :n] - lits[:, n : 2 * n]
-    size = lits.sum(axis=1, dtype=np.int64)
-    return np.lexsort((*codes[:, ::-1].T, size)), codes
+    return 3 - 2 * lits[:, :n] - lits[:, n : 2 * n]
 
 
-def _seed_entries(theory: ClausalTheory, u: Universe):
-    entries: dict[tuple[int, int], tuple[str, int]] = {}
-    for clause in sorted(theory.clauses, key=clause_sort_key):
-        entries.setdefault(intern_clause(clause, u), (_INPUT, 0))
-    for i in range(len(u)):
-        bit = 1 << i
-        entries.setdefault((bit, bit), (_AXIOM, 0))
-    return entries
+def _code_order(codes: np.ndarray) -> np.ndarray:
+    """The ``clause_sort_key`` order of clauses given by their literal codes.
+
+    Universe names are sorted, so literals order by atom index with the
+    positive one first, and of two clauses of one size the lowest atom
+    where they differ decides. Sorting by size, then by the codes of
+    atoms 0, 1, ... is therefore the key's order, for any number of
+    atoms.
+    """
+    size = (codes < 3).sum(axis=1) + (codes == 0).sum(axis=1)
+    return np.lexsort((*codes[:, ::-1].T, size))
+
+
+def _seeds(theory: ClausalTheory, u: Universe) -> "tuple[list[tuple[int, int]], int]":
+    """The round-0 clauses in entry order, inputs before axioms, and
+    the number of inputs."""
+    seeds = [intern_clause(c, u) for c in sorted(theory.clauses, key=clause_sort_key)]
+    inputs = set(seeds)
+    axioms = [(1 << i, 1 << i) for i in range(len(u))]
+    return seeds + [m for m in axioms if m not in inputs], len(seeds)
 
 
 def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
@@ -313,55 +595,62 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
     return values
 
 
+def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
+    """The zeta transform of the resolvable pairs of derived clauses,
+    summed over the pivots of an ``n``-atom lattice."""
+    # zd[S] counts the derived clauses inside S. For the pivot bits p
+    # and q of atom i, the zeta transform of the derived clauses holding
+    # p, with p dropped, is zd[S | p] - zd[S & ~p]: it does not depend
+    # on bit p of S, and likewise for q.
+    zd = _subset_transform(derived.astype(_PAIR_COUNT), 2 * n, 1)
+    pairs = np.zeros(derived.shape[0], dtype=_PAIR_COUNT)
+    for i in range(n):
+        # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i).
+        cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
+        with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
+        with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
+        total = pairs.reshape(cells.shape)
+        total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
+    return pairs
+
+
 def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
     n = len(u)
     _check_lattice_width(n)
-    size = 1 << (2 * n)
-    entries = _seed_entries(theory, u)
-    derived = np.zeros(size, dtype=bool)
-    for (pos, neg) in entries:
-        derived[pos | (neg << n)] = True
-    low = (1 << n) - 1
-
+    seeds, inputs = _seeds(theory, u)
+    seed_cells = [p | q << n for p, q in seeds]
+    rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
+    rounds[np.array(seed_cells, dtype=np.int64)] = 0
+    derived = rounds == 0
+    count = len(seed_cells)
     rnd = 0
     while True:
         rnd += 1
-        # zd[S] counts the derived clauses inside S. For the pivot bits
-        # p and q of atom i, the zeta transform of the derived clauses
-        # holding p, with p dropped, is zd[S | p] - zd[S & ~p]: it does
-        # not depend on bit p of S, and likewise for q.
-        zd = _subset_transform(derived.astype(_PAIR_COUNT), 2 * n, 1)
-        pairs = np.zeros(size, dtype=_PAIR_COUNT)
-        for i in range(n):
-            # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i).
-            cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
-            with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
-            with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
-            total = pairs.reshape(cells.shape)
-            total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
         # Each pivot's union product counts resolvable pairs and is
         # never negative, so one inversion of the sum has the union of
         # their supports.
-        resolvents = _subset_transform(pairs, 2 * n, -1) > 0
-        fresh = np.nonzero(resolvents & ~derived)[0]
-        if fresh.size == 0:
+        fresh = _subset_transform(_pair_counts(derived, n), 2 * n, -1) > 0
+        fresh &= ~derived
+        new = int(np.count_nonzero(fresh))
+        if not new:
             break
-        if len(entries) + fresh.size > max_clauses:
-            raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
-        derived[fresh] = True
-        entries.update(
-            zip(
-                zip((fresh & low).tolist(), (fresh >> n).tolist()),
-                repeat((_RESOLVENT, rnd)),
+        if rnd >= _NOT_DERIVED:
+            raise ResourceLimitError(
+                f"closure needs more than {_NOT_DERIVED - 1} resolution rounds"
             )
-        )
-
-    return Closure(u, entries, {})
+        count += new
+        if count > max_clauses:
+            raise _OverCap(f"closure exceeded {max_clauses} clauses")
+        derived |= fresh
+        rounds[fresh] = rnd
+    part = _LatticePart(n, rounds, seed_cells, inputs)
+    return Closure(u, [(tuple(range(n)), part)])
 
 
 def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
     n = len(u)
-    entries = _seed_entries(theory, u)
+    seeds, inputs = _seeds(theory, u)
+    entries = {m: (_INPUT if k < inputs else _AXIOM, 0) for k, m in enumerate(seeds)}
     parents: dict[tuple[int, int], Optional[tuple]] = {m: None for m in entries}
     rounds = {m: 0 for m in entries}
     queue = deque(entries)
@@ -377,9 +666,7 @@ def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> 
                 r = ((cpos & ~bit) | d[0], cneg | (d[1] & ~bit))
                 if r not in entries:
                     if len(entries) >= max_clauses:
-                        raise ResourceLimitError(
-                            f"closure exceeded {max_clauses} clauses"
-                        )
+                        raise _OverCap(f"closure exceeded {max_clauses} clauses")
                     entries[r] = (_RESOLVENT, max(rounds[c], rounds[d]) + 1)
                     rounds[r] = entries[r][1]
                     parents[r] = (c, d, i)
@@ -390,9 +677,7 @@ def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> 
                 r = ((d[0] & ~bit) | cpos, d[1] | (cneg & ~bit))
                 if r not in entries:
                     if len(entries) >= max_clauses:
-                        raise ResourceLimitError(
-                            f"closure exceeded {max_clauses} clauses"
-                        )
+                        raise _OverCap(f"closure exceeded {max_clauses} clauses")
                     entries[r] = (_RESOLVENT, max(rounds[c], rounds[d]) + 1)
                     rounds[r] = entries[r][1]
                     parents[r] = (d, c, i)
@@ -402,7 +687,7 @@ def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> 
         for i in bits(cneg):
             neg_occ[i].append(c)
 
-    return Closure(u, entries, parents)
+    return Closure(u, [(tuple(range(n)), _PairwisePart(n, entries, parents))])
 
 
 def _components(theory: ClausalTheory, u: Universe) -> list[tuple[int, list[Clause]]]:
@@ -444,76 +729,31 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     all components together, would exceed ``max_clauses`` clauses.
     """
     u = Universe(theory.universe)
-    empty = (0, 0)
-    entries: dict[tuple[int, int], tuple[str, int]] = {}
-    parents: dict[tuple[int, int], Optional[tuple]] = {}
-    if Clause() in theory.clauses:
-        entries[empty] = (_INPUT, 0)
+    empty_input = Clause() in theory.clauses
+    has_empty, size = empty_input, int(empty_input)
+    parts = []
     for comp, clauses in _components(theory, u):
         names = u.sorted_atoms_of(comp)
         local = Universe(names)
-        # The empty clause is shared: a component may derive it again
-        # without growing the union.
-        budget = max_clauses - len(entries) + (empty in entries)
         saturator = (
             _saturate_lattice if len(local) <= LATTICE_MAX_ATOMS else _saturate_pairwise
         )
+        # The empty clause is shared: a component may derive it again
+        # without growing the union.
+        budget = max_clauses - size + has_empty
         try:
-            part = saturator(ClausalTheory(frozenset(clauses), names), local, budget)
-        except ResourceLimitError:
+            closure = saturator(ClausalTheory(frozenset(clauses), names), local, budget)
+        except _OverCap:
             raise ResourceLimitError(f"closure exceeded {max_clauses} clauses") from None
-        entries, parents = _merge(entries, parents, part, list(bits(comp)))
+        ((_, part),) = closure._parts
+        own_empty = part.entry(0, 0) is not None
+        size += part.count - (has_empty and own_empty)
+        has_empty = has_empty or own_empty
+        parts.append((tuple(bits(comp)), part))
     # As in each saturator, a closure that resolves nothing is not refused.
-    if len(entries) > max_clauses and any(
-        kind == _RESOLVENT for kind, _ in entries.values()
-    ):
+    if size > max_clauses and any(part.resolves for _, part in parts):
         raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
-    return Closure(u, entries, parents)
-
-
-def _merge(
-    entries: "dict[tuple[int, int], tuple[str, int]]",
-    parents: "dict[tuple[int, int], Optional[tuple]]",
-    part: Closure,
-    atom_index: list[int],
-) -> "tuple[dict, dict]":
-    """Add a component closure, consumed, to the global entries and parents.
-
-    ``atom_index[i]`` is the global position of the component's atom
-    ``i``. Local entry order and round numbers carry over unchanged. A
-    clause already present (only ever the empty clause) keeps the
-    earlier of its two rounds, with that round's parents. Returns the
-    merged entries and parents.
-    """
-    if atom_index == list(range(len(atom_index))):
-        # The component holds the lowest atoms: local bits are global.
-        lifted, links = part._entries, part._parents_m
-    else:
-        halves = {half for m in part._entries for half in m}
-        spread = {h: sum(1 << atom_index[i] for i in bits(h)) for h in halves}
-
-        def lift(m: tuple[int, int]) -> tuple[int, int]:
-            return spread[m[0]], spread[m[1]]
-
-        lifted = {lift(m): value for m, value in part._entries.items()}
-        links = {}
-        for m, par in part._parents_m.items():
-            if par is not None:
-                left, right, i = par
-                links[lift(m)] = (lift(left), lift(right), atom_index[i])
-    if not entries:
-        return lifted, links
-    empty = (0, 0)
-    seen, mine = entries.get(empty), lifted.get(empty)
-    if seen is not None and mine is not None:
-        if seen[1] <= mine[1]:
-            del lifted[empty]
-            links.pop(empty, None)
-        else:
-            parents.pop(empty, None)
-    entries.update(lifted)
-    parents.update(links)
-    return entries, parents
+    return Closure(u, parts, empty_input)
 
 
 def derives(closure: Closure, clause: Clause) -> bool:
@@ -540,7 +780,7 @@ def witness_subclause(closure: Closure, clause: Clause) -> Optional[Clause]:
 def paradoxical_atoms(closure: Closure) -> frozenset[str]:
     """Atoms whose positive and negative units are both derivable."""
     mask = closure.paradox_mask
-    empty = closure._entries.get((0, 0))
+    empty = closure._empty
     # Two complementary units resolve to the empty clause, and an empty
     # clause that was RESOLVED (not handed in as input) came from such a
     # pair; an input empty clause carries no atom information.
@@ -666,7 +906,7 @@ def provable_weakened(
         raise ValidationError(f"unknown weakening mode {mode!r}")
     closure = _closure_for(theory, closure, max_clauses)
     pos, neg = closure.clause_masks(clause)
-    if (pos, neg) in closure._entries:
+    if closure._entry((pos, neg)) is not None:
         return True
     if mode == "awbw" and (pos | neg) and not (pos | neg) & ~closure.paradox_mask:
         return True
@@ -745,7 +985,7 @@ class Proof:
 def proof_of(closure: Closure, clause: Clause) -> Proof:
     """Reconstruct one derivation of ``clause`` from the parent links."""
     target = closure.clause_masks(clause)
-    if target not in closure._entries:
+    if closure._entry(target) is None:
         raise ValidationError(f"clause {clause} is not derivable")
 
     # Iterative post-order walk; proofs can be deep enough to overflow
@@ -771,7 +1011,7 @@ def proof_of(closure: Closure, clause: Clause) -> Proof:
 
     steps = []
     for idx, m in enumerate(order, start=1):
-        kind, _ = closure._entries[m]
+        kind, _ = closure._entry(m)
         par = parentage[m]
         if par is None:
             steps.append(ProofStep(idx, closure.clause_of(m), kind))

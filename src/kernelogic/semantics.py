@@ -148,22 +148,12 @@ def min_clauses(
     """Derivable clauses with no nonempty derivable proper subclause.
 
     The empty clause is excluded; these are exactly the relevant
-    clauses of the theory.
+    clauses of the theory. The closure finds them per component: on a
+    clause lattice, a clause is minimal when the zeta transform of the
+    derived clauses counts, inside it, only itself and the empty clause
+    if that is derived.
     """
-    closure = _closure_for(theory, closure, max_clauses)
-    sized = sorted(
-        ((p.bit_count() + q.bit_count(), (p, q)) for p, q in closure.iter_masks()),
-        key=lambda item: item[0],
-    )
-    minimal: list[tuple[int, int]] = []
-    for size, (p, q) in sized:
-        if size == 0:
-            continue
-        # Any derivable proper subclause contains a minimal one of
-        # strictly smaller size, so checking the antichain so far is enough.
-        if not any(mp & ~p == 0 and mq & ~q == 0 for mp, mq in minimal):
-            minimal.append((p, q))
-    return frozenset(closure.clause_of(m) for m in minimal)
+    return _closure_for(theory, closure, max_clauses).minimal_clauses()
 
 
 def component_claim_check(

@@ -243,6 +243,21 @@ def test_invalid_numeric_flags_are_usage_errors(capsys, delta_file, argv):
     assert f"argument {argv[1]}:" in err
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_parse_errors_count_lines_by_newline(capsys, tmp_path, char):
+    path = tmp_path / "f.gnf"
+    path.write_text(f"a :{char}b$ : a\n", encoding="utf-8")
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 5: invalid atom 'b$'\n"
+
+
+def test_clause_argument_errors_name_their_line(capsys, delta_file):
+    code, out, err = run(capsys, "prove", "a\nb$", delta_file)
+    assert code == 2 and out == ""
+    assert err == "error: line 2, column 1: invalid literal 'b$'\n"
+
+
 def test_complete_loose_flag(capsys, tmp_path):
     path = tmp_path / "loose.gnf"
     path.write_text("a : b\n")

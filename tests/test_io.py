@@ -65,6 +65,34 @@ def test_parse_error_columns_point_at_the_token():
         assert (info.value.line, info.value.column) == (line, column)
 
 
+# Characters that str.splitlines breaks at but that end no line.
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES)
+def test_lines_end_at_newlines_only(char):
+    with pytest.raises(kl.ParseError) as info:
+        io.parse_document(f"a :{char}b$ : a\n")
+    assert (info.value.line, info.value.column) == (1, 5)
+
+
+def test_crlf_lines_keep_their_numbers():
+    text = "a : b\r\nb :\r\n"
+    assert io.parse_document(text).payload == io.parse_document(text.replace("\r", "")).payload
+    with pytest.raises(kl.ParseError) as info:
+        io.parse_document(text + "c : d$\r\n")
+    assert (info.value.line, info.value.column) == (3, 5)
+
+
+def test_parse_clause_locates_errors_by_line():
+    with pytest.raises(kl.ParseError) as info:
+        io.parse_clause("a\nb$")
+    assert (info.value.line, info.value.column) == (2, 1)
+    with pytest.raises(kl.ParseError) as info:
+        io.parse_clause("a ~b\n\n  c ~$ d")
+    assert (info.value.line, info.value.column) == (3, 5)
+
+
 def test_parse_theory_complete_loose():
     t = io.parse_theory("a : b\n", complete_loose=True)
     assert t == kl.GnfTheory({"a": {"b"}, "b": {"b'"}, "b'": {"b"}})

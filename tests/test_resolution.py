@@ -502,10 +502,10 @@ def test_paradoxical_atoms_checks_the_empty_clause():
     u = kl.Universe(["x"])
     units = {(1, 0): ("input", 0), (0, 1): ("input", 0), (1, 1): ("axiom", 0)}
     with pytest.raises(AssertionError, match="without a derivable empty clause"):
-        kl.paradoxical_atoms(kl.Closure(u, units, {}))
+        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, units, {}))]))
     lone = {(0, 0): ("resolvent", 1), (1, 1): ("axiom", 0)}
     with pytest.raises(AssertionError, match="without a paradoxical atom"):
-        kl.paradoxical_atoms(kl.Closure(u, lone, {}))
+        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, lone, {}))]))
 
 
 def test_wide_universe_uses_pairwise_path(monkeypatch):
@@ -545,7 +545,7 @@ def test_empty_clause_takes_the_earliest_round(liar):
     t = kl.ClausalTheory(clauses(*texts))
     closure = kl.saturate(t)
     assert closure.origin[Clause()] == "resolvent"
-    assert closure._entries[(0, 0)][1] == 1
+    assert dict(closure.entries())[(0, 0)][1] == 1
     assert kl.proof_of(closure, Clause()).to_text() == (
         f"1. {liar} [input]\n2. ~{liar} [input]\n3. [] [res 1 2 on {liar}]"
     )
@@ -574,7 +574,7 @@ def test_split_matches_whole_lattice():
         u = kl.Universe(t.universe)
         whole = resolution._saturate_lattice(t, u, resolution.DEFAULT_MAX_CLAUSES)
         closure = kl.saturate(t)
-        assert closure._entries == whole._entries
+        assert dict(closure.entries()) == dict(whole.entries())
         for c in sorted(whole.derived, key=kl.clause_sort_key):
             assert kl.proof_of(closure, c).to_text() == kl.proof_of(whole, c).to_text()
 
@@ -641,7 +641,7 @@ def layered_closure(theory):
 
 
 def rounds_by_clause(closure):
-    return {closure.clause_of(m): value for m, value in closure._entries.items()}
+    return {closure.clause_of(m): value for m, value in closure.entries()}
 
 
 @given(component_theories())
@@ -738,3 +738,137 @@ def test_lattice_width_is_bounded_by_the_accumulator():
     t = kl.ClausalTheory(frozenset(), tuple(f"y{i:02d}" for i in range(16)))
     with pytest.raises(kl.ResourceLimitError, match="overflows"):
         resolution._saturate_lattice(t, kl.Universe(t.universe), 10)
+
+
+def antichain_min_clauses(closure):
+    """The minimal derived clauses by the naive scan: in size order, keep
+    each nonempty clause with no kept subclause."""
+    sized = sorted(
+        ((p.bit_count() + q.bit_count(), (p, q)) for p, q in closure.iter_masks() if p or q),
+        key=lambda item: item[0],
+    )
+    minimal = []
+    for _, (p, q) in sized:
+        if not any(mp & ~p == 0 and mq & ~q == 0 for mp, mq in minimal):
+            minimal.append((p, q))
+    return frozenset(closure.clause_of(m) for m in minimal)
+
+
+@given(component_theories())
+def test_min_clauses_match_antichain_scan(t):
+    u = kl.Universe(t.universe)
+    cap = resolution.DEFAULT_MAX_CLAUSES
+    for closure in (kl.saturate(t), resolution._saturate_pairwise(t, u, cap)):
+        assert kl.min_clauses(t, closure=closure) == antichain_min_clauses(closure)
+
+
+def test_min_clauses_match_antichain_scan_on_the_corpus(corpus):
+    checked = 0
+    for spec, graph in corpus:
+        if spec.n > 6:
+            continue
+        t = kl.clausal_theory(graph)
+        closure = kl.saturate(t)
+        assert kl.min_clauses(t, closure=closure) == antichain_min_clauses(closure), spec
+        checked += 1
+    assert checked == 240
+
+
+CHAIN = [f"w{i:02d}" for i in range(13)]
+MIXED_TEXTS = (
+    ["w00", "~w12", "a", "~a", "b ~c", "~b c", "c d", "~d", "e ~f", "f"]
+    + [f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:])]
+)
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
+    # The 13-atom chain runs on the worklist loop; the other components
+    # run on their lattices. Each nonempty clause is proved in its own
+    # component exactly as when that component is saturated alone.
+    t = kl.ClausalTheory(clauses(*MIXED_TEXTS, *(["[]"] if empty else [])))
+    paths = []
+    for name in ("_saturate_lattice", "_saturate_pairwise"):
+        real = getattr(resolution, name)
+
+        def spy(theory, u, max_clauses, real=real, name=name):
+            paths.append((name, len(u)))
+            return real(theory, u, max_clauses)
+
+        monkeypatch.setattr(resolution, name, spy)
+    closure = kl.saturate(t)
+    assert ("_saturate_pairwise", 13) in paths and ("_saturate_lattice", 1) in paths
+    monkeypatch.undo()
+
+    assert kl.min_clauses(t, closure=closure) == antichain_min_clauses(closure)
+    assert closure.clause_texts() == naive_listing(closure)
+    groups = [set(CHAIN), {"a"}, {"b", "c", "d"}, {"e", "f"}]
+    alone = {}
+    for group in groups:
+        part = frozenset(c for c in t.clauses if c.atoms() and c.atoms() <= group)
+        alone[frozenset(group)] = kl.saturate(kl.ClausalTheory(part, tuple(group)))
+    for c in sorted(closure.derived, key=kl.clause_sort_key):
+        proof = kl.proof_of(closure, c)
+        check_replay(proof, t)
+        if c.literals:
+            (group,) = [g for g in alone if c.atoms() <= g]
+            assert proof.to_text() == kl.proof_of(alone[group], c).to_text(), str(c)
+    expected = "1. [] [input]" if empty else "1. a [input]\n2. ~a [input]\n3. [] [res 1 2 on a]"
+    assert kl.proof_of(closure, Clause()).to_text() == expected
+
+
+def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
+    # Round numbers are one byte per cell; a closure needing the
+    # sentinel's round is refused instead of wrapping.
+    t = kl.ClausalTheory(clauses("a", "~a b", "~b c", "~c d", "~d e", "~e"))
+    u = kl.Universe(t.universe)
+    cap = resolution.DEFAULT_MAX_CLAUSES
+    last = max(rnd for _, (_, rnd) in resolution._saturate_lattice(t, u, cap).entries())
+    assert last >= 2
+    monkeypatch.setattr(resolution, "_NOT_DERIVED", last + 1)
+    assert rounds_by_clause(kl.saturate(t)) == layered_closure(t)
+    monkeypatch.setattr(resolution, "_NOT_DERIVED", last)
+    for run in (lambda: resolution._saturate_lattice(t, u, cap), lambda: kl.saturate(t)):
+        with pytest.raises(kl.ResourceLimitError, match=f"more than {last - 1} resolution rounds"):
+            run()
+
+
+DELTA_PROOF_OF_A = """\
+1. a b c [input]
+2. d e [input]
+3. ~c ~e [input]
+4. ~c d [res 2 3 on e]
+5. ~c ~d [input]
+6. ~c [res 4 5 on d]
+7. a b [res 1 6 on c]
+8. c d [input]
+9. c e [input]
+10. ~d ~e [input]
+11. c ~d [res 9 10 on e]
+12. c [res 8 11 on d]
+13. ~b ~c [input]
+14. ~b [res 12 13 on c]
+15. a [res 7 14 on b]"""
+
+
+def test_lattice_proof_text_is_pinned(our_cth, our_closure):
+    # Parent candidates are tried in entry order: inputs, axioms, then
+    # each round by cell index. Another order proves the same clause
+    # with other text.
+    proof = kl.proof_of(our_closure, clause("a"))
+    assert proof.to_text() == DELTA_PROOF_OF_A
+    check_replay(proof, our_cth)
+
+
+@pytest.mark.parametrize("liar", ["a", "z"])
+def test_empty_clause_round_ties_go_to_the_first_component(liar):
+    # The liar's lattice and the wide chain's worklist loop (w00 and
+    # ~w00 are inputs) both derive [] in round 1. The component with
+    # the lowest atom owns it: a lattice owner's proof takes the first
+    # atom whose units precede [], the worklist's keeps its own step.
+    texts = [liar, f"~{liar}", "~w00"] + [f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:])]
+    t = kl.ClausalTheory(clauses(*texts, "w00"))
+    first = "a" if liar == "a" else "w00"
+    assert kl.proof_of(kl.saturate(t), Clause()).to_text() == (
+        f"1. {first} [input]\n2. ~{first} [input]\n3. [] [res 1 2 on {first}]"
+    )

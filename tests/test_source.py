@@ -34,3 +34,39 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_closure_internals_stay_in_resolution():
+    # How a Closure stores its clauses is known to resolution.py alone:
+    # no other module reads an _-prefixed attribute of a Closure.
+    tree = ast.parse((PACKAGE / "resolution.py").read_text(encoding="utf-8"))
+    (closure,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Closure"
+    ]
+    private = {
+        node.attr
+        for node in ast.walk(closure)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr.startswith("_")
+    }
+    private |= {
+        node.name
+        for node in closure.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    assert {"_parts", "_entry", "_search_parents"} <= private
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "resolution.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}:{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in private
+        ]
+    assert found == []
