@@ -63,7 +63,9 @@ def _read_input(path: str) -> tuple[str, str]:
     try:
         if path == "-":
             return sys.stdin.read(), source
-        with open(path, "r", encoding="utf-8") as handle:
+        # newline="" keeps every "\r": parse_document alone decides
+        # where lines end, for files as for stdin.
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read(), source
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None

@@ -282,16 +282,16 @@ def induced_subgraph(graph: Digraph, atoms: Iterable[str]) -> Digraph:
     return Digraph(keep, edges)
 
 
-def underlying_components(graph: Digraph) -> list[frozenset[str]]:
-    """Connected components after forgetting edge directions.
+def component_masks(graph: Digraph) -> list[int]:
+    """The weakly connected components as bitmasks over the universe.
 
-    Returned in deterministic order, by smallest member atom.
+    Edge directions are forgotten; components come ordered by their
+    lowest bit.
     """
-    n = len(graph.vertices)
-    und = [graph._succ[i] | graph._pred[i] for i in range(n)]
+    und = [s | p for s, p in zip(graph._succ, graph._pred)]
     seen = 0
     components = []
-    for start in range(n):
+    for start in range(len(graph.vertices)):
         if seen >> start & 1:
             continue
         comp = 1 << start
@@ -303,8 +303,16 @@ def underlying_components(graph: Digraph) -> list[frozenset[str]]:
                 break
             comp = grown
         seen |= comp
-        components.append(graph.universe.atoms_of(comp))
+        components.append(comp)
     return components
+
+
+def underlying_components(graph: Digraph) -> list[frozenset[str]]:
+    """Connected components after forgetting edge directions.
+
+    Returned in deterministic order, by smallest member atom.
+    """
+    return [graph.universe.atoms_of(comp) for comp in component_masks(graph)]
 
 
 def complete_loose_atoms(formulas: Mapping[str, Iterable[str]]) -> GnfTheory:

@@ -7,10 +7,21 @@ region. The models of a graph are the inverse-closed semikernels whose
 settled region is maximal; they exist for every graph because the empty
 set always qualifies.
 
-Enumeration is plain subset search with early pruning on independence.
+All three properties are local to the weakly connected components: a
+set is a kernel, a semikernel or an inverse-closed semikernel exactly
+when its trace on every component is one. Enumeration therefore runs
+per component, as plain subset search with early pruning on
+independence, and the whole graph's lists are the products of the
+components' lists, sorted by subset rank. Models need no pairwise
+comparison: any inverse-closed semikernel can be grown to settle the
+domain of any other (``extend_partition``), so every one settles atoms
+inside one maximal domain, the union of all their domains, and the
+models are those that settle exactly it.
+
 Kernel problems are NP-hard in general, so a configurable atom cap
-(default 20) keeps calls honest; this package targets desk scale and
-chooses exactness over volume.
+(default 20) keeps calls honest; it counts the whole graph, however it
+splits into components. This package targets desk scale and chooses
+exactness over volume.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph
+from .graphs import Digraph, bits, component_masks
 
 DEFAULT_MAX_ATOMS = 20
 
@@ -119,71 +130,85 @@ def _check_cap(graph: Digraph, max_atoms: int) -> None:
         )
 
 
-@lru_cache(maxsize=512)
-def _independent_masks(graph: Digraph) -> tuple[int, ...]:
-    # Depth-first over vertex indices; a branch dies as soon as the next
-    # vertex touches the set built so far. Output sorted by subset rank.
-    n = len(graph.vertices)
-    succ = graph._succ
-    pred = graph._pred
-    found: list[int] = []
+class _ComponentSets(NamedTuple):
+    """One weakly connected component's kernels, semikernels and models,
+    as bitmasks over the whole graph's universe."""
 
-    def extend(i: int, mask: int) -> None:
-        if i == n:
-            found.append(mask)
-            return
-        extend(i + 1, mask)
+    kernels: tuple[int, ...]
+    semikernels: tuple[int, ...]
+    models: tuple[int, ...]
+
+
+def _independent_masks(graph: Digraph, comp: int) -> list[int]:
+    # Grown one vertex at a time: a vertex joins exactly the sets built
+    # so far that it does not touch, and a looped vertex joins none.
+    masks = [0]
+    for i in bits(comp):
         bit = 1 << i
-        if succ[i] & bit == 0 and (succ[i] | pred[i]) & mask == 0:
-            extend(i + 1, mask | bit)
-
-    extend(0, 0)
-    return tuple(sorted(found))
+        succ = graph._succ[i]
+        if succ & bit == 0:
+            touch = succ | graph._pred[i]
+            masks += [m | bit for m in masks if m & touch == 0]
+    return masks
 
 
 @lru_cache(maxsize=512)
-def _semikernel_masks(graph: Digraph) -> tuple[int, ...]:
-    return tuple(
-        m for m in _independent_masks(graph) if _is_semikernel(graph, m)
-    )
+def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
+    found = []
+    for comp in component_masks(graph):
+        independent = _independent_masks(graph, comp)
+        semikernels = [m for m in independent if _is_semikernel(graph, m)]
+        kernels = [m for m in semikernels if graph.in_mask(m) == comp & ~m]
+        closed = {m: graph.in_closed_mask(m) for m in semikernels if _is_closed(graph, m)}
+        # Every inverse-closed semikernel's domain lies inside the one
+        # maximal domain (extend_partition grows any other), so that
+        # domain is the union of them all.
+        domain = 0
+        for dom in closed.values():
+            domain |= dom
+        chosen = [m for m, dom in closed.items() if dom == domain]
+        found.append(_ComponentSets(tuple(kernels), tuple(semikernels), tuple(chosen)))
+    return tuple(found)
+
+
+def _product(per_component: Iterable[tuple[int, ...]]) -> list[int]:
+    """The sets whose trace on every component is one of that
+    component's sets, sorted as integers, that is by subset rank."""
+    combined = [0]
+    for masks in per_component:
+        combined = [a | b for a in combined for b in masks]
+    return sorted(combined)
 
 
 def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All kernels, ordered by subset rank over the sorted vertices."""
     _check_cap(graph, max_atoms)
     u = graph.universe
-    return [
-        u.atoms_of(m) for m in _independent_masks(graph) if _is_kernel(graph, m)
-    ]
+    return [u.atoms_of(m) for m in _product(c.kernels for c in _component_sets(graph))]
 
 
 def enumerate_semikernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All semikernels, including the empty set, ordered by subset rank."""
     _check_cap(graph, max_atoms)
     u = graph.universe
-    return [u.atoms_of(m) for m in _semikernel_masks(graph)]
-
-
-@lru_cache(maxsize=512)
-def _model_masks(graph: Digraph) -> tuple[int, ...]:
-    closed = [m for m in _semikernel_masks(graph) if _is_closed(graph, m)]
-    domains = {m: graph.in_closed_mask(m) for m in closed}
-    kept = []
-    for m in closed:
-        dom = domains[m]
-        if not any(dom != d and dom & ~d == 0 for d in domains.values()):
-            kept.append(m)
-    return tuple(kept)
+    return [u.atoms_of(m) for m in _product(c.semikernels for c in _component_sets(graph))]
 
 
 def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition3]:
     """All models of the graph: partitions of the inverse-closed
     semikernels whose settled domain is maximal.
 
-    The list is never empty; ties with an equal domain are all kept.
+    All inverse-closed semikernels settle atoms inside one maximal
+    domain, the union of their domains, so the models are those that
+    settle exactly it; each weakly connected component picks its own.
+    The list is never empty and is ordered by subset rank of the true
+    atoms; ties with an equal domain are all kept.
     """
     _check_cap(graph, max_atoms)
-    return [_partition_from_mask(graph, m) for m in _model_masks(graph)]
+    return [
+        _partition_from_mask(graph, m)
+        for m in _product(c.models for c in _component_sets(graph))
+    ]
 
 
 def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:

@@ -59,9 +59,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .clauses import (
     ClausalTheory,
@@ -77,13 +75,21 @@ from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, Universe, bits, induced_subgraph, neighborhoods
 from .kernels import DEFAULT_MAX_ATOMS, Partition2, enumerate_kernels
 
+# numpy is imported inside the functions that build or read clause
+# lattices, so that graph-only work (models, kernels, parsing) never
+# loads it.
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_MAX_CLAUSES = 1_000_000
 
 # Widest universe for which 4**n lattice arrays are still cheap.
 LATTICE_MAX_ATOMS = 11
 
-# The lattice round's accumulator for pair counts.
-_PAIR_COUNT = np.int64
+# The lattice round's accumulator for pair counts, and its largest
+# value, ``np.iinfo(_PAIR_COUNT).max``.
+_PAIR_COUNT = "int64"
+_PAIR_COUNT_MAX = 2**63 - 1
 
 
 def _check_lattice_width(n: int) -> None:
@@ -97,10 +103,9 @@ def _check_lattice_width(n: int) -> None:
     zeta sums of non-negative counts and never exceed that sum. int64
     holds it up to n = 15.
     """
-    if n * 16**n // 4 > np.iinfo(_PAIR_COUNT).max:
+    if n * 16**n // 4 > _PAIR_COUNT_MAX:
         raise ResourceLimitError(
-            f"a {n}-atom clause lattice overflows its "
-            f"{np.dtype(_PAIR_COUNT)} pair counts"
+            f"a {n}-atom clause lattice overflows its {_PAIR_COUNT} pair counts"
         )
 
 
@@ -110,9 +115,9 @@ _INPUT = "input"
 _AXIOM = "axiom"
 _RESOLVENT = "resolvent"
 
-# The round number of a lattice cell whose clause is not derived; a
-# round that would reach it is refused, never wrapped.
-_NOT_DERIVED = np.iinfo(np.uint8).max
+# The round number of a lattice cell whose clause is not derived, the
+# largest uint8; a round that would reach it is refused, never wrapped.
+_NOT_DERIVED = 255
 
 
 class _OverCap(ResourceLimitError):
@@ -122,6 +127,28 @@ class _OverCap(ResourceLimitError):
 def _spread(atoms: "tuple[int, ...]", half: int) -> int:
     """A component's atom mask over the closure's universe."""
     return sum(1 << atoms[j] for j in bits(half))
+
+
+def _gather_tables(atoms: "tuple[int, ...]") -> "tuple[int, list[tuple[int, list[int]]]]":
+    """How ``Closure._local`` maps universe masks to a component's own.
+
+    Consecutive atoms take a shift: ``(atoms[0], [])``. Otherwise the
+    tables are one per byte of the universe that holds some of the
+    atoms, with its shift and, for each byte value, the local mask of
+    the component's atoms among its bits: ``(0, [(shift, table), ...])``.
+    """
+    if atoms[-1] - atoms[0] == len(atoms) - 1:
+        return atoms[0], []
+    local = {g: 1 << j for j, g in enumerate(atoms)}
+    tables = []
+    for shift in range(atoms[0] & ~7, atoms[-1] + 1, 8):
+        table = [0]
+        for g in range(shift, shift + 8):
+            bit = local.get(g, 0)
+            table += [t | bit for t in table]
+        if table[-1]:
+            tables.append((shift, table))
+    return 0, tables
 
 
 class _Spreader(dict):
@@ -138,6 +165,7 @@ class _Spreader(dict):
 
 def _subcells(cell: int) -> np.ndarray:
     """Every cell whose bits lie inside ``cell``, in increasing order."""
+    import numpy as np
     subs = np.zeros(1, dtype=np.int64)
     for b in bits(cell):
         subs = np.concatenate((subs, subs | (1 << b)))
@@ -161,6 +189,7 @@ class _LatticePart:
     """
 
     def __init__(self, n: int, rounds: np.ndarray, seeds: "list[int]", inputs: int):
+        import numpy as np
         self.n = n
         self.rounds = rounds
         self.seeds = seeds
@@ -176,6 +205,7 @@ class _LatticePart:
         return zip((cells & ((1 << self.n) - 1)).tolist(), (cells >> self.n).tolist())
 
     def _derived_cells(self) -> np.ndarray:
+        import numpy as np
         return np.flatnonzero(self.rounds != _NOT_DERIVED)
 
     def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
@@ -188,6 +218,7 @@ class _LatticePart:
         return _RESOLVENT, rnd
 
     def items(self):
+        import numpy as np
         for k, cell in enumerate(self.seeds):
             yield self._masks(cell), (_INPUT if k < self.inputs else _AXIOM, 0)
         later = self._derived_cells()
@@ -202,6 +233,7 @@ class _LatticePart:
 
     def codes(self) -> np.ndarray:
         """The literal codes of ``_clause_order`` of every derived nonempty clause."""
+        import numpy as np
         cells = self._derived_cells()
         cells = cells[cells != 0]
         codes = np.empty((len(cells), self.n), dtype=np.uint8)
@@ -210,6 +242,7 @@ class _LatticePart:
         return codes
 
     def minimal(self) -> "list[tuple[int, int]]":
+        import numpy as np
         # z[S] counts the derived clauses inside S; S is minimal when
         # they are S itself and, if derived, the empty clause. Cell 0
         # never qualifies: z[0] is its own bit.
@@ -245,6 +278,7 @@ class _LatticePart:
     def _earlier(self, inside: int, bit: int, rnd: int) -> "list[int]":
         """The cells holding ``bit`` within ``inside | bit`` derived before
         round ``rnd``, in entry order."""
+        import numpy as np
         cells = _subcells(inside) | bit
         rounds = self.rounds[cells]
         keep = rounds < rnd
@@ -325,7 +359,7 @@ class Closure:
             for j, g in enumerate(atoms):
                 self._owner[g] = (k, j)
         self._spans = [_spread(atoms, (1 << len(atoms)) - 1) for atoms, _ in parts]
-        self._local_bit = [1 << j for _, j in self._owner]
+        self._gather: list = [None] * len(parts)  # _gather_tables, on first use
         # (origin, round, part index or None for an input) of the empty clause
         self._empty: Optional[tuple[str, int, Optional[int]]] = (
             (_INPUT, 0, None) if empty_input else None
@@ -354,16 +388,20 @@ class Closure:
         if mask & ~self._spans[k]:
             return None
         atoms, part = self._parts[k]
-        return atoms, part, self._local(pos), self._local(neg)
+        return (atoms, part, *self._local(k, pos, neg))
 
-    def _local(self, half: int) -> int:
-        """An atom mask of one component in that component's own indices."""
-        out = 0
-        while half:
-            low = half & -half
-            out |= self._local_bit[low.bit_length() - 1]
-            half ^= low
-        return out
+    def _local(self, k: int, pos: int, neg: int) -> tuple[int, int]:
+        """Clause masks inside part ``k`` in that component's own indices."""
+        if self._gather[k] is None:
+            self._gather[k] = _gather_tables(self._parts[k][0])
+        shift, tables = self._gather[k]
+        if not tables:
+            return pos >> shift, neg >> shift
+        local_pos = local_neg = 0
+        for shift, table in tables:
+            local_pos |= table[pos >> shift & 255]
+            local_neg |= table[neg >> shift & 255]
+        return local_pos, local_neg
 
     def _entry(self, m: tuple[int, int]) -> Optional[tuple[str, int]]:
         """The origin and round of a derived clause, else None."""
@@ -413,7 +451,7 @@ class Closure:
         for k in sorted({self._owner[g][0] for g in bits(pos | neg)}):
             atoms, part = self._parts[k]
             lift, span = _Spreader(atoms), self._spans[k]
-            for p, q in part.subclauses(self._local(pos & span), self._local(neg & span)):
+            for p, q in part.subclauses(*self._local(k, pos & span, neg & span)):
                 yield lift[p], lift[q]
 
     def _units(self, g: int) -> "tuple[Optional[tuple[str, int]], ...]":
@@ -455,6 +493,7 @@ class Closure:
         without building a single Clause: each text is joined from
         per-atom pieces, looked up for four atoms at a time.
         """
+        import numpy as np
         names = self.universe
         # The empty clause has no literal: code 3 for every atom.
         blocks = [np.full((int(self._empty is not None), len(names)), 3, dtype=np.uint8)]
@@ -551,6 +590,7 @@ def _mask_codes(masks: "list[tuple[int, int]]", n: int) -> np.ndarray:
     The code is 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3
     for neither.
     """
+    import numpy as np
     width = 2 * n // 8 + 1
     raw = b"".join([(p | q << n).to_bytes(width, "little") for p, q in masks])
     lits = np.unpackbits(
@@ -568,6 +608,7 @@ def _code_order(codes: np.ndarray) -> np.ndarray:
     atoms 0, 1, ... is therefore the key's order, for any number of
     atoms.
     """
+    import numpy as np
     size = (codes < 3).sum(axis=1) + (codes == 0).sum(axis=1)
     return np.lexsort((*codes[:, ::-1].T, size))
 
@@ -587,6 +628,7 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
     The zeta transform sums each cell over the subsets of its index;
     the Moebius transform inverts it.
     """
+    import numpy as np
     step = np.add if sign > 0 else np.subtract
     size = values.shape[0]
     for b in range(nbits):
@@ -598,6 +640,7 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
 def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     """The zeta transform of the resolvable pairs of derived clauses,
     summed over the pivots of an ``n``-atom lattice."""
+    import numpy as np
     # zd[S] counts the derived clauses inside S. For the pivot bits p
     # and q of atom i, the zeta transform of the derived clauses holding
     # p, with p dropped, is zd[S | p] - zd[S & ~p]: it does not depend
@@ -615,6 +658,7 @@ def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
 
 
 def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
+    import numpy as np
     n = len(u)
     _check_lattice_width(n)
     seeds, inputs = _seeds(theory, u)

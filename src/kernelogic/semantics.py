@@ -22,7 +22,7 @@ from typing import Optional
 
 from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, underlying_components
+from .graphs import Digraph, Universe, bits, component_masks
 from .kernels import DEFAULT_MAX_ATOMS, Partition3, models
 from .resolution import Closure, DEFAULT_MAX_CLAUSES, _closure_for
 
@@ -171,7 +171,7 @@ def component_claim_check(
     theory = clausal_theory(graph)
     closure = _closure_for(theory, closure, max_clauses)
     u = graph.universe
-    comp_masks = [u.mask_of(c) for c in underlying_components(graph)]
+    comp_masks = component_masks(graph)
     comp_of = {}
     for cm in comp_masks:
         for i in bits(cm):

@@ -252,6 +252,25 @@ def test_parse_errors_count_lines_by_newline(capsys, tmp_path, char):
     assert err == "error: line 1, column 5: invalid atom 'b$'\n"
 
 
+def test_a_bare_carriage_return_does_not_end_a_line(capsys, monkeypatch, tmp_path):
+    text = "a : b\rb$ :\n"
+    path = tmp_path / "cr.gnf"
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 7: invalid atom 'b$'\n"
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "models", "-")
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 7: invalid atom 'b$'\n"
+
+    path.write_bytes(b"a : b\r\nb$ :\r\n")
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, column 1: invalid atom 'b$'\n"
+
+
 def test_clause_argument_errors_name_their_line(capsys, delta_file):
     code, out, err = run(capsys, "prove", "a\nb$", delta_file)
     assert code == 2 and out == ""
@@ -271,6 +290,29 @@ def test_resource_caps(capsys, delta_file):
     assert code == 3 and "exceeded" in err
     code, _, err = run(capsys, "models", delta_file, "--max-atoms", "3")
     assert code == 3
+
+
+def test_models_cap_counts_every_component(capsys, tmp_path):
+    path = tmp_path / "wide.gnf"
+    path.write_text("".join(f"v{i:02d} :\n" for i in range(21)))
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 3 and out == ""
+    assert "21 atoms" in err
+
+
+def test_graph_commands_do_not_import_numpy():
+    demo = Path(__file__).parent.parent / "demos" / "data" / "delta.gnf"
+    script = (
+        "import sys\n"
+        "import kernelogic\n"
+        "from kernelogic import cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"assert cli.main(['models', {str(demo)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'models'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("true={a}")
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -1,6 +1,10 @@
 """Kernel and semikernel classification, enumeration, and combination."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import kernels
@@ -77,6 +81,133 @@ def test_enumeration_cap():
     with pytest.raises(kl.ResourceLimitError):
         kl.enumerate_kernels(big)
     assert len(kl.enumerate_kernels(big, max_atoms=21)) == 1
+
+
+def test_enumeration_cap_counts_the_whole_graph():
+    # The edgeless graph splits into 21 one-atom components; the cap
+    # still sees 21 atoms, and the one kernel comes at once.
+    big = kl.Digraph([f"v{i:02d}" for i in range(21)])
+    with pytest.raises(kl.ResourceLimitError):
+        kl.models(big)
+    with pytest.raises(kl.ResourceLimitError):
+        kl.enumerate_semikernels(big)
+    start = time.perf_counter()
+    assert kl.enumerate_kernels(big, max_atoms=21) == [frozenset(big.vertices)]
+    assert time.perf_counter() - start < 1.0
+
+
+def two_cycles(k, liars=0):
+    """``k`` disjoint 2-cycles; the first ``liars`` get a loop on one end."""
+    names = [f"c{i:02d}" for i in range(2 * k)]
+    edges = []
+    for i in range(k):
+        a, b = names[2 * i], names[2 * i + 1]
+        edges += [(a, b), (b, a)] + [(a, a)] * (i < liars)
+    return kl.Digraph(names, edges)
+
+
+def odd_cycles(*lengths):
+    """Disjoint directed cycles, their atoms interleaved in name order."""
+    names, edges = [], []
+    for k, length in enumerate(lengths):
+        ring = [f"o{i:02d}_{k}" for i in range(length)]
+        names += ring
+        edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+    return kl.Digraph(names, edges)
+
+
+def test_models_of_ten_two_cycles_are_fast():
+    g = two_cycles(10)
+    start = time.perf_counter()
+    found = kl.models(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 1024
+    assert all(not m.paradox_set and len(m.true_set) == 10 for m in found)
+
+
+@st.composite
+def component_unions(draw):
+    """A disjoint union of 1-5 random components, self-loops included,
+    at most 16 atoms; atom j of component k is named ``x{j}_{k}``, so
+    the components interleave in name order."""
+    names, edges = [], []
+    for k in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, min(5, 16 - len(names))))
+        atoms = [f"x{j}_{k}" for j in range(n)]
+        pairs = st.tuples(st.sampled_from(atoms), st.sampled_from(atoms))
+        # At least n - 1 edges: sparser components make so many
+        # inverse-closed semikernels that the brute filter's pairwise
+        # scan takes minutes.
+        edges += draw(st.sets(pairs, min_size=n - 1, max_size=2 * n))
+        names += atoms
+        if len(names) == 16:
+            break
+    return kl.Digraph(names, edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(component_unions())
+def test_per_component_search_matches_brute_force(g):
+    assert kl.enumerate_kernels(g) == kl.brute_kernels(g)
+    assert kl.enumerate_semikernels(g) == kl.brute_semikernels(g)
+    assert kl.models(g) == kl.brute_models(g)
+
+
+def whole_graph_lists(graph):
+    """Kernels, semikernels and models as masks, by one subset search
+    over the whole graph and a pairwise maximality filter: the search
+    the per-component one replaced."""
+    n = len(graph.vertices)
+    succ, pred = graph._succ, graph._pred
+    found = []
+
+    def extend(i, mask):
+        if i == n:
+            found.append(mask)
+            return
+        extend(i + 1, mask)
+        bit = 1 << i
+        if succ[i] & bit == 0 and (succ[i] | pred[i]) & mask == 0:
+            extend(i + 1, mask | bit)
+
+    extend(0, 0)
+    independent = sorted(found)
+    semi = [m for m in independent if kernels._is_semikernel(graph, m)]
+    kern = [m for m in independent if kernels._is_kernel(graph, m)]
+    closed = [m for m in semi if kernels._is_closed(graph, m)]
+    domains = {m: graph.in_closed_mask(m) for m in closed}
+    kept = []
+    for m in closed:
+        dom = domains[m]
+        if not any(dom != d and dom & ~d == 0 for d in domains.values()):
+            kept.append(m)
+    return kern, semi, kept
+
+
+WIDE_UNIONS = {
+    "seven 2-cycles and a 3-cycle": kl.Digraph(
+        two_cycles(7).vertices + ("t0", "t1", "t2"),
+        sorted(two_cycles(7).edges) + [("t0", "t1"), ("t1", "t2"), ("t2", "t0")],
+    ),
+    "nine 2-cycles, five liars": two_cycles(9, liars=5),
+    "odd cycles 5, 7, 7": odd_cycles(5, 7, 7),
+    "odd cycles 3, 3, 5, 9": odd_cycles(3, 3, 5, 9),
+    **{
+        f"sparse {n} atoms, p {p}": kl.random_digraph(kl.RandomGraphSpec(n, p, 2))
+        for n, p in ((17, 0.06), (19, 0.05), (20, 0.06))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_UNIONS))
+def test_per_component_search_matches_whole_graph_twin(name):
+    g = WIDE_UNIONS[name]
+    assert 17 <= len(g.vertices) <= 20
+    kern, semi, kept = whole_graph_lists(g)
+    u = g.universe
+    assert kl.enumerate_kernels(g) == [u.atoms_of(m) for m in kern]
+    assert kl.enumerate_semikernels(g) == [u.atoms_of(m) for m in semi]
+    assert kl.models(g) == [kernels._partition_from_mask(g, m) for m in kept]
 
 
 def test_models_examples(our_graph, f1_graph, f2_graph):

@@ -817,6 +817,45 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
     assert kl.proof_of(closure, Clause()).to_text() == expected
 
 
+def test_pair_count_bound_is_the_accumulators_largest_value():
+    import numpy as np
+
+    assert resolution._PAIR_COUNT_MAX == np.iinfo(resolution._PAIR_COUNT).max
+
+
+def test_membership_in_interleaved_components():
+    # Components whose atoms are scattered over three bytes of a 20-atom
+    # universe are read through per-byte tables, a run of consecutive
+    # atoms through a shift; both must give the closure's own clauses.
+    names = tuple(f"a{i:02d}" for i in range(20))
+    groups = [(0, 7, 9, 17), (1, 2, 3), (4, 10, 15, 19), (5, 16)]
+    stream = splitmix64(2024)
+    cls = set()
+    for group in groups:
+        for _ in range(5):
+            atoms = [names[g] for g in group if next(stream) % 2]
+            cls.add(Clause(Literal(a, next(stream) % 3 == 0) for a in atoms))
+    closure = kl.saturate(kl.ClausalTheory(frozenset(cls), names))
+    gathers = [resolution._gather_tables(atoms)[1] for atoms, _ in closure._parts]
+    assert [] in gathers and any(len(tables) == 3 for tables in gathers)
+    derived = closure.derived
+    for c in derived:
+        assert c in closure
+    masks = list(closure.iter_masks())
+    for _ in range(300):
+        group = groups[next(stream) % len(groups)] + (next(stream) % 20,)
+        goal = Clause(
+            Literal(names[g], neg)
+            for g in group
+            for neg in (False, True)
+            if next(stream) % 3 == 0
+        )
+        assert kl.derives(closure, goal) == (goal in derived)
+        pos, neg = closure.clause_masks(goal)
+        expected = {(p, q) for p, q in masks if not (p & ~pos or q & ~neg)}
+        assert set(closure.subclauses(pos, neg)) == expected
+
+
 def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
     # Round numbers are one byte per cell; a closure needing the
     # sentinel's round is refused instead of wrapping.
