@@ -398,9 +398,9 @@ class Closure:
         if not tables:
             return pos >> shift, neg >> shift
         local_pos = local_neg = 0
-        for shift, table in tables:
-            local_pos |= table[pos >> shift & 255]
-            local_neg |= table[neg >> shift & 255]
+        for byte_shift, table in tables:
+            local_pos |= table[pos >> byte_shift & 255]
+            local_neg |= table[neg >> byte_shift & 255]
         return local_pos, local_neg
 
     def _entry(self, m: tuple[int, int]) -> Optional[tuple[str, int]]:
