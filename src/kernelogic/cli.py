@@ -40,6 +40,7 @@ from .oracle import (
 )
 from .resolution import (
     DEFAULT_MAX_CLAUSES,
+    LATTICE_MAX_ATOMS,
     consistent_subtheory,
     entails_para,
     paradoxical_atoms,
@@ -114,28 +115,20 @@ def _emit(args, command: str, result, render) -> None:
             print(line)
 
 
-def cmd_models(args) -> int:
+# The graph listings: name -> (engine, brute-force oracle, line format).
+# check-random compares each engine against its oracle in this order.
+_LISTINGS = {
+    "kernels": (enumerate_kernels, brute_kernels, _fmt_set),
+    "semikernels": (enumerate_semikernels, brute_semikernels, _fmt_set),
+    "models": (models, brute_models, _fmt_partition3),
+}
+
+
+def cmd_listing(args) -> int:
+    engine, oracle, fmt = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
-    found = brute_models(graph) if args.oracle else models(graph, args.max_atoms)
-    _emit(args, "models", found, lambda: map(_fmt_partition3, found))
-    return EXIT_YES
-
-
-def cmd_kernels(args) -> int:
-    graph = _require_graph(_load(args)[0])
-    found = brute_kernels(graph) if args.oracle else enumerate_kernels(graph, args.max_atoms)
-    _emit(args, "kernels", found, lambda: map(_fmt_set, found))
-    return EXIT_YES
-
-
-def cmd_semikernels(args) -> int:
-    graph = _require_graph(_load(args)[0])
-    found = (
-        brute_semikernels(graph)
-        if args.oracle
-        else enumerate_semikernels(graph, args.max_atoms)
-    )
-    _emit(args, "semikernels", found, lambda: map(_fmt_set, found))
+    found = oracle(graph) if args.oracle else engine(graph, args.max_atoms)
+    _emit(args, args.command, found, lambda: map(fmt, found))
     return EXIT_YES
 
 
@@ -230,32 +223,21 @@ def cmd_check_random(args) -> int:
     for i in range(args.count):
         spec = RandomGraphSpec(n=args.n, edge_prob=args.p, seed=args.seed + i)
         graph = random_digraph(spec)
-        kernels_engine = enumerate_kernels(graph, args.max_atoms)
-        kernels_oracle = brute_kernels(graph)
-        sk_engine = enumerate_semikernels(graph, args.max_atoms)
-        sk_oracle = brute_semikernels(graph)
-        models_engine = models(graph, args.max_atoms)
-        models_oracle = brute_models(graph)
-        classical_engine = sorted(tuple(sorted(k)) for k in kernels_engine)
+        found, bad = {}, []
+        for name, (engine, oracle, _) in _LISTINGS.items():
+            found[name] = engine(graph, args.max_atoms)
+            if found[name] != oracle(graph):
+                bad.append(name)
+        classical_engine = sorted(tuple(sorted(k)) for k in found["kernels"])
         classical_oracle = sorted(
             tuple(sorted(a for a, v in row.items() if v))
             for row in truth_table_models(clausal_theory(graph))
         )
-        bad = []
-        if kernels_engine != kernels_oracle:
-            bad.append("kernels")
-        if sk_engine != sk_oracle:
-            bad.append("semikernels")
-        if models_engine != models_oracle:
-            bad.append("models")
         if classical_engine != classical_oracle:
             bad.append("classical-models")
         status = "ok" if not bad else "MISMATCH " + ",".join(bad)
-        rows.append(
-            f"seed={spec.seed} n={spec.n} p={spec.edge_prob} "
-            f"kernels={len(kernels_engine)} semikernels={len(sk_engine)} "
-            f"models={len(models_engine)} {status}"
-        )
+        sizes = " ".join(f"{name}={len(found[name])}" for name in _LISTINGS)
+        rows.append(f"seed={spec.seed} n={spec.n} p={spec.edge_prob} {sizes} {status}")
         if bad:
             mismatches.append({"seed": spec.seed, "mismatched": bad})
     ok = not mismatches
@@ -315,7 +297,11 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         "--max-clauses",
         type=count,
         default=DEFAULT_MAX_CLAUSES,
-        help="cap for the whole resolution closure, all components together",
+        help=(
+            "cap for the whole resolution closure, all components together; on "
+            f"components wider than {LATTICE_MAX_ATOMS} atoms it also bounds "
+            "resolved clause pairs"
+        ),
     )
 
 
@@ -338,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("models", cmd_models, "all models of the discourse")
-    add("kernels", cmd_kernels, "all kernels (classical models)")
-    add("semikernels", cmd_semikernels, "all semikernels")
+    add("models", cmd_listing, "all models of the discourse")
+    add("kernels", cmd_listing, "all kernels (classical models)")
+    add("semikernels", cmd_listing, "all semikernels")
     add("paradox", cmd_paradox, "provably paradoxical atoms")
     add("subdiscourse", cmd_subdiscourse, "maximal consistent subtheory and border")
     add("closure", cmd_closure, "the full resolution closure")
@@ -384,19 +370,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KernelogicError as exc:
+    except (KernelogicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

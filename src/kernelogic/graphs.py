@@ -282,29 +282,34 @@ def induced_subgraph(graph: Digraph, atoms: Iterable[str]) -> Digraph:
     return Digraph(keep, edges)
 
 
+def flood_fill(links: "list[int]") -> list[int]:
+    """The connected components of atoms ``0 .. len(links) - 1`` as
+    bitmasks, where ``links[i]`` is the mask of the atoms linked to atom
+    ``i``; components come ordered by their lowest bit."""
+    seen = 0
+    components = []
+    for start in range(len(links)):
+        if seen >> start & 1:
+            continue
+        comp = frontier = 1 << start
+        while frontier:
+            reach = 0
+            for i in bits(frontier):
+                reach |= links[i]
+            frontier = reach & ~comp
+            comp |= frontier
+        seen |= comp
+        components.append(comp)
+    return components
+
+
 def component_masks(graph: Digraph) -> list[int]:
     """The weakly connected components as bitmasks over the universe.
 
     Edge directions are forgotten; components come ordered by their
     lowest bit.
     """
-    und = [s | p for s, p in zip(graph._succ, graph._pred)]
-    seen = 0
-    components = []
-    for start in range(len(graph.vertices)):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        while True:
-            grown = comp
-            for i in bits(comp):
-                grown |= und[i]
-            if grown == comp:
-                break
-            comp = grown
-        seen |= comp
-        components.append(comp)
-    return components
+    return flood_fill([s | p for s, p in zip(graph._succ, graph._pred)])
 
 
 def underlying_components(graph: Digraph) -> list[frozenset[str]]:

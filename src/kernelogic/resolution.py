@@ -33,11 +33,13 @@ clauses with a positive count are the round's resolvents. Rounds
 repeat until nothing new appears. The component's closure is then one
 byte per lattice cell, the round in which that clause was derived
 (a reserved value marks clauses never derived; a closure needing that
-many rounds is refused), plus the order of its round-0 clauses; proofs
-are rebuilt from it by searching strictly earlier rounds for a parent
-pair. Only components too wide for lattice arrays use a classic
-worklist loop, which keeps a dict of clauses and records parents
-eagerly.
+many rounds is refused), plus the order of its round-0 clauses. A
+component too wide for lattice arrays runs the same rounds semi-naively
+over a dict of clauses: a round resolves only the pairs holding a clause
+new in the round before, once their count fits the budget. Either way a
+component keeps each clause's origin and round in one entry order
+(seeds, then each round by cell), and one parent search over strictly
+earlier entries rebuilds proofs, the same on both paths.
 
 The minimal derived clauses, those with no derived nonempty proper
 subclause, come from the same arrays: the zeta transform of a
@@ -56,7 +58,6 @@ clause (``Closure.subclauses``) and differ only in which of them count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -72,7 +73,7 @@ from .clauses import (
     remove_atoms,
 )
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, induced_subgraph, neighborhoods
+from .graphs import Digraph, Universe, bits, flood_fill, induced_subgraph, neighborhoods
 from .kernels import DEFAULT_MAX_ATOMS, Partition2, enumerate_kernels
 
 # numpy is imported inside the functions that build or read clause
@@ -118,6 +119,10 @@ _RESOLVENT = "resolvent"
 # The round number of a lattice cell whose clause is not derived, the
 # largest uint8; a round that would reach it is refused, never wrapped.
 _NOT_DERIVED = 255
+
+# A wide component's semi-naive rounds may resolve at most this many
+# clause pairs per clause of its budget.
+_PAIRS_PER_CLAUSE = 16
 
 
 class _OverCap(ResourceLimitError):
@@ -174,9 +179,9 @@ def _subcells(cell: int) -> np.ndarray:
 
 # A component's closure is a part. Both kinds of part answer the same
 # questions in the component's own atom indices: ``entry``, ``items``,
-# ``subclauses`` (nonempty ones), ``codes``, ``minimal`` and
-# ``parents``, plus ``count`` and ``resolves``; only ``Closure`` maps
-# them to the universe.
+# ``subclauses`` (nonempty ones), ``codes``, ``minimal``, and ``sides``
+# and ``precedes`` for ``_parent_step``, plus ``count`` and
+# ``resolves``; only ``Closure`` maps them to the universe.
 
 
 class _LatticePart:
@@ -250,30 +255,13 @@ class _LatticePart:
         z = _subset_transform(derived.astype(np.int32), 2 * self.n, 1)
         return list(self._all_masks(np.flatnonzero(derived & (z == 1 + derived[0]))))
 
-    def parents(self, pos: int, neg: int, rnd: int) -> tuple:
-        # A clause first seen in round r has a parent pair strictly
-        # earlier, so restricting the search keeps the links acyclic.
-        n = self.n
-        cell = pos | neg << n
-        for i in range(n):
-            pbit, nbit = 1 << i, 1 << (n + i)
-            # Each parent lies on the clause's literals plus the pivot.
-            pos_side = self._earlier(cell & ~pbit, pbit, rnd)
-            neg_side = self._earlier(cell & ~nbit, nbit, rnd)
-            for c in pos_side:
-                if cell & nbit and not c & nbit:
-                    # A negated pivot in the result can only survive
-                    # through the positive-side parent.
-                    continue
-                direct = (cell & ~(c & ~pbit)) | nbit
-                if self.rounds[direct] < rnd:
-                    return self._masks(c), self._masks(direct), i
-            for c in pos_side:
-                rest = c & ~pbit
-                for d in neg_side:
-                    if rest | (d & ~nbit) == cell:
-                        return self._masks(c), self._masks(d), i
-        raise AssertionError("resolvent without a parent pair; layering is broken")
+    def sides(self, cell: int, rnd: int):
+        for i in range(self.n):
+            pbit, nbit = 1 << i, 1 << (self.n + i)
+            yield self._earlier(cell & ~pbit, pbit, rnd), self._earlier(cell & ~nbit, nbit, rnd)
+
+    def precedes(self, cell: int, rnd: int) -> bool:
+        return self.rounds[cell] < rnd
 
     def _earlier(self, inside: int, bit: int, rnd: int) -> "list[int]":
         """The cells holding ``bit`` within ``inside | bit`` derived before
@@ -290,48 +278,87 @@ class _LatticePart:
 
 
 class _PairwisePart:
-    """One component's closure as a dict of clause masks, with the
-    parent step of every clause recorded as it was found."""
+    """One component's closure as a dict from cell ``pos | neg << n`` to
+    origin and round, in the lattice's entry order: the seeds, then each
+    round in cell order."""
 
-    def __init__(
-        self,
-        n: int,
-        entries: "dict[tuple[int, int], tuple[str, int]]",
-        links: "dict[tuple[int, int], Optional[tuple]]",
-    ):
+    def __init__(self, n: int, entries: "dict[int, tuple[str, int]]"):
         self.n = n
-        self.entries = entries  # masks -> (origin, round number), in entry order
-        self.links = links  # masks -> (pos parent, neg parent, atom index)
+        self.entries = entries
         self.count = len(entries)
         self.resolves = any(kind == _RESOLVENT for kind, _ in entries.values())
 
+    def _masks(self, cell: int) -> tuple[int, int]:
+        return cell & ((1 << self.n) - 1), cell >> self.n
+
     def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
-        return self.entries.get((pos, neg))
+        return self.entries.get(pos | neg << self.n)
 
     def items(self):
-        return iter(self.entries.items())
+        return ((self._masks(cell), value) for cell, value in self.entries.items())
 
     def subclauses(self, pos: int, neg: int):
-        return ((p, q) for p, q in self.entries if (p or q) and not (p & ~pos or q & ~neg))
+        cell = pos | neg << self.n
+        return (self._masks(c) for c in self.entries if c and not c & ~cell)
 
     def codes(self) -> np.ndarray:
-        return _mask_codes([m for m in self.entries if m != (0, 0)], self.n)
+        return _mask_codes([self._masks(c) for c in self.entries if c], self.n)
 
     def minimal(self) -> "list[tuple[int, int]]":
-        sized = sorted(
-            ((p.bit_count() + q.bit_count(), (p, q)) for p, q in self.entries if p or q),
-            key=lambda item: item[0],
-        )
-        minimal: list[tuple[int, int]] = []
-        for _, (p, q) in sized:
+        minimal: list[int] = []
+        for cell in sorted((c for c in self.entries if c), key=int.bit_count):
             # Any derivable proper subclause contains a minimal one of
             # strictly smaller size, so checking the antichain so far is enough.
-            if not any(mp & ~p == 0 and mq & ~q == 0 for mp, mq in minimal):
-                minimal.append((p, q))
-        return minimal
+            if not any(m & ~cell == 0 for m in minimal):
+                minimal.append(cell)
+        return [self._masks(cell) for cell in minimal]
 
-    def parents(self, pos: int, neg: int, rnd: int) -> tuple:
-        return self.links[pos, neg]
+    def sides(self, cell: int, rnd: int):
+        # One pass over the entries before round ``rnd``, which come
+        # first. A candidate lies inside the clause plus its pivot: a
+        # subclause serves each of its literals, else the one outside.
+        found: list[list[int]] = [[] for _ in range(2 * self.n)]
+        outside = ~cell
+        for c, (_, r) in self.entries.items():
+            if r >= rnd:
+                break
+            extra = c & outside
+            if extra & (extra - 1):
+                continue
+            for b in bits(extra or c):
+                found[b].append(c)
+        return zip(found[: self.n], found[self.n :])
+
+    def precedes(self, cell: int, rnd: int) -> bool:
+        return self.entries.get(cell, (None, rnd))[1] < rnd
+
+
+def _parent_step(part, cell: int, rnd: int) -> tuple:
+    """The parents' masks (positive pivot first) and pivot of the clause
+    at ``cell`` of ``part``, first seen in round ``rnd``.
+
+    Parents come from strictly earlier rounds, which keeps proofs
+    acyclic. Per pivot, the part lists its earlier candidates holding
+    either pivot literal in entry order (``sides``); a positive parent
+    whose direct partner was derived earlier wins, else the first pair.
+    """
+    n = part.n
+    for i, (pos_side, neg_side) in enumerate(part.sides(cell, rnd)):
+        pbit, nbit = 1 << i, 1 << (n + i)
+        for c in pos_side:
+            if cell & nbit and not c & nbit:
+                # A negated pivot in the result can only survive
+                # through the positive-side parent.
+                continue
+            direct = (cell & ~(c & ~pbit)) | nbit
+            if part.precedes(direct, rnd):
+                return part._masks(c), part._masks(direct), i
+        for c in pos_side:
+            rest = c & ~pbit
+            for d in neg_side:
+                if rest | (d & ~nbit) == cell:
+                    return part._masks(c), part._masks(d), i
+    raise AssertionError("resolvent without a parent pair; layering is broken")
 
 
 class Closure:
@@ -532,7 +559,7 @@ class Closure:
 
     @property
     def parents(self) -> dict[Clause, Optional[tuple[Clause, Clause, str]]]:
-        """One recorded or reconstructed resolution step per clause.
+        """One reconstructed resolution step per clause.
 
         Building the whole map forces a parent search for every
         resolvent; intended for modest closures.
@@ -560,23 +587,17 @@ class Closure:
         return found
 
     def _search_parents(self, m: tuple[int, int], rnd: int) -> tuple:
-        """The parent step of the resolvent ``m`` of round ``rnd``, asked
-        of the part that holds it."""
-        if m != (0, 0):
-            atoms, part, lp, ln = self._part_of(*m)
-            left, right, i = part.parents(lp, ln, rnd)
-        else:
-            atoms, part = self._parts[self._empty[2]]
-            if isinstance(part, _PairwisePart):
-                left, right, i = part.parents(0, 0, rnd)
-            else:
-                # A resolved empty clause comes from two complementary
-                # units; take the first atom, over every component,
-                # whose units both precede it.
-                for g in range(len(self._u)):
-                    if all(e is not None and e[1] < rnd for e in self._units(g)):
-                        return (1 << g, 0), (0, 1 << g), g
-                raise AssertionError("resolvent without a parent pair; layering is broken")
+        """The parent step of the resolvent ``m`` of round ``rnd``."""
+        if m == (0, 0):
+            # A resolved empty clause comes from two complementary
+            # units; take the first atom, over every component, whose
+            # units both precede it.
+            for g in range(len(self._u)):
+                if all(e is not None and e[1] < rnd for e in self._units(g)):
+                    return (1 << g, 0), (0, 1 << g), g
+            raise AssertionError("resolvent without a parent pair; layering is broken")
+        atoms, part, lp, ln = self._part_of(*m)
+        left, right, i = _parent_step(part, lp | ln << part.n, rnd)
         return (
             (_spread(atoms, left[0]), _spread(atoms, left[1])),
             (_spread(atoms, right[0]), _spread(atoms, right[1])),
@@ -692,46 +713,45 @@ def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> C
 
 
 def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
+    """The lattice's rounds, semi-naively over a dict of clause cells."""
     n = len(u)
     seeds, inputs = _seeds(theory, u)
-    entries = {m: (_INPUT if k < inputs else _AXIOM, 0) for k, m in enumerate(seeds)}
-    parents: dict[tuple[int, int], Optional[tuple]] = {m: None for m in entries}
-    rounds = {m: 0 for m in entries}
-    queue = deque(entries)
-    pos_occ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    neg_occ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-
-    while queue:
-        c = queue.popleft()
-        cpos, cneg = c
-        for i in bits(cpos):
-            bit = 1 << i
-            for d in neg_occ[i]:
-                r = ((cpos & ~bit) | d[0], cneg | (d[1] & ~bit))
-                if r not in entries:
-                    if len(entries) >= max_clauses:
+    entries = {p | q << n: (_INPUT if k < inputs else _AXIOM, 0) for k, (p, q) in enumerate(seeds)}
+    # holding[b] lists the clauses holding literal bit b (x_i at i, ~x_i
+    # at n + i) in entry order.
+    holding: list[list[int]] = [[] for _ in range(2 * n)]
+    rnd = 0
+    new = list(entries)
+    while new:
+        old = [len(h) for h in holding]
+        for c in new:
+            for b in bits(c):
+                holding[b].append(c)
+        # The rounds up to this one resolve every pair of known clauses once.
+        pairs = sum(len(holding[i]) * len(holding[n + i]) for i in range(n))
+        if pairs > _PAIRS_PER_CLAUSE * max_clauses:
+            raise ResourceLimitError(
+                f"closure of a {n}-atom component would resolve more than "
+                f"{_PAIRS_PER_CLAUSE * max_clauses} clause pairs"
+            )
+        rnd += 1
+        found: set[int] = set()
+        for i in range(n):
+            pbit, nbit = 1 << i, 1 << (n + i)
+            with_pos, with_neg = holding[i], [d & ~nbit for d in holding[n + i]]
+            # New x_i against every ~x_i, old x_i against new ~x_i.
+            for left, right in (
+                (with_pos[old[i] :], with_neg),
+                (with_pos[: old[i]], with_neg[old[n + i] :]),
+            ):
+                for c in left:
+                    rest = c & ~pbit
+                    found.update([r for d in right if (r := rest | d) not in entries])
+                    if len(entries) + len(found) > max_clauses:
                         raise _OverCap(f"closure exceeded {max_clauses} clauses")
-                    entries[r] = (_RESOLVENT, max(rounds[c], rounds[d]) + 1)
-                    rounds[r] = entries[r][1]
-                    parents[r] = (c, d, i)
-                    queue.append(r)
-        for i in bits(cneg):
-            bit = 1 << i
-            for d in pos_occ[i]:
-                r = ((d[0] & ~bit) | cpos, d[1] | (cneg & ~bit))
-                if r not in entries:
-                    if len(entries) >= max_clauses:
-                        raise _OverCap(f"closure exceeded {max_clauses} clauses")
-                    entries[r] = (_RESOLVENT, max(rounds[c], rounds[d]) + 1)
-                    rounds[r] = entries[r][1]
-                    parents[r] = (d, c, i)
-                    queue.append(r)
-        for i in bits(cpos):
-            pos_occ[i].append(c)
-        for i in bits(cneg):
-            neg_occ[i].append(c)
-
-    return Closure(u, [(tuple(range(n)), _PairwisePart(n, entries, parents))])
+        new = sorted(found)
+        entries.update((c, (_RESOLVENT, rnd)) for c in new)
+    return Closure(u, [(tuple(range(n)), _PairwisePart(n, entries))])
 
 
 def _components(theory: ClausalTheory, u: Universe) -> list[tuple[int, list[Clause]]]:
@@ -741,26 +761,18 @@ def _components(theory: ClausalTheory, u: Universe) -> list[tuple[int, list[Clau
     components of their own, and the empty clause belongs to none.
     Components are ordered by their lowest atom.
     """
-    groups: list[tuple[int, list[Clause]]] = []
+    adjacent = [0] * len(u)
+    spans = []
     for clause in theory.clauses:
         pos, neg = intern_clause(clause, u)
-        mask = pos | neg
-        if not mask:
-            continue
-        members = [clause]
-        apart = []
-        for gmask, gclauses in groups:
-            if gmask & mask:
-                mask |= gmask
-                members += gclauses
-            else:
-                apart.append((gmask, gclauses))
-        groups = apart + [(mask, members)]
-    covered = 0
-    for mask, _ in groups:
-        covered |= mask
-    groups += [(1 << i, []) for i in bits(u.full_mask & ~covered)]
-    groups.sort(key=lambda group: group[0] & -group[0])
+        spans.append((clause, pos | neg))
+        for i in bits(pos | neg):
+            adjacent[i] |= pos | neg
+    groups: list[tuple[int, list[Clause]]] = [(comp, []) for comp in flood_fill(adjacent)]
+    for clause, mask in spans:
+        for comp, members in groups:
+            if comp & mask:
+                members.append(clause)
     return groups
 
 
@@ -768,9 +780,11 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     """Close a theory under resolution, with axioms for every universe atom.
 
     Each connected component is saturated on its own: on the clause
-    lattice up to ``LATTICE_MAX_ATOMS`` atoms, by the worklist loop
-    beyond. Raises :class:`ResourceLimitError` once the whole closure,
-    all components together, would exceed ``max_clauses`` clauses.
+    lattice up to ``LATTICE_MAX_ATOMS`` atoms, by semi-naive rounds over
+    clause pairs beyond. Raises :class:`ResourceLimitError` once the
+    whole closure, all components together, would exceed ``max_clauses``
+    clauses, or a wide component's rounds would resolve more than
+    ``_PAIRS_PER_CLAUSE`` clause pairs per clause of the budget left.
     """
     u = Universe(theory.universe)
     empty_input = Clause() in theory.clauses
@@ -1027,7 +1041,7 @@ class Proof:
 
 
 def proof_of(closure: Closure, clause: Clause) -> Proof:
-    """Reconstruct one derivation of ``clause`` from the parent links."""
+    """Reconstruct one derivation of ``clause`` by the parent search."""
     target = closure.clause_masks(clause)
     if closure._entry(target) is None:
         raise ValidationError(f"clause {clause} is not derivable")

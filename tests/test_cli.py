@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import kernelogic as kl
 from kernelogic import cli
 from kernelogic.cli import main
-from kernelogic.io_text import CLAUSE_SET, EDGE_LIST, parse_document
+from kernelogic.io_text import CLAUSE_SET, EDGE_LIST, parse_document, sorted_clause_strings
 
 from test_io import DELTA_TEXT
 
@@ -290,6 +291,20 @@ def test_resource_caps(capsys, delta_file):
     assert code == 3 and "exceeded" in err
     code, _, err = run(capsys, "models", delta_file, "--max-atoms", "3")
     assert code == 3
+
+
+def test_wide_paradox_exits_3_promptly(capsys, tmp_path):
+    # A connected 12-atom component runs pairwise rounds, whose count
+    # of resolved pairs is capped along with the clauses.
+    graph = kl.random_digraph(kl.RandomGraphSpec(12, 0.2, 0))
+    path = tmp_path / "wide.clauses"
+    lines = sorted_clause_strings(kl.clausal_theory(graph).clauses)
+    path.write_text("".join(line + "\n" for line in lines))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "paradox", str(path))
+    assert code == 3 and out == ""
+    assert "clause pairs" in err
+    assert time.perf_counter() - start < 30
 
 
 def test_models_cap_counts_every_component(capsys, tmp_path):

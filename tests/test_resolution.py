@@ -499,13 +499,14 @@ def test_saturate_cap_counts_the_whole_union(texts):
 
 
 def test_paradoxical_atoms_checks_the_empty_clause():
+    # Entries are keyed by cell pos | neg << 1: x is 1, ~x is 2.
     u = kl.Universe(["x"])
-    units = {(1, 0): ("input", 0), (0, 1): ("input", 0), (1, 1): ("axiom", 0)}
+    units = {1: ("input", 0), 2: ("input", 0), 3: ("axiom", 0)}
     with pytest.raises(AssertionError, match="without a derivable empty clause"):
-        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, units, {}))]))
-    lone = {(0, 0): ("resolvent", 1), (1, 1): ("axiom", 0)}
+        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, units))]))
+    lone = {0: ("resolvent", 1), 3: ("axiom", 0)}
     with pytest.raises(AssertionError, match="without a paradoxical atom"):
-        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, lone, {}))]))
+        kl.paradoxical_atoms(kl.Closure(u, [((0,), resolution._PairwisePart(1, lone))]))
 
 
 def test_wide_universe_uses_pairwise_path(monkeypatch):
@@ -534,9 +535,48 @@ def test_wide_universe_uses_pairwise_path(monkeypatch):
     check_replay(proof, t)
 
 
+def test_wide_clause_cap_boundary():
+    # The 13-atom chain closes to 104 clauses on the pairwise path.
+    t = kl.ClausalTheory(clauses("w00", *(f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:]))))
+    closure = kl.saturate(t, max_clauses=104)
+    assert len(closure) == 104
+    for c in closure.derived:
+        check_replay(kl.proof_of(closure, c), t)
+    with pytest.raises(kl.ResourceLimitError, match="exceeded 103 clauses"):
+        kl.saturate(t, max_clauses=103)
+
+
+def test_wide_rounds_are_refused_by_their_pair_count():
+    # A consistent connected 12-atom graph's clause form does not close
+    # at desk scale; its fourth round alone would form billions of
+    # pairs. The pair count refuses it before that round starts.
+    t = kl.clausal_theory(kl.random_digraph(kl.RandomGraphSpec(12, 0.2, 0)))
+    with pytest.raises(kl.ResourceLimitError, match="more than 16000000 clause pairs"):
+        kl.saturate(t)
+    # The pair budget follows the clause cap.
+    with pytest.raises(kl.ResourceLimitError, match="more than 160000 clause pairs"):
+        kl.saturate(t, max_clauses=10_000)
+
+
+def test_components_are_flood_filled_from_the_clauses():
+    t = kl.ClausalTheory(clauses("[]", "d ~b", "e", "~e a", "f"), tuple("abcdefg"))
+    u = kl.Universe(t.universe)
+    groups = [
+        (sorted(u.atoms_of(mask)), sorted(map(str, cls)))
+        for mask, cls in resolution._components(t, u)
+    ]
+    assert groups == [
+        (["a", "e"], ["a ~e", "e"]),
+        (["b", "d"], ["~b d"]),
+        (["c"], []),
+        (["f"], ["f"]),
+        (["g"], []),
+    ]
+
+
 @pytest.mark.parametrize("liar", ["a", "z"])
 def test_empty_clause_takes_the_earliest_round(liar):
-    # The wide chain derives [] late on the worklist path; the liar
+    # The wide chain derives [] late on the pairwise path; the liar
     # derives it in round 1, and its proof is the one kept whether its
     # component is merged before the chain or after it.
     atoms = [f"w{i:02d}" for i in range(13)]
@@ -652,7 +692,22 @@ def test_lattice_rounds_match_layered_fixpoint(t):
     u = kl.Universe(t.universe)
     cap = resolution.DEFAULT_MAX_CLAUSES
     assert rounds_by_clause(resolution._saturate_lattice(t, u, cap)) == expected
+    assert rounds_by_clause(resolution._saturate_pairwise(t, u, cap)) == expected
     assert rounds_by_clause(kl.saturate(t)) == expected
+
+
+@given(component_theories())
+def test_pairwise_path_matches_the_lattice_entry_for_entry(t):
+    # Both paths enter seeds, then each round by cell, and proofs come
+    # from one parent search over that order: the whole-universe
+    # closures agree on ordered entries and on every proof text.
+    u = kl.Universe(t.universe)
+    cap = resolution.DEFAULT_MAX_CLAUSES
+    lattice = resolution._saturate_lattice(t, u, cap)
+    pairwise = resolution._saturate_pairwise(t, u, cap)
+    assert list(pairwise.entries()) == list(lattice.entries())
+    for c in sorted(lattice.derived, key=kl.clause_sort_key):
+        assert kl.proof_of(pairwise, c).to_text() == kl.proof_of(lattice, c).to_text()
 
 
 def test_saturate_matches_naive_twins_on_the_corpus(corpus):
@@ -783,7 +838,7 @@ MIXED_TEXTS = (
 
 @pytest.mark.parametrize("empty", [False, True])
 def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
-    # The 13-atom chain runs on the worklist loop; the other components
+    # The 13-atom chain runs on the pairwise rounds; the other components
     # run on their lattices. Each nonempty clause is proved in its own
     # component exactly as when that component is saturated alone.
     t = kl.ClausalTheory(clauses(*MIXED_TEXTS, *(["[]"] if empty else [])))
@@ -901,10 +956,9 @@ def test_lattice_proof_text_is_pinned(our_cth, our_closure):
 
 @pytest.mark.parametrize("liar", ["a", "z"])
 def test_empty_clause_round_ties_go_to_the_first_component(liar):
-    # The liar's lattice and the wide chain's worklist loop (w00 and
-    # ~w00 are inputs) both derive [] in round 1. The component with
-    # the lowest atom owns it: a lattice owner's proof takes the first
-    # atom whose units precede [], the worklist's keeps its own step.
+    # The liar's lattice and the wide chain's pairwise rounds (w00 and
+    # ~w00 are inputs) both derive [] in round 1. Its proof takes the
+    # first atom, over every component, whose units precede [].
     texts = [liar, f"~{liar}", "~w00"] + [f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:])]
     t = kl.ClausalTheory(clauses(*texts, "w00"))
     first = "a" if liar == "a" else "w00"
