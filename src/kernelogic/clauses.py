@@ -78,14 +78,23 @@ class Clause:
 
 
 def intern_clause(clause: Clause, universe: Universe) -> tuple[int, int]:
-    """A clause as (positive, negative) atom bitmasks over ``universe``."""
+    """A clause as (positive, negative) atom bitmasks over ``universe``.
+
+    Of several unknown atoms the least is reported, so that every run
+    names the same one whatever the order of the literal set.
+    """
     pos = neg = 0
-    for lit in clause.literals:
-        bit = 1 << universe.index(lit.atom)
-        if lit.negated:
-            neg |= bit
-        else:
-            pos |= bit
+    try:
+        for lit in clause.literals:
+            bit = 1 << universe.index(lit.atom)
+            if lit.negated:
+                neg |= bit
+            else:
+                pos |= bit
+    except ValidationError:
+        for atom in sorted(clause.atoms()):
+            universe.index(atom)
+        raise
     return pos, neg
 
 

@@ -4,6 +4,14 @@ One executable, one subcommand per question you can ask a discourse.
 Decision commands exit 0 for yes and 1 for no; malformed input (bytes
 that are not UTF-8 included) or usage exits 2; a blown size cap or
 exhausted memory exits 3.
+
+``paradox``, ``subdiscourse`` and the default ``entails`` answer a
+graph input whose every weakly connected component has at most
+``--max-atoms`` atoms from its models (``kernels.model_side``); any
+other input takes the closure, as do ``closure``, ``prove``, ``min``,
+``relevant`` and ``entails --classical``. Both sides give the same
+answer, because direct resolution is sound and complete for the model
+semantics.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ from .io_text import (
 )
 from .kernels import (
     DEFAULT_MAX_ATOMS,
+    ModelSide,
     enumerate_kernels,
     enumerate_semikernels,
+    model_side,
     models,
 )
 from .oracle import (
@@ -41,12 +51,12 @@ from .oracle import (
 from .resolution import (
     DEFAULT_MAX_CLAUSES,
     LATTICE_MAX_ATOMS,
-    consistent_subtheory,
     entails_para,
     paradoxical_atoms,
     proof_of,
     provable_weakened,
     saturate,
+    subdiscourse_report,
     weakening_witness,
 )
 from .semantics import classical_entails, entails_semantic, is_relevant, min_clauses
@@ -132,16 +142,29 @@ def cmd_listing(args) -> int:
     return EXIT_YES
 
 
+def _model_side(args, graph: Optional[Digraph]) -> Optional[ModelSide]:
+    """The model route: a graph input whose every weakly connected
+    component has at most ``--max-atoms`` atoms. None sends the whole
+    input to the closure."""
+    return None if graph is None else model_side(graph, args.max_atoms)
+
+
+def _paradox_atoms(args, graph: Optional[Digraph], theory: ClausalTheory) -> frozenset[str]:
+    side = _model_side(args, graph)
+    if side is None:
+        return paradoxical_atoms(saturate(theory, args.max_clauses))
+    return side.paradox_atoms()
+
+
 def cmd_paradox(args) -> int:
-    _, theory = _load(args)
-    bad = paradoxical_atoms(saturate(theory, args.max_clauses))
+    bad = _paradox_atoms(args, *_load(args))
     _emit(args, "paradox", bad, lambda: [_fmt_set(bad)])
     return EXIT_YES
 
 
 def cmd_subdiscourse(args) -> int:
     graph, theory = _load(args)
-    report = consistent_subtheory(theory, graph, max_clauses=args.max_clauses)
+    report = subdiscourse_report(theory, graph, _paradox_atoms(args, graph, theory))
     lines = [
         f"paradox: {_fmt_set(report.paradox_atoms)}",
         f"healthy: {_fmt_set(report.healthy_atoms)}",
@@ -196,6 +219,8 @@ def cmd_entails(args) -> int:
         return EXIT_YES if verdict.holds else EXIT_NO
     if args.classical:
         yes = classical_entails(theory, goal, args.max_atoms)
+    elif (side := _model_side(args, graph)) is not None:
+        yes = side.entails(goal)
     else:
         yes = entails_para(theory, goal, max_clauses=args.max_clauses)
     _emit(args, "entails", yes, lambda: ["yes" if yes else "no"])
@@ -291,7 +316,10 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         "--max-atoms",
         type=count,
         default=DEFAULT_MAX_ATOMS,
-        help="cap for enumeration and truth tables",
+        help=(
+            "cap for enumeration and truth tables; for paradox, subdiscourse and "
+            "entails on a graph, the widest component answered from the models"
+        ),
     )
     parser.add_argument(
         "--max-clauses",

@@ -256,10 +256,14 @@ def to_jsonable(value):
             "steps": [str(step) for step in value.steps],
         }
     if isinstance(value, (frozenset, set)):
+        # Elements that order among themselves (atom names) keep that
+        # order; the others (clauses, partitions) order by their JSON
+        # text. Either way each element is converted, a lone one too.
         try:
-            return sorted(value)
+            ordered = sorted(value)
         except TypeError:
             return sorted((to_jsonable(v) for v in value), key=json.dumps)
+        return [to_jsonable(v) for v in ordered]
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -18,18 +18,25 @@ domain of any other (``extend_partition``), so every one settles atoms
 inside one maximal domain, the union of all their domains, and the
 models are those that settle exactly it.
 
+Direct resolution is sound and complete for this semantics, so the
+models also answer two closure questions (``ModelSide``): the atoms
+every model leaves unsettled are the provably paradoxical atoms, and a
+clause holds in every model exactly when the closure entails it.
+
 Kernel problems are NP-hard in general, so a configurable atom cap
-(default 20) keeps calls honest; it counts the whole graph, however it
-splits into components. This package targets desk scale and chooses
-exactness over volume.
+(default 20) keeps calls honest. The listings count the whole graph,
+however it splits into components; ``model_side``, which never forms a
+product of lists, counts each component. This package targets desk
+scale and chooses exactness over volume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
+from .clauses import Clause, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, bits, component_masks
 
@@ -132,34 +139,56 @@ def _check_cap(graph: Digraph, max_atoms: int) -> None:
 
 class _ComponentSets(NamedTuple):
     """One weakly connected component's kernels, semikernels and models,
-    as bitmasks over the whole graph's universe."""
+    as bitmasks over the whole graph's universe, and the one domain its
+    models settle."""
 
     kernels: tuple[int, ...]
     semikernels: tuple[int, ...]
     models: tuple[int, ...]
+    domain: int
 
 
-def _independent_masks(graph: Digraph, comp: int) -> list[int]:
-    # Grown one vertex at a time: a vertex joins exactly the sets built
-    # so far that it does not touch, and a looped vertex joins none.
-    masks = [0]
+def _independent_sets(graph: Digraph, comp: int) -> list[int]:
+    """The independent sets inside ``comp``, each packed into one int
+    of four ``len(graph)``-bit fields: the set, its successors, its
+    predecessors and their predecessors.
+
+    Sets are grown one vertex at a time: a vertex joins exactly the sets
+    built so far that it does not touch (a looped vertex joins none),
+    and every field of the grown set is the OR of the set's field and
+    the vertex's, so one OR of packed ints grows all four.
+    """
+    w = len(graph.vertices)
+    packed = [0]
     for i in bits(comp):
         bit = 1 << i
-        succ = graph._succ[i]
+        succ, pred = graph._succ[i], graph._pred[i]
         if succ & bit == 0:
-            touch = succ | graph._pred[i]
-            masks += [m | bit for m in masks if m & touch == 0]
-    return masks
+            touch = succ | pred
+            grown = bit | succ << w | pred << 2 * w | graph.in_mask(pred) << 3 * w
+            packed += [p | grown for p in packed if p & touch == 0]
+    return packed
 
 
 @lru_cache(maxsize=512)
 def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
+    w = len(graph.vertices)
+    full = graph.universe.full_mask
     found = []
     for comp in component_masks(graph):
-        independent = _independent_masks(graph, comp)
-        semikernels = [m for m in independent if _is_semikernel(graph, m)]
-        kernels = [m for m in semikernels if graph.in_mask(m) == comp & ~m]
-        closed = {m: graph.in_closed_mask(m) for m in semikernels if _is_closed(graph, m)}
+        kernels, semikernels, closed = [], [], {}
+        for p in _independent_sets(graph, comp):
+            m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
+            # An independent set is a semikernel when its predecessors
+            # cover its successors; it is inverse-closed when the
+            # predecessors of its predecessors stay inside its domain.
+            if out & ~into:
+                continue
+            semikernels.append(m)
+            if into == comp & ~m:
+                kernels.append(m)
+            if far & ~(m | into) == 0:
+                closed[m] = m | into
         # Every inverse-closed semikernel's domain lies inside the one
         # maximal domain (extend_partition grows any other), so that
         # domain is the union of them all.
@@ -167,7 +196,9 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
         for dom in closed.values():
             domain |= dom
         chosen = [m for m, dom in closed.items() if dom == domain]
-        found.append(_ComponentSets(tuple(kernels), tuple(semikernels), tuple(chosen)))
+        found.append(
+            _ComponentSets(tuple(kernels), tuple(semikernels), tuple(chosen), domain)
+        )
     return tuple(found)
 
 
@@ -209,6 +240,61 @@ def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition
         _partition_from_mask(graph, m)
         for m in _product(c.models for c in _component_sets(graph))
     ]
+
+
+class ModelSide(NamedTuple):
+    """What a graph's models decide, one weakly connected component at
+    a time, without forming their product.
+
+    By the soundness and completeness of direct resolution, the atoms
+    every model leaves unsettled are the provably paradoxical atoms
+    (``paradoxical_atoms``), and ``entails`` is paraconsistent
+    entailment (``entails_para``).
+    """
+
+    graph: Digraph
+    components: tuple[_ComponentSets, ...]
+
+    def _paradox_mask(self) -> int:
+        settled = 0
+        for c in self.components:
+            settled |= c.domain
+        return self.graph.universe.full_mask & ~settled
+
+    def paradox_atoms(self) -> frozenset[str]:
+        """The atoms that every model leaves unsettled."""
+        return self.graph.universe.atoms_of(self._paradox_mask())
+
+    def entails(self, clause: Clause) -> bool:
+        """Whether every model satisfies ``clause``.
+
+        It does when the paradox set is nonempty and holds every atom of
+        the clause (the empty clause included). Otherwise the clause
+        fails exactly when each component has a model that makes none of
+        its literals true, since a whole model is one model per
+        component and a component's false atoms are its own.
+        """
+        pos, neg = intern_clause(clause, self.graph.universe)
+        bad = self._paradox_mask()
+        if bad and not (pos | neg) & ~bad:
+            return True
+        in_mask = self.graph.in_mask
+        return not all(
+            any(t & pos == 0 and in_mask(t) & neg == 0 for t in c.models)
+            for c in self.components
+        )
+
+
+def model_side(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[ModelSide]:
+    """The model side of ``graph``, or None when one of its weakly
+    connected components has more than ``max_atoms`` atoms.
+
+    The sizes are checked before any search; the whole graph may be
+    wider than the cap.
+    """
+    if any(comp.bit_count() > max_atoms for comp in component_masks(graph)):
+        return None
+    return ModelSide(graph, _component_sets(graph))
 
 
 def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:

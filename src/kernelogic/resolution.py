@@ -885,7 +885,15 @@ def consistent_subtheory(
     if graph is not None and clausal_theory(graph) != theory:
         raise ValidationError("graph does not induce the given theory")
     closure = _closure_for(theory, closure, max_clauses)
-    bad = paradoxical_atoms(closure)
+    return subdiscourse_report(theory, graph, paradoxical_atoms(closure))
+
+
+def subdiscourse_report(
+    theory: ClausalTheory, graph: Optional[Digraph], bad: frozenset[str]
+) -> SubdiscourseReport:
+    """The report of ``theory`` whose provably paradoxical atoms are
+    ``bad``, from the closure or from the models of ``graph``; the
+    graph, when given, must induce the theory."""
     healthy = frozenset(theory.universe) - bad
     border: frozenset[str] = frozenset()
     if graph is not None:

@@ -6,12 +6,14 @@ the false part, or the whole clause lives inside a nonempty unsettled
 part. With an empty unsettled part this is exactly classical clause
 satisfaction.
 
-Paraconsistent entailment has two implementations on purpose. The
+Paraconsistent entailment has three implementations on purpose. The
 decision procedure in :mod:`kernelogic.resolution` works straight off
-the saturated closure; :func:`entails_semantic` enumerates models and
-reports witnesses or countermodels, and exists to cross-validate the
-other route. Relevance and minimal clauses come from the closure too:
-one subclause query decides relevance.
+the saturated closure; :meth:`kernelogic.kernels.ModelSide.entails`
+decides it from the models one component at a time, without listing
+them, and answers the CLI on graph inputs; :func:`entails_semantic`
+enumerates models and reports witnesses or countermodels, and exists
+to cross-validate the other routes. Relevance and minimal clauses come
+from the closure too: one subclause query decides relevance.
 """
 
 from __future__ import annotations

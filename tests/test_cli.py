@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,7 +13,15 @@ import pytest
 import kernelogic as kl
 from kernelogic import cli
 from kernelogic.cli import main
-from kernelogic.io_text import CLAUSE_SET, EDGE_LIST, parse_document, sorted_clause_strings
+from kernelogic.io_text import (
+    CLAUSE_SET,
+    EDGE_LIST,
+    format_theory,
+    parse_clause,
+    parse_document,
+    sorted_clause_strings,
+    to_json,
+)
 
 from test_io import DELTA_TEXT
 
@@ -307,6 +316,42 @@ def test_wide_paradox_exits_3_promptly(capsys, tmp_path):
     assert time.perf_counter() - start < 30
 
 
+def test_wide_graph_paradox_answers_from_its_models(capsys, tmp_path):
+    # The same 12-atom component as a graph: no closure is built.
+    graph = kl.random_digraph(kl.RandomGraphSpec(12, 0.2, 0))
+    path = tmp_path / "wide.gnf"
+    path.write_text(format_theory(kl.graph_to_theory(graph)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "paradox", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "{}\n", "")
+
+
+def small_components_union(sizes, seed):
+    """Disjoint random components (p 0.5, self-loops included) of the
+    given sizes; atom j of component k is named ``x{j}_{k}``."""
+    names, edges = [], []
+    for k, n in enumerate(sizes):
+        part = kl.random_digraph(kl.RandomGraphSpec(n, 0.5, seed + k))
+        rename = {v: f"x{j}_{k}" for j, v in enumerate(part.vertices)}
+        names += rename.values()
+        edges += [(rename[a], rename[b]) for a, b in part.edges]
+    return kl.Digraph(names, edges)
+
+
+def test_paradox_counts_atoms_per_component(capsys, tmp_path):
+    graph = small_components_union((5, 5, 4, 4, 4, 4, 4, 4), 60)
+    bad = kl.paradoxical_atoms(kl.saturate(kl.clausal_theory(graph)))
+    assert len(graph.vertices) == 34 and bad
+    path = tmp_path / "union.gnf"
+    path.write_text(format_theory(kl.graph_to_theory(graph)))
+    code, out, err = run(capsys, "paradox", str(path))
+    assert (code, out, err) == (0, "{" + ",".join(sorted(bad)) + "}\n", "")
+    code, out, err = run(capsys, "models", str(path))
+    assert code == 3 and out == ""
+    assert "34 atoms" in err
+
+
 def test_models_cap_counts_every_component(capsys, tmp_path):
     path = tmp_path / "wide.gnf"
     path.write_text("".join(f"v{i:02d} :\n" for i in range(21)))
@@ -316,18 +361,42 @@ def test_models_cap_counts_every_component(capsys, tmp_path):
 
 
 def test_graph_commands_do_not_import_numpy():
-    demo = Path(__file__).parent.parent / "demos" / "data" / "delta.gnf"
+    demo = str(Path(__file__).parent.parent / "demos" / "data" / "delta.gnf")
     script = (
         "import sys\n"
         "import kernelogic\n"
         "from kernelogic import cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
-        f"assert cli.main(['models', {str(demo)!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'models'\n"
     )
+    for argv in (["models"], ["paradox"], ["subdiscourse"], ["entails", "c ~d e"]):
+        script += (
+            f"assert cli.main({argv + [demo]!r}) == 0\n"
+            f"assert 'numpy' not in sys.modules, {argv[0]!r}\n"
+        )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("true={a}")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "true={a} false={a',b} paradox={c,d,e}"
+    assert lines[1:3] == ["{c,d,e}", "paradox: {c,d,e}"]
+    assert lines[-1] == "yes"
+
+
+def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
+    # --max-atoms 0 sends entails to the closure.
+    f2 = str(DEMO_DATA / "f2.gnf")
+    script = (
+        "from kernelogic.cli import main\n"
+        "for route in ([], ['--max-atoms', '0']):\n"
+        f"    assert main(['entails', 'A ~contingent', {f2!r}] + route) == 2\n"
+        f"assert main(['prove', 'A ~contingent', {f2!r}]) == 2\n"
+    )
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert proc.stderr == "error: unknown atom 'A'\n" * 3
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -392,18 +461,70 @@ def test_memory_error_exits_3(capsys, monkeypatch, delta_file):
 DEMO_INPUTS = sorted(DEMO_DATA.iterdir())
 
 
-@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
-def test_closure_output_is_the_sorted_closure(capsys, path):
+def load_demo(path):
+    """A demo file's graph (None for a clause set) and clause form."""
     doc = parse_document(path.read_text())
     if doc.kind == CLAUSE_SET:
-        theory = doc.payload
-    elif doc.kind == EDGE_LIST:
-        theory = kl.clausal_theory(doc.payload)
-    else:
-        theory = kl.clausal_theory(kl.theory_to_graph(doc.payload))
+        return None, doc.payload
+    graph = doc.payload if doc.kind == EDGE_LIST else kl.theory_to_graph(doc.payload)
+    return graph, kl.clausal_theory(graph)
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_closure_output_is_the_sorted_closure(capsys, path):
+    _, theory = load_demo(path)
     closure = kl.saturate(theory)
     naive = [str(c) for c in sorted(closure.derived, key=kl.clause_sort_key)]
     code, out, _ = run(capsys, "closure", str(path))
     assert code == 0 and out == "".join(line + "\n" for line in naive)
     code, out, _ = run(capsys, "closure", str(path), "--json")
     assert code == 0 and json.loads(out)["result"] == naive
+
+
+DEMO_GOALS = {
+    "delta.gnf": "c ~d e",
+    "f1.gnf": "~f",
+    "f2.gnf": "s",
+    "lewis.clauses": "b",
+    "loop_chain.edges": "b",
+}
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_graph_questions_match_the_closure(capsys, path):
+    # Graph inputs answer from their models, the clause set from its
+    # closure; both must print what the closure says.
+    graph, theory = load_demo(path)
+    closure = kl.saturate(theory)
+
+    def fmt(atoms):
+        return "{" + ",".join(sorted(atoms)) + "}"
+
+    bad = kl.paradoxical_atoms(closure)
+    report = kl.consistent_subtheory(theory, graph, closure=closure)
+    lines = [
+        f"paradox: {fmt(report.paradox_atoms)}",
+        f"healthy: {fmt(report.healthy_atoms)}",
+        f"border: {fmt(report.border)}",
+        "theory:",
+    ] + [f"  {c}" for c in sorted_clause_strings(report.theory.clauses)]
+    expected = {
+        ("paradox",): (0, [fmt(bad)], bad),
+        ("subdiscourse",): (0, lines, report),
+    }
+    for goal in (DEMO_GOALS[path.name], "[]"):
+        yes = kl.entails_para(theory, parse_clause(goal), closure=closure)
+        expected[("entails", goal)] = (1 - yes, ["yes" if yes else "no"], yes)
+    for argv, (code, lines, result) in expected.items():
+        text = "".join(line + "\n" for line in lines)
+        assert run(capsys, *argv, str(path)) == (code, text, "")
+        as_json = to_json(result, argv[0]) + "\n"
+        assert run(capsys, *argv, str(path), "--json") == (code, as_json, "")
+
+
+def test_min_json_lists_a_lone_clause(capsys, tmp_path):
+    path = tmp_path / "one.clauses"
+    path.write_text("a\n")
+    code, out, err = run(capsys, "min", str(path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == ["a"]

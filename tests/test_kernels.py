@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import kernels
+from kernelogic.resolution import subdiscourse_report
 
 
 def rand_graphs(count, sizes=(3, 4, 5, 6), probs=(0.15, 0.3, 0.5), base=4242):
@@ -151,6 +152,63 @@ def test_per_component_search_matches_brute_force(g):
     assert kl.enumerate_kernels(g) == kl.brute_kernels(g)
     assert kl.enumerate_semikernels(g) == kl.brute_semikernels(g)
     assert kl.models(g) == kl.brute_models(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph of 1-10 atoms, self-loops included."""
+    n = draw(st.sampled_from(range(1, 11)))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+    return kl.random_digraph(kl.RandomGraphSpec(n, p, draw(st.integers(0, 2**32))))
+
+
+@st.composite
+def wide_unions(draw):
+    """A disjoint union of 1-5-atom components, self-loops included,
+    of 21-34 atoms in all: wider than the default atom cap."""
+    names, edges = [], []
+    for k in range(34):
+        atoms = [f"x{j}_{k}" for j in range(draw(st.integers(1, min(5, 34 - len(names)))))]
+        pairs = st.tuples(st.sampled_from(atoms), st.sampled_from(atoms))
+        edges += draw(st.sets(pairs, max_size=2 * len(atoms)))
+        names += atoms
+        if len(names) > 20 and (len(names) == 34 or draw(st.booleans())):
+            break
+    return kl.Digraph(names, edges)
+
+
+def check_model_side(g, data):
+    side = kernels.model_side(g)
+    theory = kl.clausal_theory(g)
+    # A connected 10-atom closure may fill all 4**10 clause cells.
+    closure = kl.saturate(theory, 4**10)
+    assert side.paradox_atoms() == kl.paradoxical_atoms(closure)
+    assert subdiscourse_report(theory, g, side.paradox_atoms()) == kl.consistent_subtheory(
+        theory, g, closure=closure
+    )
+    literals = st.builds(kl.Literal, st.sampled_from(g.vertices), st.booleans())
+    goals = [set()] + data.draw(st.lists(st.sets(literals, max_size=4), max_size=8))
+    for goal in map(kl.Clause, goals):
+        assert side.entails(goal) == kl.entails_para(theory, goal, closure=closure)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs(), st.data())
+def test_model_side_matches_the_closure(g, data):
+    check_model_side(g, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_unions(), st.data())
+def test_model_side_matches_the_closure_on_wide_unions(g, data):
+    check_model_side(g, data)
+
+
+def test_model_side_caps_each_component():
+    assert kernels.model_side(two_cycles(10), max_atoms=2) is not None
+    assert kernels.model_side(two_cycles(10), max_atoms=1) is None
+    assert kernels.model_side(odd_cycles(5, 7), max_atoms=7) is not None
+    assert kernels.model_side(odd_cycles(5, 7), max_atoms=6) is None
 
 
 def whole_graph_lists(graph):
