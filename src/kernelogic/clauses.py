@@ -40,6 +40,13 @@ class Clause:
         for lit in self.literals:
             _check_atom(lit.atom)
 
+    @classmethod
+    def _unchecked(cls, literals: Iterable[Literal]) -> "Clause":
+        """A clause of literals whose atoms are already known valid."""
+        clause = object.__new__(cls)
+        object.__setattr__(clause, "literals", frozenset(literals))
+        return clause
+
     @property
     def is_empty(self) -> bool:
         return not self.literals

@@ -51,6 +51,7 @@ from .oracle import (
 from .resolution import (
     DEFAULT_MAX_CLAUSES,
     LATTICE_MAX_ATOMS,
+    WEAKENING_MODES,
     entails_para,
     paradoxical_atoms,
     proof_of,
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove = add("prove", cmd_prove, "derivability, optionally with weakening", clause_arg=True)
     prove.add_argument(
         "--weakening",
-        choices=["none", "awbw", "cw"],
+        choices=WEAKENING_MODES,
         default="none",
         help="weakening discipline (default: none)",
     )

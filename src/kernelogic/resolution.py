@@ -12,7 +12,7 @@ Two clauses that share no atom never resolve, so the closure is the
 union of the closures of the connected components of the clause
 hypergraph (atoms linked when they share a clause; an atom in no clause
 is a component holding only its axiom). Saturation closes each
-component on its own sub-universe, and a ``Closure`` keeps the
+component in its own atom indices, and a ``Closure`` keeps the
 component closures side by side: every question about a nonempty
 clause goes to the component that holds its atoms, and clause masks
 over the whole universe are built only where a caller asks for them.
@@ -59,7 +59,7 @@ clause (``Closure.subclauses``) and differ only in which of them count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .clauses import (
@@ -129,43 +129,41 @@ class _OverCap(ResourceLimitError):
     """A component's closure ran past the clause budget it was given."""
 
 
-def _spread(atoms: "tuple[int, ...]", half: int) -> int:
-    """A component's atom mask over the closure's universe."""
-    return sum(1 << atoms[j] for j in bits(half))
+class _AtomMap:
+    """Where a component's atoms sit in the universe.
 
-
-def _gather_tables(atoms: "tuple[int, ...]") -> "tuple[int, list[tuple[int, list[int]]]]":
-    """How ``Closure._local`` maps universe masks to a component's own.
-
-    Consecutive atoms take a shift: ``(atoms[0], [])``. Otherwise the
-    tables are one per byte of the universe that holds some of the
-    atoms, with its shift and, for each byte value, the local mask of
-    the component's atoms among its bits: ``(0, [(shift, table), ...])``.
+    ``atoms`` are their universe indices, increasing, and ``span`` their
+    universe mask; bit ``j`` of a component's own masks is ``atoms[j]``.
+    ``local`` maps a universe mask's bits on the component to its own
+    indices and ``lift`` maps back. Consecutive atoms map by a shift
+    (``shift``); others (``shift`` is None) by one shift per run of
+    consecutive atoms.
     """
-    if atoms[-1] - atoms[0] == len(atoms) - 1:
-        return atoms[0], []
-    local = {g: 1 << j for j, g in enumerate(atoms)}
-    tables = []
-    for shift in range(atoms[0] & ~7, atoms[-1] + 1, 8):
-        table = [0]
-        for g in range(shift, shift + 8):
-            bit = local.get(g, 0)
-            table += [t | bit for t in table]
-        if table[-1]:
-            tables.append((shift, table))
-    return 0, tables
 
-
-class _Spreader(dict):
-    """``_spread`` over one component, remembered per mask."""
+    __slots__ = ("atoms", "span", "shift", "_runs")
 
     def __init__(self, atoms: "tuple[int, ...]"):
-        super().__init__()
         self.atoms = atoms
+        self.span = sum(1 << g for g in atoms)
+        self.shift = atoms[0] if atoms[-1] - atoms[0] == len(atoms) - 1 else None
+        # Each run of consecutive atoms as (own index, universe index, width mask).
+        self._runs = []
+        for j, g in enumerate(atoms):
+            if j and g == atoms[j - 1] + 1:
+                j0, g0, width = self._runs[-1]
+                self._runs[-1] = (j0, g0, width << 1 | 1)
+            else:
+                self._runs.append((j, g, 1))
 
-    def __missing__(self, half: int) -> int:
-        self[half] = found = _spread(self.atoms, half)
-        return found
+    def local(self, mask: int) -> int:
+        if self.shift is not None:
+            return (mask & self.span) >> self.shift
+        return sum((mask >> g & width) << j for j, g, width in self._runs)
+
+    def lift(self, mask: int) -> int:
+        if self.shift is not None:
+            return mask << self.shift
+        return sum((mask >> j & width) << g for j, g, width in self._runs)
 
 
 def _subcells(cell: int) -> np.ndarray:
@@ -177,11 +175,12 @@ def _subcells(cell: int) -> np.ndarray:
     return subs
 
 
-# A component's closure is a part. Both kinds of part answer the same
-# questions in the component's own atom indices: ``entry``, ``items``,
-# ``subclauses`` (nonempty ones), ``codes``, ``minimal``, and ``sides``
-# and ``precedes`` for ``_parent_step``, plus ``count`` and
-# ``resolves``; only ``Closure`` maps them to the universe.
+# A component's closure is a part, returned straight by its saturator.
+# Both kinds of part answer the same questions in the component's own
+# atom indices: ``entry``, ``items``, ``subclauses`` (nonempty ones),
+# ``codes``, ``minimal``, and ``sides`` and ``precedes`` for
+# ``_parent_step``, plus ``count`` and ``resolves``; only ``Closure``
+# maps them to the universe, through the component's ``_AtomMap``.
 
 
 class _LatticePart:
@@ -366,8 +365,9 @@ class Closure:
 
     A closure is the union of its components' closures (``parts``: the
     universe indices of each component's atoms, and its part) and
-    holds each clause, as bitmasks, only in the part of its atoms; the
-    empty clause, shared by all, takes the earliest round any part
+    holds each clause, as bitmasks, only in the part of its atoms; one
+    ``_AtomMap`` per part maps masks between the universe and the part.
+    The empty clause, shared by all, takes the earliest round any part
     derives it at, round 0 when it is an input. ``derived``, ``origin``
     and ``parents`` are name-level views built on demand. Closures are
     immutable once returned.
@@ -380,13 +380,11 @@ class Closure:
         empty_input: bool = False,
     ):
         self._u = universe
-        self._parts = parts
+        self._parts = [(_AtomMap(atoms), part) for atoms, part in parts]
         self._owner = [None] * len(universe)  # atom -> (part index, local atom)
         for k, (atoms, _) in enumerate(parts):
             for j, g in enumerate(atoms):
                 self._owner[g] = (k, j)
-        self._spans = [_spread(atoms, (1 << len(atoms)) - 1) for atoms, _ in parts]
-        self._gather: list = [None] * len(parts)  # _gather_tables, on first use
         # (origin, round, part index or None for an input) of the empty clause
         self._empty: Optional[tuple[str, int, Optional[int]]] = (
             (_INPUT, 0, None) if empty_input else None
@@ -408,27 +406,14 @@ class Closure:
         return self._entry(self.clause_masks(clause)) is not None
 
     def _part_of(self, pos: int, neg: int):
-        """The part holding the nonempty clause ``(pos, neg)``, and its
-        local masks; None when its atoms span several components."""
+        """The atom map and part holding the nonempty clause ``(pos, neg)``,
+        and its local masks; None when its atoms span several components."""
         mask = pos | neg
         k, _ = self._owner[(mask & -mask).bit_length() - 1]
-        if mask & ~self._spans[k]:
+        amap, part = self._parts[k]
+        if mask & ~amap.span:
             return None
-        atoms, part = self._parts[k]
-        return (atoms, part, *self._local(k, pos, neg))
-
-    def _local(self, k: int, pos: int, neg: int) -> tuple[int, int]:
-        """Clause masks inside part ``k`` in that component's own indices."""
-        if self._gather[k] is None:
-            self._gather[k] = _gather_tables(self._parts[k][0])
-        shift, tables = self._gather[k]
-        if not tables:
-            return pos >> shift, neg >> shift
-        local_pos = local_neg = 0
-        for byte_shift, table in tables:
-            local_pos |= table[pos >> byte_shift & 255]
-            local_neg |= table[neg >> byte_shift & 255]
-        return local_pos, local_neg
+        return amap, part, amap.local(pos), amap.local(neg)
 
     def _entry(self, m: tuple[int, int]) -> Optional[tuple[str, int]]:
         """The origin and round of a derived clause, else None."""
@@ -445,7 +430,8 @@ class Closure:
         pos, neg = masks
         lits = [Literal(a) for a in self._u.sorted_atoms_of(pos)]
         lits += [Literal(a, True) for a in self._u.sorted_atoms_of(neg)]
-        return Clause(lits)
+        # The names come from the validated universe.
+        return Clause._unchecked(lits)
 
     def entries(self):
         """Every derived clause as ``(masks, (origin, round))``, in entry order.
@@ -457,11 +443,11 @@ class Closure:
         empty_seen = self._empty is not None and self._empty[2] is None
         if empty_seen:
             yield (0, 0), self._empty[:2]
-        for atoms, part in self._parts:
-            lift = _Spreader(atoms)
+        for amap, part in self._parts:
+            lift = cache(amap.lift)  # a part's halves repeat across its entries
             for (p, q), value in part.items():
                 if p or q:
-                    yield (lift[p], lift[q]), value
+                    yield (lift(p), lift(q)), value
                 elif not empty_seen:
                     empty_seen = True
                     yield (0, 0), self._empty[:2]
@@ -476,10 +462,9 @@ class Closure:
         if self._empty is not None:
             yield (0, 0)
         for k in sorted({self._owner[g][0] for g in bits(pos | neg)}):
-            atoms, part = self._parts[k]
-            lift, span = _Spreader(atoms), self._spans[k]
-            for p, q in part.subclauses(*self._local(k, pos & span, neg & span)):
-                yield lift[p], lift[q]
+            amap, part = self._parts[k]
+            for p, q in part.subclauses(amap.local(pos), amap.local(neg)):
+                yield amap.lift(p), amap.lift(q)
 
     def _units(self, g: int) -> "tuple[Optional[tuple[str, int]], ...]":
         """The origin and round of the two units of atom ``g``, or None."""
@@ -502,8 +487,8 @@ class Closure:
         antichain scan of its entries.
         """
         return frozenset(
-            self.clause_of((_spread(atoms, p), _spread(atoms, q)))
-            for atoms, part in self._parts
+            self.clause_of((amap.lift(p), amap.lift(q)))
+            for amap, part in self._parts
             for p, q in part.minimal()
         )
 
@@ -524,10 +509,10 @@ class Closure:
         names = self.universe
         # The empty clause has no literal: code 3 for every atom.
         blocks = [np.full((int(self._empty is not None), len(names)), 3, dtype=np.uint8)]
-        for atoms, part in self._parts:
+        for amap, part in self._parts:
             local = part.codes()
             block = np.full((len(local), len(names)), 3, dtype=np.uint8)
-            block[:, list(atoms)] = local
+            block[:, list(amap.atoms)] = local
             blocks.append(block)
         codes = np.concatenate(blocks)
         codes = codes[_code_order(codes)]
@@ -596,12 +581,12 @@ class Closure:
                 if all(e is not None and e[1] < rnd for e in self._units(g)):
                     return (1 << g, 0), (0, 1 << g), g
             raise AssertionError("resolvent without a parent pair; layering is broken")
-        atoms, part, lp, ln = self._part_of(*m)
+        amap, part, lp, ln = self._part_of(*m)
         left, right, i = _parent_step(part, lp | ln << part.n, rnd)
         return (
-            (_spread(atoms, left[0]), _spread(atoms, left[1])),
-            (_spread(atoms, right[0]), _spread(atoms, right[1])),
-            atoms[i],
+            (amap.lift(left[0]), amap.lift(left[1])),
+            (amap.lift(right[0]), amap.lift(right[1])),
+            amap.atoms[i],
         )
 
 
@@ -632,15 +617,6 @@ def _code_order(codes: np.ndarray) -> np.ndarray:
     import numpy as np
     size = (codes < 3).sum(axis=1) + (codes == 0).sum(axis=1)
     return np.lexsort((*codes[:, ::-1].T, size))
-
-
-def _seeds(theory: ClausalTheory, u: Universe) -> "tuple[list[tuple[int, int]], int]":
-    """The round-0 clauses in entry order, inputs before axioms, and
-    the number of inputs."""
-    seeds = [intern_clause(c, u) for c in sorted(theory.clauses, key=clause_sort_key)]
-    inputs = set(seeds)
-    axioms = [(1 << i, 1 << i) for i in range(len(u))]
-    return seeds + [m for m in axioms if m not in inputs], len(seeds)
 
 
 def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
@@ -678,16 +654,15 @@ def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
+def _saturate_lattice(n: int, seeds: "list[int]", inputs: int, max_clauses: int) -> _LatticePart:
+    """The closure of an ``n``-atom component from its round-0 cells
+    ``seeds``, the first ``inputs`` of them input clauses."""
     import numpy as np
-    n = len(u)
     _check_lattice_width(n)
-    seeds, inputs = _seeds(theory, u)
-    seed_cells = [p | q << n for p, q in seeds]
     rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
-    rounds[np.array(seed_cells, dtype=np.int64)] = 0
+    rounds[np.array(seeds, dtype=np.int64)] = 0
     derived = rounds == 0
-    count = len(seed_cells)
+    count = len(seeds)
     rnd = 0
     while True:
         rnd += 1
@@ -708,15 +683,12 @@ def _saturate_lattice(theory: ClausalTheory, u: Universe, max_clauses: int) -> C
             raise _OverCap(f"closure exceeded {max_clauses} clauses")
         derived |= fresh
         rounds[fresh] = rnd
-    part = _LatticePart(n, rounds, seed_cells, inputs)
-    return Closure(u, [(tuple(range(n)), part)])
+    return _LatticePart(n, rounds, seeds, inputs)
 
 
-def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> Closure:
+def _saturate_pairwise(n: int, seeds: "list[int]", inputs: int, max_clauses: int) -> _PairwisePart:
     """The lattice's rounds, semi-naively over a dict of clause cells."""
-    n = len(u)
-    seeds, inputs = _seeds(theory, u)
-    entries = {p | q << n: (_INPUT if k < inputs else _AXIOM, 0) for k, (p, q) in enumerate(seeds)}
+    entries = {c: (_INPUT if k < inputs else _AXIOM, 0) for k, c in enumerate(seeds)}
     # holding[b] lists the clauses holding literal bit b (x_i at i, ~x_i
     # at n + i) in entry order.
     holding: list[list[int]] = [[] for _ in range(2 * n)]
@@ -751,35 +723,48 @@ def _saturate_pairwise(theory: ClausalTheory, u: Universe, max_clauses: int) -> 
                         raise _OverCap(f"closure exceeded {max_clauses} clauses")
         new = sorted(found)
         entries.update((c, (_RESOLVENT, rnd)) for c in new)
-    return Closure(u, [(tuple(range(n)), _PairwisePart(n, entries))])
+    return _PairwisePart(n, entries)
 
 
-def _components(theory: ClausalTheory, u: Universe) -> list[tuple[int, list[Clause]]]:
-    """The connected components of the clause hypergraph, as atom masks.
+def _components(
+    theory: ClausalTheory, u: Universe
+) -> "list[tuple[tuple[int, ...], list[int], int]]":
+    """The connected components of the clause hypergraph, with their seeds.
 
-    Each component comes with its clauses; atoms in no clause are
-    components of their own, and the empty clause belongs to none.
-    Components are ordered by their lowest atom.
+    Each component comes as the universe indices of its atoms, its
+    round-0 cells ``pos | neg << n`` in its own indices (its input
+    clauses in ``clause_sort_key`` order, then the axioms that are not
+    inputs) and its number of inputs. Atoms in no clause are components
+    of their own, and the empty clause belongs to none. Components are
+    ordered by their lowest atom.
     """
+    masks = [intern_clause(c, u) for c in sorted(theory.clauses, key=clause_sort_key)]
     adjacent = [0] * len(u)
-    spans = []
-    for clause in theory.clauses:
-        pos, neg = intern_clause(clause, u)
-        spans.append((clause, pos | neg))
+    for pos, neg in masks:
         for i in bits(pos | neg):
             adjacent[i] |= pos | neg
-    groups: list[tuple[int, list[Clause]]] = [(comp, []) for comp in flood_fill(adjacent)]
-    for clause, mask in spans:
-        for comp, members in groups:
-            if comp & mask:
-                members.append(clause)
+    maps = [_AtomMap(tuple(bits(comp))) for comp in flood_fill(adjacent)]
+    owner = {g: k for k, amap in enumerate(maps) for g in amap.atoms}
+    seeds: list[list[int]] = [[] for _ in maps]
+    for pos, neg in masks:
+        if pos | neg:
+            # A clause lies in the component of its lowest atom.
+            k = owner[((pos | neg) & -(pos | neg)).bit_length() - 1]
+            amap = maps[k]
+            seeds[k].append(amap.local(pos) | amap.local(neg) << len(amap.atoms))
+    groups = []
+    for amap, cells in zip(maps, seeds):
+        n, inputs = len(amap.atoms), set(cells)
+        axioms = [1 << i | 1 << (n + i) for i in range(n)]
+        groups.append((amap.atoms, cells + [c for c in axioms if c not in inputs], len(cells)))
     return groups
 
 
 def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> Closure:
     """Close a theory under resolution, with axioms for every universe atom.
 
-    Each connected component is saturated on its own: on the clause
+    Each connected component is saturated on its own, from its seeds
+    in its own atom indices, straight into a part: on the clause
     lattice up to ``LATTICE_MAX_ATOMS`` atoms, by semi-naive rounds over
     clause pairs beyond. Raises :class:`ResourceLimitError` once the
     whole closure, all components together, would exceed ``max_clauses``
@@ -790,24 +775,20 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     empty_input = Clause() in theory.clauses
     has_empty, size = empty_input, int(empty_input)
     parts = []
-    for comp, clauses in _components(theory, u):
-        names = u.sorted_atoms_of(comp)
-        local = Universe(names)
-        saturator = (
-            _saturate_lattice if len(local) <= LATTICE_MAX_ATOMS else _saturate_pairwise
-        )
+    for atoms, seeds, inputs in _components(theory, u):
+        n = len(atoms)
+        saturator = _saturate_lattice if n <= LATTICE_MAX_ATOMS else _saturate_pairwise
         # The empty clause is shared: a component may derive it again
         # without growing the union.
         budget = max_clauses - size + has_empty
         try:
-            closure = saturator(ClausalTheory(frozenset(clauses), names), local, budget)
+            part = saturator(n, seeds, inputs, budget)
         except _OverCap:
             raise ResourceLimitError(f"closure exceeded {max_clauses} clauses") from None
-        ((_, part),) = closure._parts
         own_empty = part.entry(0, 0) is not None
         size += part.count - (has_empty and own_empty)
         has_empty = has_empty or own_empty
-        parts.append((tuple(bits(comp)), part))
+        parts.append((atoms, part))
     # As in each saturator, a closure that resolves nothing is not refused.
     if size > max_clauses and any(part.resolves for _, part in parts):
         raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
@@ -1058,15 +1039,12 @@ def proof_of(closure: Closure, clause: Clause) -> Proof:
     # the interpreter stack if done recursively.
     position: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
-    parentage: dict[tuple[int, int], Optional[tuple]] = {}
     stack: list[tuple[tuple[int, int], bool]] = [(target, False)]
     while stack:
         m, expanded = stack.pop()
         if m in position:
             continue
-        if m not in parentage:
-            parentage[m] = closure.parents_of_masks(m)
-        par = parentage[m]
+        par = closure.parents_of_masks(m)
         if expanded or par is None:
             position[m] = len(order) + 1
             order.append(m)
@@ -1078,7 +1056,7 @@ def proof_of(closure: Closure, clause: Clause) -> Proof:
     steps = []
     for idx, m in enumerate(order, start=1):
         kind, _ = closure._entry(m)
-        par = parentage[m]
+        par = closure.parents_of_masks(m)
         if par is None:
             steps.append(ProofStep(idx, closure.clause_of(m), kind))
         else:

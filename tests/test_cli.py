@@ -528,3 +528,230 @@ def test_min_json_lists_a_lone_clause(capsys, tmp_path):
     code, out, err = run(capsys, "min", str(path), "--json")
     assert code == 0 and err == ""
     assert json.loads(out)["result"] == ["a"]
+
+
+# The a* and c* atoms are one 9-atom component; b sorts inside it, so
+# that component's atoms are not consecutive in the universe and map to
+# its own indices run by run. The expected texts were recorded before
+# that mapping changed.
+SCATTERED_TEXT = (
+    "a0 ~a1\na1 ~a2 a3\n~a3 c4\nc4 ~c5\nc5 c6 ~a0\n~c6 c7\nc7 ~c8 a2\nc8\n~a0\nb\n~b\n"
+)
+
+SCATTERED_CLOSURE = """\
+[]
+~a0
+~a1
+b
+~b
+c8
+a0 ~a0
+a0 ~a1
+a1 ~a1
+a2 ~a2
+a2 c7
+~a2 a3
+~a2 c4
+a3 ~a3
+a3 c7
+~a3 c4
+b ~b
+c4 ~c4
+c4 ~c5
+c4 c7
+c5 ~c5
+c6 ~c6
+~c6 c7
+c7 ~c7
+c8 ~c8
+a0 ~a2 a3
+a0 ~a2 c4
+a0 a3 c7
+a0 c4 c7
+~a0 c4 c6
+~a0 c4 c7
+~a0 c5 c6
+~a0 c5 c7
+a1 ~a2 a3
+a1 ~a2 c4
+a1 a3 c7
+a1 c4 c7
+~a1 c4 c6
+~a1 c4 c7
+~a1 c5 c6
+~a1 c5 c7
+a2 c7 ~c8
+~a2 c4 c6
+~a2 c4 c7
+a3 c4 c7
+a3 c5 c7
+a3 c7 ~c8
+c4 c5 c7
+c4 c6 c7
+c4 c7 ~c8
+a0 a3 c7 ~c8
+a0 c4 c7 ~c8
+a1 a3 c7 ~c8
+a1 c4 c7 ~c8
+~a2 a3 c4 c6
+~a2 a3 c4 c7
+~a2 a3 c5 c6
+~a2 a3 c5 c7
+~a2 c4 c5 c6
+~a2 c4 c5 c7
+a3 c4 c6 c7
+a3 c4 c7 ~c8
+a3 c5 c6 c7
+a3 c5 c7 ~c8
+c4 c5 c6 c7
+c4 c5 c7 ~c8
+c4 c6 c7 ~c8
+a3 c4 c6 c7 ~c8
+a3 c5 c6 c7 ~c8
+c4 c5 c6 c7 ~c8
+"""
+
+SCATTERED_CLOSURE_JSON = """\
+{
+  "command": "closure",
+  "result": [
+    "[]",
+    "~a0",
+    "~a1",
+    "b",
+    "~b",
+    "c8",
+    "a0 ~a0",
+    "a0 ~a1",
+    "a1 ~a1",
+    "a2 ~a2",
+    "a2 c7",
+    "~a2 a3",
+    "~a2 c4",
+    "a3 ~a3",
+    "a3 c7",
+    "~a3 c4",
+    "b ~b",
+    "c4 ~c4",
+    "c4 ~c5",
+    "c4 c7",
+    "c5 ~c5",
+    "c6 ~c6",
+    "~c6 c7",
+    "c7 ~c7",
+    "c8 ~c8",
+    "a0 ~a2 a3",
+    "a0 ~a2 c4",
+    "a0 a3 c7",
+    "a0 c4 c7",
+    "~a0 c4 c6",
+    "~a0 c4 c7",
+    "~a0 c5 c6",
+    "~a0 c5 c7",
+    "a1 ~a2 a3",
+    "a1 ~a2 c4",
+    "a1 a3 c7",
+    "a1 c4 c7",
+    "~a1 c4 c6",
+    "~a1 c4 c7",
+    "~a1 c5 c6",
+    "~a1 c5 c7",
+    "a2 c7 ~c8",
+    "~a2 c4 c6",
+    "~a2 c4 c7",
+    "a3 c4 c7",
+    "a3 c5 c7",
+    "a3 c7 ~c8",
+    "c4 c5 c7",
+    "c4 c6 c7",
+    "c4 c7 ~c8",
+    "a0 a3 c7 ~c8",
+    "a0 c4 c7 ~c8",
+    "a1 a3 c7 ~c8",
+    "a1 c4 c7 ~c8",
+    "~a2 a3 c4 c6",
+    "~a2 a3 c4 c7",
+    "~a2 a3 c5 c6",
+    "~a2 a3 c5 c7",
+    "~a2 c4 c5 c6",
+    "~a2 c4 c5 c7",
+    "a3 c4 c6 c7",
+    "a3 c4 c7 ~c8",
+    "a3 c5 c6 c7",
+    "a3 c5 c7 ~c8",
+    "c4 c5 c6 c7",
+    "c4 c5 c7 ~c8",
+    "c4 c6 c7 ~c8",
+    "a3 c4 c6 c7 ~c8",
+    "a3 c5 c6 c7 ~c8",
+    "c4 c5 c6 c7 ~c8"
+  ],
+  "schema": 1
+}
+"""
+
+SCATTERED_MIN = """\
+~a0
+~a1
+b
+~b
+c8
+a2 ~a2
+a2 c7
+~a2 a3
+~a2 c4
+a3 ~a3
+a3 c7
+~a3 c4
+c4 ~c4
+c4 ~c5
+c4 c7
+c5 ~c5
+c6 ~c6
+~c6 c7
+c7 ~c7
+"""
+
+SCATTERED_PROOF = """\
+1. a2 c7 ~c8 [input]
+2. a1 ~a2 a3 [input]
+3. ~a3 c4 [input]
+4. a1 ~a2 c4 [res 2 3 on a3]
+5. a1 c4 c7 ~c8 [res 1 4 on a2]
+"""
+
+SCATTERED_WEAKENED = {
+    "none": (1, "not provable under weakening mode 'none'\n"),
+    "awbw": (
+        0,
+        """\
+1. a0 ~a1 [input]
+2. ~a0 [input]
+3. ~a1 [res 1 2 on a0]
+~a1 c7 [weakening from ~a1]
+""",
+    ),
+    "cw": (
+        0,
+        """\
+1. b [input]
+2. ~b [input]
+3. [] [res 1 2 on b]
+~a1 c7 [weakening from []]
+""",
+    ),
+}
+
+
+def test_scattered_component_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "scattered.clauses"
+    path.write_text(SCATTERED_TEXT)
+    path = str(path)
+    assert run(capsys, "closure", path) == (0, SCATTERED_CLOSURE, "")
+    assert run(capsys, "closure", path, "--json") == (0, SCATTERED_CLOSURE_JSON, "")
+    assert run(capsys, "min", path) == (0, SCATTERED_MIN, "")
+    for mode, weakened in SCATTERED_WEAKENED.items():
+        proved = run(capsys, "prove", "a1 c4 c7 ~c8", path, "--weakening", mode)
+        assert proved == (0, SCATTERED_PROOF, "")
+        code, out = weakened
+        assert run(capsys, "prove", "~a1 c7", path, "--weakening", mode) == (code, out, "")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import Clause, Literal, resolution
+from kernelogic.clauses import intern_clause
 from kernelogic.oracle import splitmix64
 
 from conftest import clause, clauses
@@ -60,6 +61,20 @@ def check_replay(proof: kl.Proof, theory: kl.ClausalTheory):
             assert resolvent == step.clause
         at[step.index] = step.clause
     assert proof.steps[-1].clause == proof.conclusion
+
+
+def whole_closure(saturator, t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
+    """``t`` closed by ``saturator`` as one component over its whole
+    universe: its seeds are every input, ``[]`` included, in
+    ``clause_sort_key`` order, then the axioms that are not inputs."""
+    u = kl.Universe(t.universe)
+    n = len(u)
+    ordered = sorted(t.clauses, key=kl.clause_sort_key)
+    cells = [p | q << n for p, q in (intern_clause(c, u) for c in ordered)]
+    axioms = [1 << i | 1 << (n + i) for i in range(n)]
+    seeds = cells + [c for c in axioms if c not in cells]
+    part = saturator(n, seeds, len(cells), max_clauses)
+    return kl.Closure(u, [(tuple(range(n)), part)])
 
 
 def test_closure_units_of_our_graph(our_closure):
@@ -519,9 +534,9 @@ def test_wide_universe_uses_pairwise_path(monkeypatch):
     widths = []
     real = resolution._saturate_pairwise
 
-    def spy(theory, u, max_clauses):
-        widths.append(len(u))
-        return real(theory, u, max_clauses)
+    def spy(n, seeds, inputs, max_clauses):
+        widths.append(n)
+        return real(n, seeds, inputs, max_clauses)
 
     monkeypatch.setattr(resolution, "_saturate_pairwise", spy)
     closure = kl.saturate(t)
@@ -559,18 +574,33 @@ def test_wide_rounds_are_refused_by_their_pair_count():
 
 
 def test_components_are_flood_filled_from_the_clauses():
-    t = kl.ClausalTheory(clauses("[]", "d ~b", "e", "~e a", "f"), tuple("abcdefg"))
-    u = kl.Universe(t.universe)
-    groups = [
-        (sorted(u.atoms_of(mask)), sorted(map(str, cls)))
-        for mask, cls in resolution._components(t, u)
-    ]
+    # Each component's seeds are cells in its own atom indices: its
+    # inputs in clause order, then the axioms that are not inputs.
+    t = kl.ClausalTheory(
+        clauses("[]", "d ~b", "e", "~e a", "f", "f ~f"), tuple("abcdefg")
+    )
+    names = t.universe
+    groups = []
+    for atoms, seeds, inputs in resolution._components(t, kl.Universe(names)):
+        own = [names[g] for g in atoms]
+        texts = [
+            str(
+                Clause(
+                    Literal(a, neg)
+                    for neg in (False, True)
+                    for j, a in enumerate(own)
+                    if c >> (j + len(own) * neg) & 1
+                )
+            )
+            for c in seeds
+        ]
+        groups.append(("".join(own), texts, inputs))
     assert groups == [
-        (["a", "e"], ["a ~e", "e"]),
-        (["b", "d"], ["~b d"]),
-        (["c"], []),
-        (["f"], ["f"]),
-        (["g"], []),
+        ("ae", ["e", "a ~e", "a ~a", "e ~e"], 2),
+        ("bd", ["~b d", "b ~b", "d ~d"], 1),
+        ("c", ["c ~c"], 0),
+        ("f", ["f", "f ~f"], 2),
+        ("g", ["g ~g"], 0),
     ]
 
 
@@ -611,8 +641,7 @@ def test_split_matches_whole_lattice():
     stream = splitmix64(5151)
     for _ in range(40):
         t = split_theory(stream)
-        u = kl.Universe(t.universe)
-        whole = resolution._saturate_lattice(t, u, resolution.DEFAULT_MAX_CLAUSES)
+        whole = whole_closure(resolution._saturate_lattice, t)
         closure = kl.saturate(t)
         assert dict(closure.entries()) == dict(whole.entries())
         for c in sorted(whole.derived, key=kl.clause_sort_key):
@@ -643,11 +672,9 @@ def component_theories(draw):
 @given(component_theories())
 def test_saturation_paths_match_brute_closure(t):
     expected = kl.brute_closure(t)
-    u = kl.Universe(t.universe)
-    cap = resolution.DEFAULT_MAX_CLAUSES
     for closure in (
-        resolution._saturate_lattice(t, u, cap),
-        resolution._saturate_pairwise(t, u, cap),
+        whole_closure(resolution._saturate_lattice, t),
+        whole_closure(resolution._saturate_pairwise, t),
         kl.saturate(t),
     ):
         assert closure.derived == expected
@@ -689,10 +716,8 @@ def test_lattice_rounds_match_layered_fixpoint(t):
     # Proofs search strictly earlier rounds for parents, so the round of
     # every clause must be exact, not only the clause set.
     expected = layered_closure(t)
-    u = kl.Universe(t.universe)
-    cap = resolution.DEFAULT_MAX_CLAUSES
-    assert rounds_by_clause(resolution._saturate_lattice(t, u, cap)) == expected
-    assert rounds_by_clause(resolution._saturate_pairwise(t, u, cap)) == expected
+    assert rounds_by_clause(whole_closure(resolution._saturate_lattice, t)) == expected
+    assert rounds_by_clause(whole_closure(resolution._saturate_pairwise, t)) == expected
     assert rounds_by_clause(kl.saturate(t)) == expected
 
 
@@ -701,10 +726,8 @@ def test_pairwise_path_matches_the_lattice_entry_for_entry(t):
     # Both paths enter seeds, then each round by cell, and proofs come
     # from one parent search over that order: the whole-universe
     # closures agree on ordered entries and on every proof text.
-    u = kl.Universe(t.universe)
-    cap = resolution.DEFAULT_MAX_CLAUSES
-    lattice = resolution._saturate_lattice(t, u, cap)
-    pairwise = resolution._saturate_pairwise(t, u, cap)
+    lattice = whole_closure(resolution._saturate_lattice, t)
+    pairwise = whole_closure(resolution._saturate_pairwise, t)
     assert list(pairwise.entries()) == list(lattice.entries())
     for c in sorted(lattice.derived, key=kl.clause_sort_key):
         assert kl.proof_of(pairwise, c).to_text() == kl.proof_of(lattice, c).to_text()
@@ -792,7 +815,7 @@ def test_lattice_width_is_bounded_by_the_accumulator():
     # Refused before a single 4**16-cell array is allocated.
     t = kl.ClausalTheory(frozenset(), tuple(f"y{i:02d}" for i in range(16)))
     with pytest.raises(kl.ResourceLimitError, match="overflows"):
-        resolution._saturate_lattice(t, kl.Universe(t.universe), 10)
+        whole_closure(resolution._saturate_lattice, t, 10)
 
 
 def antichain_min_clauses(closure):
@@ -811,9 +834,7 @@ def antichain_min_clauses(closure):
 
 @given(component_theories())
 def test_min_clauses_match_antichain_scan(t):
-    u = kl.Universe(t.universe)
-    cap = resolution.DEFAULT_MAX_CLAUSES
-    for closure in (kl.saturate(t), resolution._saturate_pairwise(t, u, cap)):
+    for closure in (kl.saturate(t), whole_closure(resolution._saturate_pairwise, t)):
         assert kl.min_clauses(t, closure=closure) == antichain_min_clauses(closure)
 
 
@@ -846,9 +867,9 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
     for name in ("_saturate_lattice", "_saturate_pairwise"):
         real = getattr(resolution, name)
 
-        def spy(theory, u, max_clauses, real=real, name=name):
-            paths.append((name, len(u)))
-            return real(theory, u, max_clauses)
+        def spy(n, seeds, inputs, max_clauses, real=real, name=name):
+            paths.append((name, n))
+            return real(n, seeds, inputs, max_clauses)
 
         monkeypatch.setattr(resolution, name, spy)
     closure = kl.saturate(t)
@@ -878,10 +899,46 @@ def test_pair_count_bound_is_the_accumulators_largest_value():
     assert resolution._PAIR_COUNT_MAX == np.iinfo(resolution._PAIR_COUNT).max
 
 
+@st.composite
+def atom_maps(draw):
+    """A universe width up to 80 and a component's sorted atom indices in
+    it, a consecutive run or scattered anywhere."""
+    width = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, width - 1))
+        atoms = tuple(range(lo, draw(st.integers(lo + 1, width))))
+    else:
+        atoms = tuple(sorted(draw(st.sets(st.integers(0, width - 1), min_size=1))))
+    return width, atoms
+
+
+@given(atom_maps(), st.data())
+def test_atom_map_matches_a_per_atom_twin(drawn, data):
+    # Masks over up to 80 atoms cross byte and 64-bit word boundaries.
+    width, atoms = drawn
+    amap = resolution._AtomMap(atoms)
+    index = {g: j for j, g in enumerate(atoms)}
+    universe_mask = data.draw(st.integers(0, (1 << width) - 1))
+    own_mask = data.draw(st.integers(0, (1 << len(atoms)) - 1))
+    local = lift = span = 0
+    for g in range(width):
+        if g in index:
+            span |= 1 << g
+            local |= (universe_mask >> g & 1) << index[g]
+            lift |= (own_mask >> index[g] & 1) << g
+    assert amap.span == span
+    assert amap.local(universe_mask) == local
+    assert amap.lift(own_mask) == lift
+    assert amap.lift(amap.local(universe_mask)) == universe_mask & span
+    assert amap.local(amap.lift(own_mask)) == own_mask
+    consecutive = atoms == tuple(range(atoms[0], atoms[-1] + 1))
+    assert amap.shift == (atoms[0] if consecutive else None)
+
+
 def test_membership_in_interleaved_components():
     # Components whose atoms are scattered over three bytes of a 20-atom
-    # universe are read through per-byte tables, a run of consecutive
-    # atoms through a shift; both must give the closure's own clauses.
+    # universe map run by run, consecutive atoms by one shift;
+    # both must give the closure's own clauses.
     names = tuple(f"a{i:02d}" for i in range(20))
     groups = [(0, 7, 9, 17), (1, 2, 3), (4, 10, 15, 19), (5, 16)]
     stream = splitmix64(2024)
@@ -891,8 +948,8 @@ def test_membership_in_interleaved_components():
             atoms = [names[g] for g in group if next(stream) % 2]
             cls.add(Clause(Literal(a, next(stream) % 3 == 0) for a in atoms))
     closure = kl.saturate(kl.ClausalTheory(frozenset(cls), names))
-    gathers = [resolution._gather_tables(atoms)[1] for atoms, _ in closure._parts]
-    assert [] in gathers and any(len(tables) == 3 for tables in gathers)
+    shifts = {amap.atoms: amap.shift for amap, _ in closure._parts}
+    assert shifts[(1, 2, 3)] == 1 and shifts[(0, 7, 9, 17)] is None
     derived = closure.derived
     for c in derived:
         assert c in closure
@@ -915,14 +972,12 @@ def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
     # Round numbers are one byte per cell; a closure needing the
     # sentinel's round is refused instead of wrapping.
     t = kl.ClausalTheory(clauses("a", "~a b", "~b c", "~c d", "~d e", "~e"))
-    u = kl.Universe(t.universe)
-    cap = resolution.DEFAULT_MAX_CLAUSES
-    last = max(rnd for _, (_, rnd) in resolution._saturate_lattice(t, u, cap).entries())
+    last = max(rnd for _, (_, rnd) in whole_closure(resolution._saturate_lattice, t).entries())
     assert last >= 2
     monkeypatch.setattr(resolution, "_NOT_DERIVED", last + 1)
     assert rounds_by_clause(kl.saturate(t)) == layered_closure(t)
     monkeypatch.setattr(resolution, "_NOT_DERIVED", last)
-    for run in (lambda: resolution._saturate_lattice(t, u, cap), lambda: kl.saturate(t)):
+    for run in (lambda: whole_closure(resolution._saturate_lattice, t), lambda: kl.saturate(t)):
         with pytest.raises(kl.ResourceLimitError, match=f"more than {last - 1} resolution rounds"):
             run()
 
