@@ -9,9 +9,9 @@ exhausted memory exits 3.
 graph input whose every weakly connected component has at most
 ``--max-atoms`` atoms from its models (``kernels.model_side``); any
 other input takes the closure, as do ``closure``, ``prove``, ``min``,
-``relevant`` and ``entails --classical``. Both sides give the same
-answer, because direct resolution is sound and complete for the model
-semantics.
+``relevant`` and ``entails --classical``. ``entails --semantic`` takes
+the models under the same cap, or exits 3. Both sides give the same
+answer, since direct resolution is sound and complete for the models.
 """
 
 from __future__ import annotations
@@ -318,8 +318,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         type=count,
         default=DEFAULT_MAX_ATOMS,
         help=(
-            "cap for enumeration and truth tables; for paradox, subdiscourse and "
-            "entails on a graph, the widest component answered from the models"
+            "whole-graph cap for listings and truth tables; on graphs, the widest "
+            "component that paradox, subdiscourse and entails answer from the models"
         ),
     )
     parser.add_argument(
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--semantic",
         action="store_true",
-        help="enumerate models; reports a witness or countermodel",
+        help="decide from the models, per component; reports a witness or countermodel",
     )
     add("relevant", cmd_relevant, "entailed with no entailed proper part", clause_arg=True)
     add("min", cmd_min, "minimal derivable clauses")

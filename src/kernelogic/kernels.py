@@ -25,9 +25,9 @@ clause holds in every model exactly when the closure entails it.
 
 Kernel problems are NP-hard in general, so a configurable atom cap
 (default 20) keeps calls honest. The listings count the whole graph,
-however it splits into components; ``model_side``, which never forms a
-product of lists, counts each component. This package targets desk
-scale and chooses exactness over volume.
+however it splits into components; ``model_side`` answers every other
+model-side question without a product and counts each component. This
+package targets desk scale and chooses exactness over volume.
 """
 
 from __future__ import annotations
@@ -265,24 +265,31 @@ class ModelSide(NamedTuple):
         """The atoms that every model leaves unsettled."""
         return self.graph.universe.atoms_of(self._paradox_mask())
 
-    def entails(self, clause: Clause) -> bool:
-        """Whether every model satisfies ``clause``.
+    def countermodel(self, clause: Clause) -> Optional[int]:
+        """The true atoms of the least model by subset rank that fails
+        ``clause``, or None when every model satisfies it.
 
-        It does when the paradox set is nonempty and holds every atom of
-        the clause (the empty clause included). Otherwise the clause
-        fails exactly when each component has a model that makes none of
-        its literals true, since a whole model is one model per
-        component and a component's false atoms are its own.
+        A model is one model per component, each settling exactly its
+        component's domain, so it fails the clause when no component's
+        trace makes a literal true, unless the paradox set holds every
+        atom of the clause. Component bits are disjoint, so the least
+        failing model is the OR of the components' least failing ones.
         """
         pos, neg = intern_clause(clause, self.graph.universe)
         bad = self._paradox_mask()
         if bad and not (pos | neg) & ~bad:
-            return True
-        in_mask = self.graph.in_mask
-        return not all(
-            any(t & pos == 0 and in_mask(t) & neg == 0 for t in c.models)
-            for c in self.components
-        )
+            return None
+        found = 0
+        for c in self.components:
+            failing = [t for t in c.models if t & pos == 0 and neg & c.domain & ~t == 0]
+            if not failing:
+                return None
+            found |= min(failing)
+        return found
+
+    def entails(self, clause: Clause) -> bool:
+        """Whether every model satisfies ``clause``."""
+        return self.countermodel(clause) is None
 
 
 def model_side(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[ModelSide]:

@@ -6,14 +6,14 @@ the false part, or the whole clause lives inside a nonempty unsettled
 part. With an empty unsettled part this is exactly classical clause
 satisfaction.
 
-Paraconsistent entailment has three implementations on purpose. The
-decision procedure in :mod:`kernelogic.resolution` works straight off
-the saturated closure; :meth:`kernelogic.kernels.ModelSide.entails`
-decides it from the models one component at a time, without listing
-them, and answers the CLI on graph inputs; :func:`entails_semantic`
-enumerates models and reports witnesses or countermodels, and exists
-to cross-validate the other routes. Relevance and minimal clauses come
-from the closure too: one subclause query decides relevance.
+Paraconsistent entailment has two implementations on purpose, one per
+side of the soundness and completeness theorem. The decision procedure
+in :mod:`kernelogic.resolution` works straight off the saturated
+closure; :class:`kernelogic.kernels.ModelSide` decides it from the
+models one component at a time, without listing them. It answers the
+CLI on graph inputs, and :func:`entails_semantic` builds its witnesses
+and countermodels from the same queries. Relevance and minimal clauses
+come from the closure: one subclause query decides relevance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, Universe, bits, component_masks
-from .kernels import DEFAULT_MAX_ATOMS, Partition3, models
+from .kernels import DEFAULT_MAX_ATOMS, Partition3, _partition_from_mask, model_side
 from .resolution import Closure, DEFAULT_MAX_CLAUSES, _closure_for
 
 
@@ -72,23 +72,25 @@ def entails_semantic(
     *,
     model_list: Optional[list[Partition3]] = None,
 ) -> EntailmentVerdict:
-    """Entailment by enumeration over the models of the graph.
-
-    ``model_list`` may pass in precomputed ``models(graph)`` output when
-    the caller checks many clauses against the same graph.
+    """Entailment over the models, per weakly connected component of at
+    most ``max_atoms`` atoms, with its reason. ``model_list`` is accepted
+    and ignored: the per-component search is already cached per graph.
     """
-    mods = models(graph, max_atoms) if model_list is None else model_list
-    for m in mods:
-        if not satisfies(m, clause):
-            return EntailmentVerdict(False, "countermodel", countermodel=m)
-    unsettled = mods[0].paradox_set
+    side = model_side(graph, max_atoms)
+    if side is None:
+        raise ResourceLimitError(f"a component exceeds the enumeration cap of {max_atoms} atoms")
+    found = side.countermodel(clause)
+    if found is not None:
+        model = _partition_from_mask(graph, found)
+        return EntailmentVerdict(False, "countermodel", countermodel=model)
+    unsettled = side.paradox_atoms()
     if unsettled and clause.atoms() <= unsettled:
         return EntailmentVerdict(True, "all-paradox")
     healthy_lits = [l for l in clause.sorted_literals() if l.atom not in unsettled]
     for size in range(1, len(healthy_lits) + 1):
         for combo in combinations(healthy_lits, size):
             candidate = Clause(combo)
-            if all(satisfies(m, candidate) for m in mods):
+            if side.entails(candidate):
                 return EntailmentVerdict(True, "healthy-witness", witness=candidate)
     raise AssertionError(
         "entailed clause with no healthy witness; completeness is broken"

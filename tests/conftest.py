@@ -3,6 +3,8 @@ acceptance-criterion reporter."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import settings
 
@@ -23,6 +25,29 @@ def corpus_specs() -> list[kl.RandomGraphSpec]:
         p = (0.15, 0.3, 0.5)[(i // 5) % 3]
         specs.append(kl.RandomGraphSpec(n=n, edge_prob=p, seed=CORPUS_BASE_SEED + i))
     return specs
+
+
+def entails_by_listing(
+    graph: kl.Digraph, c: kl.Clause, mods: list[kl.Partition3]
+) -> kl.EntailmentVerdict:
+    """The entailment verdict by a scan of the listed models ``mods``:
+    the twin of ``entails_semantic``, which answers per component from
+    ``model_side`` without listing them."""
+    for m in mods:
+        if not kl.satisfies(m, c):
+            return kl.EntailmentVerdict(False, "countermodel", countermodel=m)
+    unsettled = mods[0].paradox_set
+    if unsettled and c.atoms() <= unsettled:
+        return kl.EntailmentVerdict(True, "all-paradox")
+    healthy_lits = [l for l in c.sorted_literals() if l.atom not in unsettled]
+    for size in range(1, len(healthy_lits) + 1):
+        for combo in combinations(healthy_lits, size):
+            candidate = kl.Clause(combo)
+            if all(kl.satisfies(m, candidate) for m in mods):
+                return kl.EntailmentVerdict(True, "healthy-witness", witness=candidate)
+    raise AssertionError(
+        "entailed clause with no healthy witness; completeness is broken"
+    )
 
 
 def clause(text: str) -> kl.Clause:

@@ -11,7 +11,7 @@ from kernelogic import Clause, Literal, Partition3
 from kernelogic.cli import main as cli_main
 from kernelogic.oracle import splitmix64
 
-from conftest import clause, clauses, record_criterion
+from conftest import clause, clauses, entails_by_listing, record_criterion
 from test_resolution import rand_clause, rand_theory
 
 
@@ -134,9 +134,7 @@ def test_c7_entailment_routes(corpus_data):
         for _ in range(50):
             c = rand_clause(stream, names)
             direct = kl.entails_para(entry.theory, c, closure=entry.closure)
-            semantic = kl.entails_semantic(
-                entry.graph, c, model_list=entry.models
-            ).holds
+            semantic = entails_by_listing(entry.graph, c, entry.models).holds
             weakened = kl.provable_weakened(
                 entry.theory, c, "awbw", closure=entry.closure
             )

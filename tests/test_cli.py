@@ -358,6 +358,14 @@ def test_models_cap_counts_every_component(capsys, tmp_path):
     code, out, err = run(capsys, "models", str(path))
     assert code == 3 and out == ""
     assert "21 atoms" in err
+    code, out, err = run(capsys, "entails", "v00", str(path), "--semantic")
+    assert (code, out, err) == (0, "yes (healthy-witness)\nwitness: v00\n", "")
+    # One connected component over the cap still exits 3 on entails --semantic.
+    path = tmp_path / "path.gnf"
+    path.write_text("".join(f"v{i:02d} : v{i + 1:02d}\n" for i in range(20)) + "v20 :\n")
+    code, out, err = run(capsys, "entails", "v00", str(path), "--semantic")
+    assert code == 3 and out == ""
+    assert "cap of 20 atoms" in err
 
 
 def test_graph_commands_do_not_import_numpy():
@@ -368,9 +376,15 @@ def test_graph_commands_do_not_import_numpy():
         "from kernelogic import cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
     )
-    for argv in (["models"], ["paradox"], ["subdiscourse"], ["entails", "c ~d e"]):
+    for argv in (
+        ["models", demo],
+        ["paradox", demo],
+        ["subdiscourse", demo],
+        ["entails", "~b c", demo, "--semantic"],
+        ["entails", "c ~d e", demo],
+    ):
         script += (
-            f"assert cli.main({argv + [demo]!r}) == 0\n"
+            f"assert cli.main({argv!r}) == 0\n"
             f"assert 'numpy' not in sys.modules, {argv[0]!r}\n"
         )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -378,7 +392,7 @@ def test_graph_commands_do_not_import_numpy():
     lines = proc.stdout.splitlines()
     assert lines[0] == "true={a} false={a',b} paradox={c,d,e}"
     assert lines[1:3] == ["{c,d,e}", "paradox: {c,d,e}"]
-    assert lines[-1] == "yes"
+    assert lines[-3:] == ["yes (healthy-witness)", "witness: ~b", "yes"]
 
 
 def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
@@ -386,7 +400,7 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
     f2 = str(DEMO_DATA / "f2.gnf")
     script = (
         "from kernelogic.cli import main\n"
-        "for route in ([], ['--max-atoms', '0']):\n"
+        "for route in ([], ['--max-atoms', '0'], ['--semantic']):\n"
         f"    assert main(['entails', 'A ~contingent', {f2!r}] + route) == 2\n"
         f"assert main(['prove', 'A ~contingent', {f2!r}]) == 2\n"
     )
@@ -396,7 +410,7 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0 and proc.stdout == ""
-        assert proc.stderr == "error: unknown atom 'A'\n" * 3
+        assert proc.stderr == "error: unknown atom 'A'\n" * 4
 
 
 def test_stdin_input(capsys, monkeypatch):

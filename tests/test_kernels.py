@@ -10,6 +10,8 @@ import kernelogic as kl
 from kernelogic import kernels
 from kernelogic.resolution import subdiscourse_report
 
+from conftest import entails_by_listing
+
 
 def rand_graphs(count, sizes=(3, 4, 5, 6), probs=(0.15, 0.3, 0.5), base=4242):
     for i in range(count):
@@ -177,6 +179,12 @@ def wide_unions(draw):
     return kl.Digraph(names, edges)
 
 
+def goal_clauses(g, data):
+    literals = st.builds(kl.Literal, st.sampled_from(g.vertices), st.booleans())
+    goals = [set()] + data.draw(st.lists(st.sets(literals, max_size=4), max_size=8))
+    return list(map(kl.Clause, goals))
+
+
 def check_model_side(g, data):
     side = kernels.model_side(g)
     theory = kl.clausal_theory(g)
@@ -186,9 +194,7 @@ def check_model_side(g, data):
     assert subdiscourse_report(theory, g, side.paradox_atoms()) == kl.consistent_subtheory(
         theory, g, closure=closure
     )
-    literals = st.builds(kl.Literal, st.sampled_from(g.vertices), st.booleans())
-    goals = [set()] + data.draw(st.lists(st.sets(literals, max_size=4), max_size=8))
-    for goal in map(kl.Clause, goals):
+    for goal in goal_clauses(g, data):
         assert side.entails(goal) == kl.entails_para(theory, goal, closure=closure)
 
 
@@ -202,6 +208,34 @@ def test_model_side_matches_the_closure(g, data):
 @given(wide_unions(), st.data())
 def test_model_side_matches_the_closure_on_wide_unions(g, data):
     check_model_side(g, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()), st.data())
+def test_entails_semantic_matches_the_listing(g, data):
+    mods = kl.models(g)
+    for goal in goal_clauses(g, data):
+        assert kl.entails_semantic(g, goal) == entails_by_listing(g, goal, mods), str(goal)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_unions(), st.data())
+def test_entails_semantic_on_wide_unions(g, data):
+    theory = kl.clausal_theory(g)
+    closure = kl.saturate(theory)
+    bad = kl.paradoxical_atoms(closure)
+    for goal in goal_clauses(g, data):
+        verdict = kl.entails_semantic(g, goal)
+        assert verdict.holds == kl.entails_para(theory, goal, closure=closure)
+        if verdict.countermodel is not None:
+            cm = verdict.countermodel
+            assert cm.paradox_set == bad and kl.classify_subset(g, cm.true_set).psk
+            assert kl.partition_of(g, cm.true_set) == cm
+            assert not kl.satisfies(cm, goal)
+        if verdict.witness is not None:
+            assert verdict.witness.literals <= goal.literals
+            assert not verdict.witness.atoms() & bad
+            assert kl.entails_para(theory, verdict.witness, closure=closure)
 
 
 def test_model_side_caps_each_component():

@@ -9,7 +9,7 @@ import kernelogic as kl
 from kernelogic import Clause, Literal, Partition3
 from kernelogic.oracle import splitmix64
 
-from conftest import clause, clauses
+from conftest import clause, clauses, entails_by_listing
 from test_resolution import rand_clause, rand_graphs, rand_theory
 
 OUR_MODEL = Partition3(
@@ -285,5 +285,7 @@ def test_entailment_routes_agree():
         for _ in range(20):
             c = rand_clause(stream, t.universe)
             direct = kl.entails_para(t, c, closure=closure)
-            assert direct == kl.entails_semantic(g, c, model_list=mods).holds
+            verdict = entails_by_listing(g, c, mods)
+            assert direct == verdict.holds
+            assert kl.entails_semantic(g, c) == verdict
             assert direct == kl.provable_weakened(t, c, "awbw", closure=closure)
