@@ -291,10 +291,11 @@ def probability(text: str) -> float:
 
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
+        # None until given, so that ``_parse_args`` can tell a missing
+        # input from an explicit "-".
         parser.add_argument(
             "input",
             nargs="?",
-            default="-",
             help="input file (GNF theory, edge list, or clause set); '-' is stdin",
         )
         parser.add_argument(
@@ -391,10 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: Optional[list[str]]):
+    """``parser.parse_args``, taking a clause command's input file after
+    its flags too.
+
+    argparse fills a clause command's positionals from their first run:
+    in ``entails a --classical f.gnf`` the optional input is already
+    consumed, empty, when ``f.gnf`` comes, and is left over. A single
+    leftover that is no option is that input; any other leftover is
+    refused as ``parse_args`` refuses it.
+    """
+    args, extra = parser.parse_known_args(argv)
+    if getattr(args, "input", "-") is None:
+        if len(extra) == 1 and (extra[0] == "-" or not extra[0].startswith("-")):
+            args.input = extra.pop()
+        else:
+            args.input = "-"
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
     try:

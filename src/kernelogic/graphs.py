@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
@@ -303,13 +304,15 @@ def flood_fill(links: "list[int]") -> list[int]:
     return components
 
 
-def component_masks(graph: Digraph) -> list[int]:
+@lru_cache(maxsize=512)
+def component_masks(graph: Digraph) -> tuple[int, ...]:
     """The weakly connected components as bitmasks over the universe.
 
     Edge directions are forgotten; components come ordered by their
-    lowest bit.
+    lowest bit. Memoised per graph, as the model route asks for them on
+    every question.
     """
-    return flood_fill([s | p for s, p in zip(graph._succ, graph._pred)])
+    return tuple(flood_fill([s | p for s, p in zip(graph._succ, graph._pred)]))
 
 
 def underlying_components(graph: Digraph) -> list[frozenset[str]]:

@@ -19,6 +19,15 @@ over the whole universe are built only where a caller asks for them.
 The empty clause, common to all components, takes the earliest round at
 which any of them derives it.
 
+A lattice component's closure depends only on its width, its inputs
+and its seeds in its own atom indices, and a closure never changes
+once built. Saturation therefore shares the part of any live closure
+that holds an identical component, through a table of weak references
+that keeps no part alive on its own. Denying a clause adds one-atom
+units, which never join components: while the base closure is alive,
+``closure_with_assumptions`` saturates again only the components that
+hold the denied clause's atoms.
+
 Closures of paradoxical theories tend to fill large parts of the clause
 lattice, which makes clause-pair scanning hopeless. A component of at
 most ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
@@ -58,6 +67,7 @@ clause (``Closure.subclauses``) and differ only in which of them count.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
@@ -192,11 +202,13 @@ class _LatticePart:
     order is the seeds, then each round in cell order.
     """
 
-    def __init__(self, n: int, rounds: np.ndarray, seeds: "list[int]", inputs: int):
+    def __init__(self, n: int, rounds: np.ndarray, seeds: "tuple[int, ...]", inputs: int):
         import numpy as np
         self.n = n
+        # Closures share parts (``_shared_lattice``), so a part never changes.
+        rounds.flags.writeable = False
         self.rounds = rounds
-        self.seeds = seeds
+        self.seeds = tuple(seeds)
         self.inputs = inputs  # the first ``inputs`` seeds are input clauses
         self._seed_pos = {cell: k for k, cell in enumerate(seeds)}
         self.count = int(np.count_nonzero(rounds != _NOT_DERIVED))
@@ -370,7 +382,8 @@ class Closure:
     The empty clause, shared by all, takes the earliest round any part
     derives it at, round 0 when it is an input. ``derived``, ``origin``
     and ``parents`` are name-level views built on demand. Closures are
-    immutable once returned.
+    immutable once returned, and closures of the same lattice component
+    share its part.
     """
 
     def __init__(
@@ -654,7 +667,9 @@ def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     return pairs
 
 
-def _saturate_lattice(n: int, seeds: "list[int]", inputs: int, max_clauses: int) -> _LatticePart:
+def _saturate_lattice(
+    n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
+) -> _LatticePart:
     """The closure of an ``n``-atom component from its round-0 cells
     ``seeds``, the first ``inputs`` of them input clauses."""
     import numpy as np
@@ -686,7 +701,9 @@ def _saturate_lattice(n: int, seeds: "list[int]", inputs: int, max_clauses: int)
     return _LatticePart(n, rounds, seeds, inputs)
 
 
-def _saturate_pairwise(n: int, seeds: "list[int]", inputs: int, max_clauses: int) -> _PairwisePart:
+def _saturate_pairwise(
+    n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
+) -> _PairwisePart:
     """The lattice's rounds, semi-naively over a dict of clause cells."""
     entries = {c: (_INPUT if k < inputs else _AXIOM, 0) for k, c in enumerate(seeds)}
     # holding[b] lists the clauses holding literal bit b (x_i at i, ~x_i
@@ -726,9 +743,34 @@ def _saturate_pairwise(n: int, seeds: "list[int]", inputs: int, max_clauses: int
     return _PairwisePart(n, entries)
 
 
+# The lattice parts of live closures, by the width, input count and
+# seeds that determine them. An entry goes when its part is freed; two
+# calls that miss at once both saturate, and either part is right.
+_live_parts: "weakref.WeakValueDictionary[tuple, _LatticePart]" = weakref.WeakValueDictionary()
+
+
+def _shared_lattice(
+    n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
+) -> _LatticePart:
+    """``_saturate_lattice``, or the part a live closure already holds for
+    the same component.
+
+    A shared part is refused exactly where saturating it again would be:
+    its rounds only add clauses, so some round passes the budget when
+    the final count does and any round added one.
+    """
+    key = (n, inputs, seeds)
+    part = _live_parts.get(key)
+    if part is None:
+        part = _live_parts[key] = _saturate_lattice(n, seeds, inputs, max_clauses)
+    elif part.resolves and part.count > max_clauses:
+        raise _OverCap(f"closure exceeded {max_clauses} clauses")
+    return part
+
+
 def _components(
     theory: ClausalTheory, u: Universe
-) -> "list[tuple[tuple[int, ...], list[int], int]]":
+) -> "list[tuple[tuple[int, ...], tuple[int, ...], int]]":
     """The connected components of the clause hypergraph, with their seeds.
 
     Each component comes as the universe indices of its atoms, its
@@ -755,8 +797,8 @@ def _components(
     groups = []
     for amap, cells in zip(maps, seeds):
         n, inputs = len(amap.atoms), set(cells)
-        axioms = [1 << i | 1 << (n + i) for i in range(n)]
-        groups.append((amap.atoms, cells + [c for c in axioms if c not in inputs], len(cells)))
+        axioms = [c for c in (1 << i | 1 << (n + i) for i in range(n)) if c not in inputs]
+        groups.append((amap.atoms, tuple(cells + axioms), len(cells)))
     return groups
 
 
@@ -766,10 +808,12 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     Each connected component is saturated on its own, from its seeds
     in its own atom indices, straight into a part: on the clause
     lattice up to ``LATTICE_MAX_ATOMS`` atoms, by semi-naive rounds over
-    clause pairs beyond. Raises :class:`ResourceLimitError` once the
-    whole closure, all components together, would exceed ``max_clauses``
-    clauses, or a wide component's rounds would resolve more than
-    ``_PAIRS_PER_CLAUSE`` clause pairs per clause of the budget left.
+    clause pairs beyond. A lattice component that a live closure
+    already holds takes that closure's part. Raises
+    :class:`ResourceLimitError` once the whole closure, all components
+    together, would exceed ``max_clauses`` clauses, or a wide
+    component's rounds would resolve more than ``_PAIRS_PER_CLAUSE``
+    clause pairs per clause of the budget left.
     """
     u = Universe(theory.universe)
     empty_input = Clause() in theory.clauses
@@ -777,7 +821,7 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     parts = []
     for atoms, seeds, inputs in _components(theory, u):
         n = len(atoms)
-        saturator = _saturate_lattice if n <= LATTICE_MAX_ATOMS else _saturate_pairwise
+        saturator = _shared_lattice if n <= LATTICE_MAX_ATOMS else _saturate_pairwise
         # The empty clause is shared: a component may derive it again
         # without growing the union.
         budget = max_clauses - size + has_empty
@@ -986,7 +1030,10 @@ def closure_with_assumptions(
     """Saturate the theory extended with the complement units of ``clause``.
 
     Denying a clause this way never changes the universe, and with the
-    empty clause it degenerates to plain saturation.
+    empty clause it degenerates to plain saturation. The denial units
+    never join components, so while a closure of ``theory`` is alive
+    only the components holding the clause's atoms are saturated again;
+    the others share that closure's parts.
     """
     missing = clause.atoms() - set(theory.universe)
     if missing:

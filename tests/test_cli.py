@@ -769,3 +769,47 @@ def test_scattered_component_output_is_pinned(capsys, tmp_path):
         assert proved == (0, SCATTERED_PROOF, "")
         code, out = weakened
         assert run(capsys, "prove", "~a1 c7", path, "--weakening", mode) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entails", "a", "lewis.clauses", "--classical"],
+        ["prove", "a", "lewis.clauses", "--weakening", "cw"],
+        ["prove", "a b", "lewis.clauses", "--weakening", "awbw", "--json"],
+        ["entails", "~b c", "delta.gnf", "--semantic"],
+        ["entails", "c", "delta.gnf", "--json", "--max-atoms", "0"],
+        ["relevant", "b ~b", "lewis.clauses", "--json"],
+    ],
+)
+def test_clause_commands_take_the_input_after_their_flags(capsys, argv):
+    # The clause and the input are both positionals; the input may come
+    # after the flags as well as before them, with the same answer.
+    command, goal, name, *flags = argv
+    demo = str(DEMO_DATA / name)
+    before = run(capsys, command, goal, demo, *flags)
+    after = run(capsys, command, goal, *flags, demo)
+    assert after == before and before[0] in (0, 1) and before[1]
+
+
+def test_clause_commands_read_stdin_after_their_flags(capsys, monkeypatch, lewis_file):
+    expected = run(capsys, "prove", "b", lewis_file, "--weakening", "cw")
+    for dash in (["-"], []):
+        monkeypatch.setattr("sys.stdin", io.StringIO(LEWIS_TEXT))
+        assert run(capsys, "prove", "b", "--weakening", "cw", *dash) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, left",
+    [
+        (["entails", "a", "--classical", "{f}", "{f}"], "{f} {f}"),
+        (["entails", "a", "{f}", "--classical", "{f}"], "{f}"),
+        (["entails", "a", "-", "--classical", "{f}"], "{f}"),
+        (["prove", "a", "--weakening", "cw", "--bogus", "{f}"], "--bogus {f}"),
+        (["paradox", "{f}", "{f}"], "{f}"),
+    ],
+)
+def test_leftover_arguments_are_still_refused(capsys, lewis_file, argv, left):
+    code, out, err = run(capsys, *(a.format(f=lewis_file) for a in argv))
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {left.format(f=lewis_file)}\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelogic as kl
-from kernelogic import kernels
+from kernelogic import graphs, kernels
 from kernelogic.resolution import subdiscourse_report
 
 from conftest import entails_by_listing
@@ -243,6 +243,26 @@ def test_model_side_caps_each_component():
     assert kernels.model_side(two_cycles(10), max_atoms=1) is None
     assert kernels.model_side(odd_cycles(5, 7), max_atoms=7) is not None
     assert kernels.model_side(odd_cycles(5, 7), max_atoms=6) is None
+
+
+def test_model_side_flood_fills_a_graph_once(monkeypatch):
+    # The per-component cap reads memoised component masks, and still
+    # refuses a component over it before any search.
+    g = odd_cycles(3, 5)
+    graphs.component_masks.cache_clear()
+    kernels._component_sets.cache_clear()
+    fills, searches = [], []
+    real_fill, real_search = graphs.flood_fill, kernels._independent_sets
+    monkeypatch.setattr(graphs, "flood_fill", lambda links: fills.append(1) or real_fill(links))
+    monkeypatch.setattr(
+        kernels, "_independent_sets", lambda *a: searches.append(1) or real_search(*a)
+    )
+    assert kernels.model_side(g, max_atoms=4) is None
+    assert (fills, searches) == ([1], [])
+    for _ in range(3):
+        assert kernels.model_side(g, max_atoms=5) is not None
+        assert kernels.model_side(g, max_atoms=4) is None
+    assert (fills, searches) == ([1], [1, 1])
 
 
 def whole_graph_lists(graph):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelogic as kl
-from kernelogic import Clause, Literal, resolution
+from kernelogic import Clause, Literal, cli, resolution
 from kernelogic.clauses import intern_clause
 from kernelogic.oracle import splitmix64
 
@@ -872,6 +872,9 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
             return real(n, seeds, inputs, max_clauses)
 
         monkeypatch.setattr(resolution, name, spy)
+    # A live closure elsewhere may hold the liar's part; without the
+    # table every component is saturated here.
+    resolution._live_parts.clear()
     closure = kl.saturate(t)
     assert ("_saturate_pairwise", 13) in paths and ("_saturate_lattice", 1) in paths
     monkeypatch.undo()
@@ -1020,3 +1023,148 @@ def test_empty_clause_round_ties_go_to_the_first_component(liar):
     assert kl.proof_of(kl.saturate(t), Clause()).to_text() == (
         f"1. {first} [input]\n2. ~{first} [input]\n3. [] [res 1 2 on {first}]"
     )
+
+
+# ---------------------------------------------------------------------------
+# Lattice parts shared between live closures. The twin saturates every
+# component afresh, with no table of live parts at all.
+
+
+def cold(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_shared_lattice", resolution._saturate_lattice)
+        return run()
+
+
+def test_lattice_parts_are_read_only():
+    closure = kl.saturate(kl.ClausalTheory(clauses("a", "~a b")))
+    ((_, part),) = closure._parts
+    assert isinstance(part.seeds, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        part.rounds[0] = 1
+
+
+def renamed(texts, suffix):
+    return [" ".join(f"{lit}{suffix}" for lit in text.split()) for text in texts]
+
+
+TRIANGLE = ("a b c", "~a ~b", "~b ~c", "~a ~c")
+
+
+def test_assumptions_resaturate_only_the_touched_components(monkeypatch):
+    # Four copies of one component, their atoms interleaved in the
+    # universe (a0 a1 a2 a3 b0 ...). The base closure saturates one copy
+    # and shares its part with the other three; denying a clause over
+    # copies 1 and 2 saturates those two again and shares the rest.
+    t = kl.ClausalTheory(clauses(*(c for k in range(4) for c in renamed(TRIANGLE, k))))
+    widths = []
+    real = resolution._saturate_lattice
+
+    def spy(n, seeds, inputs, max_clauses):
+        widths.append(n)
+        return real(n, seeds, inputs, max_clauses)
+
+    monkeypatch.setattr(resolution, "_saturate_lattice", spy)
+    resolution._live_parts.clear()
+    base = kl.saturate(t)
+    assert widths == [3]
+    assumed = kl.closure_with_assumptions(t, clause("a1 ~b2"))
+    assert widths == [3, 3, 3]
+    shared = [mine is theirs for (_, mine), (_, theirs) in zip(assumed._parts, base._parts)]
+    assert shared == [True, False, False, True]
+    monkeypatch.undo()
+    twin = cold(lambda: kl.closure_with_assumptions(t, clause("a1 ~b2")))
+    assert list(assumed.entries()) == list(twin.entries())
+
+
+@st.composite
+def denied_theories(draw):
+    """A theory and a clause of 1-3 literals to deny: random clauses over
+    1-10 atoms, or a union of 3-5 components, each a copy of one of two
+    random clause sets under its own names, interleaved in the universe."""
+    if draw(st.booleans()):
+        names = tuple("abcdefghij"[: draw(st.integers(1, 10))])
+        lits = st.builds(Literal, st.sampled_from(names), st.booleans())
+        cls = {Clause(c) for c in draw(st.lists(st.frozensets(lits, max_size=3), max_size=6))}
+    else:
+        local = st.builds(Literal, st.sampled_from("abc"), st.booleans())
+        shapes = [
+            draw(st.lists(st.frozensets(local, min_size=1, max_size=3), min_size=1, max_size=4))
+            for _ in range(2)
+        ]
+        cls = set()
+        for k in range(draw(st.integers(3, 5))):
+            for c in draw(st.sampled_from(shapes)):
+                cls.add(Clause(Literal(f"{lit.atom}{k}", lit.negated) for lit in c))
+        names = tuple(sorted({a for c in cls for a in c.atoms()}))
+    if draw(st.integers(0, 3)) == 0:
+        cls.add(Clause())
+    lits = st.builds(Literal, st.sampled_from(names), st.booleans())
+    denied = Clause(draw(st.frozensets(lits, min_size=1, max_size=3)))
+    return kl.ClausalTheory(frozenset(cls), names), denied
+
+
+@given(denied_theories())
+def test_assumptions_with_a_live_base_closure_match_the_cold_path(drawn):
+    t, denied = drawn
+    base = kl.saturate(t)
+    warm = kl.closure_with_assumptions(t, denied)
+    twin = cold(lambda: kl.closure_with_assumptions(t, denied))
+    assert list(warm.entries()) == list(twin.entries())
+    assert len(warm) == len(twin)
+    assert warm.paradox_mask == twin.paradox_mask
+    for m in twin.iter_masks():
+        c = twin.clause_of(m)
+        assert kl.proof_of(warm, c).to_text() == kl.proof_of(twin, c).to_text()
+    assert len(base) <= len(twin)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        TRIANGLE + ("x", "~x", "y ~z"),
+        # Nothing resolves: no cap refuses such a closure.
+        ("y ~z", "w"),
+        ("[]", "x", "~x", "y", "~y"),
+    ],
+)
+def test_a_shared_part_is_refused_as_a_cold_one(tmp_path, capsys, texts):
+    # Under every cap, saturate tries the same components with a live
+    # base closure as without, refuses the same one and says the same.
+    t = kl.ClausalTheory(clauses(*texts))
+    shared = resolution._shared_lattice
+
+    def trial(k, saturator):
+        tried = []
+
+        def spy(n, seeds, inputs, budget):
+            tried.append(seeds)
+            part = saturator(n, seeds, inputs, budget)
+            tried.append(part.count)
+            return part
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "_shared_lattice", spy)
+            try:
+                return len(kl.saturate(t, max_clauses=k)), tried
+            except kl.ResourceLimitError as exc:
+                return str(exc), tried
+
+    base = kl.saturate(t)
+    caps = range(len(base) + 1)
+    for k in caps:
+        assert trial(k, shared) == trial(k, resolution._saturate_lattice)
+    assert trial(len(base), shared)[0] == len(base)
+
+    path = tmp_path / "capped.clauses"
+    path.write_text("\n".join(texts) + "\n")
+
+    def cli_run(k):
+        code = cli.main(["closure", str(path), "--max-clauses", str(k)])
+        return (code, *capsys.readouterr())
+
+    for k in caps:
+        assert cli_run(k) == cold(lambda: cli_run(k))
+    if any(part.resolves for _, part in base._parts):
+        code, out, err = cli_run(len(base) - 1)
+        assert code == 3 and out == "" and f"exceeded {len(base) - 1} clauses" in err
