@@ -105,6 +105,15 @@ def intern_clause(clause: Clause, universe: Universe) -> tuple[int, int]:
     return pos, neg
 
 
+def clause_of_masks(pos: int, neg: int, universe: Universe) -> Clause:
+    """The clause of (positive, negative) atom bitmasks over ``universe``;
+    the inverse of ``intern_clause``."""
+    lits = [Literal(a) for a in universe.sorted_atoms_of(pos)]
+    lits += [Literal(a, True) for a in universe.sorted_atoms_of(neg)]
+    # The names come from the validated universe.
+    return Clause._unchecked(lits)
+
+
 def clause_sort_key(clause: Clause) -> tuple:
     """Deterministic clause order: by size, then by sorted literals."""
     lits = clause.sorted_literals()

@@ -5,13 +5,15 @@ Decision commands exit 0 for yes and 1 for no; malformed input (bytes
 that are not UTF-8 included) or usage exits 2; a blown size cap or
 exhausted memory exits 3.
 
-``paradox``, ``subdiscourse`` and the default ``entails`` answer a
-graph input whose every weakly connected component has at most
-``--max-atoms`` atoms from its models (``kernels.model_side``); any
-other input takes the closure, as do ``closure``, ``prove``, ``min``,
-``relevant`` and ``entails --classical``. ``entails --semantic`` takes
-the models under the same cap, or exits 3. Both sides give the same
-answer, since direct resolution is sound and complete for the models.
+``paradox``, ``subdiscourse``, ``min``, ``relevant`` and the default
+``entails`` answer a graph input whose every weakly connected component
+has at most ``--max-atoms`` atoms from its models
+(``kernels.model_side``); any other input takes the closure, as do
+``closure``, ``prove`` and ``entails --classical``. ``entails
+--semantic`` takes the models under the same cap, or exits 3. Both
+sides give the same answer, since direct resolution is sound and
+complete for the models. On the models, ``--max-clauses`` caps the
+minimal clauses ``min`` finds instead of the closure.
 """
 
 from __future__ import annotations
@@ -229,16 +231,22 @@ def cmd_entails(args) -> int:
 
 
 def cmd_relevant(args) -> int:
-    _, theory = _load(args)
+    graph, theory = _load(args)
     goal = parse_clause(args.clause)
-    yes = is_relevant(theory, goal, max_clauses=args.max_clauses)
+    if (side := _model_side(args, graph)) is not None:
+        yes = side.relevant(goal)
+    else:
+        yes = is_relevant(theory, goal, max_clauses=args.max_clauses)
     _emit(args, "relevant", yes, lambda: ["yes" if yes else "no"])
     return EXIT_YES if yes else EXIT_NO
 
 
 def cmd_min(args) -> int:
-    _, theory = _load(args)
-    found = min_clauses(theory, max_clauses=args.max_clauses)
+    graph, theory = _load(args)
+    if (side := _model_side(args, graph)) is not None:
+        found = side.minimal_clauses(args.max_clauses)
+    else:
+        found = min_clauses(theory, max_clauses=args.max_clauses)
     _emit(args, "min", found, lambda: sorted_clause_strings(found))
     return EXIT_YES
 
@@ -320,7 +328,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         default=DEFAULT_MAX_ATOMS,
         help=(
             "whole-graph cap for listings and truth tables; on graphs, the widest "
-            "component that paradox, subdiscourse and entails answer from the models"
+            "component that paradox, subdiscourse, entails, relevant and min "
+            "answer from the models"
         ),
     )
     parser.add_argument(
@@ -330,7 +339,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         help=(
             "cap for the whole resolution closure, all components together; on "
             f"components wider than {LATTICE_MAX_ATOMS} atoms it also bounds "
-            "resolved clause pairs"
+            "resolved clause pairs; when min answers from the models, the cap "
+            "on its minimal clauses"
         ),
     )
 

@@ -19,9 +19,11 @@ inside one maximal domain, the union of all their domains, and the
 models are those that settle exactly it.
 
 Direct resolution is sound and complete for this semantics, so the
-models also answer two closure questions (``ModelSide``): the atoms
-every model leaves unsettled are the provably paradoxical atoms, and a
-clause holds in every model exactly when the closure entails it.
+models also answer the closure's questions (``ModelSide``): the atoms
+every model leaves unsettled are the provably paradoxical atoms, a
+clause holds in every model exactly when the closure entails it, and
+the minimal derivable clauses are the minimal transversals of the
+literal sets the models make true, found by MMCS.
 
 Kernel problems are NP-hard in general, so a configurable atom cap
 (default 20) keeps calls honest. The listings count the whole graph,
@@ -34,9 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .clauses import Clause, intern_clause
+from .clauses import Clause, clause_of_masks, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, bits, component_masks
 
@@ -248,8 +251,9 @@ class ModelSide(NamedTuple):
 
     By the soundness and completeness of direct resolution, the atoms
     every model leaves unsettled are the provably paradoxical atoms
-    (``paradoxical_atoms``), and ``entails`` is paraconsistent
-    entailment (``entails_para``).
+    (``paradoxical_atoms``), ``entails`` is paraconsistent entailment
+    (``entails_para``), and ``relevant`` and ``minimal_clauses`` answer
+    as ``is_relevant`` and ``min_clauses``.
     """
 
     graph: Digraph
@@ -275,7 +279,9 @@ class ModelSide(NamedTuple):
         atom of the clause. Component bits are disjoint, so the least
         failing model is the OR of the components' least failing ones.
         """
-        pos, neg = intern_clause(clause, self.graph.universe)
+        return self._countermodel(*intern_clause(clause, self.graph.universe))
+
+    def _countermodel(self, pos: int, neg: int) -> Optional[int]:
         bad = self._paradox_mask()
         if bad and not (pos | neg) & ~bad:
             return None
@@ -290,6 +296,93 @@ class ModelSide(NamedTuple):
     def entails(self, clause: Clause) -> bool:
         """Whether every model satisfies ``clause``."""
         return self.countermodel(clause) is None
+
+    def relevant(self, clause: Clause) -> bool:
+        """Whether ``clause`` is entailed and no nonempty proper
+        subclause is (``is_relevant``).
+
+        A nonempty clause is entailed exactly when it has a nonempty
+        derivable subclause, so entailment only grows with the clause:
+        the clause is relevant when it is entailed and no clause short
+        of one of its literals is.
+        """
+        if clause.is_empty:
+            raise ValidationError("relevance is undefined for the empty clause")
+        pos, neg = intern_clause(clause, self.graph.universe)
+        if self._countermodel(pos, neg) is not None:
+            return False
+        shorter = [(pos & ~(1 << i), neg) for i in bits(pos)]
+        shorter += [(pos, neg & ~(1 << i)) for i in bits(neg)]
+        return all(self._countermodel(p, q) is not None for p, q in shorter if p or q)
+
+    def minimal_clauses(self, max_clauses: int) -> frozenset[Clause]:
+        """The entailed nonempty clauses with no entailed nonempty
+        proper subclause, which are the minimal derivable clauses
+        (``min_clauses``); more than ``max_clauses`` of them raise
+        ``ResourceLimitError`` as soon as they are found.
+
+        The units ``x`` and ``~x`` of each paradoxical atom are
+        entailed, so no larger minimal clause holds a paradoxical
+        atom. A clause over settled atoms is entailed when every model
+        makes one of its literals true, and a model fails it exactly
+        when each component's trace fails its part, so a minimal clause
+        lies in one component. There, a model ``T`` makes true the
+        literals ``x`` for ``x`` in ``T`` and ``~x`` for its
+        predecessors, and the minimal clauses are the minimal
+        transversals of these literal sets over the component's models.
+        """
+        u = self.graph.universe
+        w = len(u)
+        bad = self._paradox_mask()
+        found = [(1 << i, 0) for i in bits(bad)] + [(0, 1 << i) for i in bits(bad)]
+        for c in self.components:
+            # One literal bit per atom and sign: x at bit i, ~x at bit w + i.
+            edges = [t | self.graph.in_mask(t) << w for t in c.models]
+            # Search no further than one clause past the cap.
+            room = max(0, max_clauses + 1 - len(found))
+            for hit in islice(_minimal_transversals(edges), room):
+                found.append((hit & u.full_mask, hit >> w))
+        if len(found) > max_clauses:
+            raise ResourceLimitError(f"minimal clauses exceeded {max_clauses}")
+        return frozenset(clause_of_masks(pos, neg, u) for pos, neg in found)
+
+
+def _minimal_transversals(edges: list[int]) -> Iterator[int]:
+    """The minimal transversals of the hypergraph ``edges`` (vertex
+    bitmasks), lazily, each once.
+
+    This is MMCS (Murakami and Uno, "Efficient algorithms for dualizing
+    large-scale hypergraphs", Discrete Applied Mathematics 2014). A
+    branch grows a set ``hit`` that misses the edges ``uncov``; every
+    vertex of ``hit`` keeps a critical edge, one that no other vertex
+    of ``hit`` meets, or the branch is cut, since growing ``hit`` only
+    takes critical edges away. A branch hits the uncovered edge with
+    the fewest candidates by each of them in turn, and the branch of
+    the k-th leaves the later ones out, so no transversal comes twice.
+    """
+    occurs: dict[int, int] = {}  # vertex -> mask of the edges holding it
+    for k, edge in enumerate(edges):
+        for v in bits(edge):
+            occurs[v] = occurs.get(v, 0) | 1 << k
+
+    def grow(hit: int, crit: list[tuple[int, int]], uncov: int, cand: int) -> Iterator[int]:
+        if not uncov:
+            yield hit
+            return
+        fewest = min((edges[k] & cand for k in bits(uncov)), key=int.bit_count)
+        cand &= ~fewest
+        for v in bits(fewest):
+            meets = occurs[v]
+            kept = [(u, e & ~meets) for u, e in crit]
+            if all(e for _, e in kept):
+                kept.append((v, uncov & meets))
+                yield from grow(hit | 1 << v, kept, uncov & ~meets, cand)
+            cand |= 1 << v
+
+    everything = 0
+    for edge in edges:
+        everything |= edge
+    return grow(0, [], (1 << len(edges)) - 1, everything)
 
 
 def model_side(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[ModelSide]:

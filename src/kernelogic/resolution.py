@@ -75,8 +75,8 @@ from typing import TYPE_CHECKING, Optional
 from .clauses import (
     ClausalTheory,
     Clause,
-    Literal,
     clausal_theory,
+    clause_of_masks,
     clause_sort_key,
     complement_units,
     intern_clause,
@@ -440,11 +440,7 @@ class Closure:
         return intern_clause(clause, self._u)
 
     def clause_of(self, masks: tuple[int, int]) -> Clause:
-        pos, neg = masks
-        lits = [Literal(a) for a in self._u.sorted_atoms_of(pos)]
-        lits += [Literal(a, True) for a in self._u.sorted_atoms_of(neg)]
-        # The names come from the validated universe.
-        return Clause._unchecked(lits)
+        return clause_of_masks(*masks, self._u)
 
     def entries(self):
         """Every derived clause as ``(masks, (origin, round))``, in entry order.

@@ -12,8 +12,11 @@ in :mod:`kernelogic.resolution` works straight off the saturated
 closure; :class:`kernelogic.kernels.ModelSide` decides it from the
 models one component at a time, without listing them. It answers the
 CLI on graph inputs, and :func:`entails_semantic` builds its witnesses
-and countermodels from the same queries. Relevance and minimal clauses
-come from the closure: one subclause query decides relevance.
+and countermodels from the same queries. :func:`is_relevant` and
+:func:`min_clauses` come from the closure, where one subclause query
+decides relevance; on graph inputs the CLI takes both from
+``ModelSide`` instead, which finds the minimal clauses as minimal
+transversals of the literal sets the models make true.
 """
 
 from __future__ import annotations

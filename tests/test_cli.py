@@ -382,6 +382,8 @@ def test_graph_commands_do_not_import_numpy():
         ["subdiscourse", demo],
         ["entails", "~b c", demo, "--semantic"],
         ["entails", "c ~d e", demo],
+        ["min", demo],
+        ["relevant", "~b", demo],
     ):
         script += (
             f"assert cli.main({argv!r}) == 0\n"
@@ -392,7 +394,8 @@ def test_graph_commands_do_not_import_numpy():
     lines = proc.stdout.splitlines()
     assert lines[0] == "true={a} false={a',b} paradox={c,d,e}"
     assert lines[1:3] == ["{c,d,e}", "paradox: {c,d,e}"]
-    assert lines[-3:] == ["yes (healthy-witness)", "witness: ~b", "yes"]
+    assert lines[-13:-10] == ["yes (healthy-witness)", "witness: ~b", "yes"]
+    assert lines[-10:] == ["a", "~a'", "~b", "c", "~c", "d", "~d", "e", "~e", "yes"]
 
 
 def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
@@ -403,6 +406,8 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
         "for route in ([], ['--max-atoms', '0'], ['--semantic']):\n"
         f"    assert main(['entails', 'A ~contingent', {f2!r}] + route) == 2\n"
         f"assert main(['prove', 'A ~contingent', {f2!r}]) == 2\n"
+        "for route in ([], ['--max-atoms', '0']):\n"
+        f"    assert main(['relevant', 'A ~contingent', {f2!r}] + route) == 2\n"
     )
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -410,7 +415,44 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0 and proc.stdout == ""
-        assert proc.stderr == "error: unknown atom 'A'\n" * 4
+        assert proc.stderr == "error: unknown atom 'A'\n" * 6
+
+
+def test_relevant_errors_match_the_closure_route(capsys, delta_file):
+    # --max-atoms 0 sends relevant to the closure.
+    for goal, message in (
+        ("[]", "relevance is undefined for the empty clause"),
+        ("zz a", "unknown atom 'zz'"),
+    ):
+        expected = (2, "", f"error: {message}\n")
+        assert run(capsys, "relevant", goal, delta_file) == expected
+        assert run(capsys, "relevant", goal, delta_file, "--max-atoms", "0") == expected
+
+
+def symmetric_digraph(spec):
+    """The random graph of ``spec`` with every edge made two-way and the
+    loops dropped: its kernels are its maximal independent sets."""
+    graph = kl.random_digraph(spec)
+    edges = {(a, b) for a, b in graph.edges if a != b}
+    return kl.Digraph(graph.vertices, edges | {(b, a) for a, b in edges})
+
+
+def test_min_on_many_models_answers_and_caps_promptly(capsys, tmp_path):
+    # One connected 20-atom component with 99 models and 3,133 minimal
+    # clauses, far past the closure's reach; naive dualization of its
+    # models takes tens of seconds.
+    graph = symmetric_digraph(kl.RandomGraphSpec(20, 0.15, 1))
+    assert len(kl.models(graph)) == 99
+    path = tmp_path / "symmetric.gnf"
+    path.write_text(format_theory(kl.graph_to_theory(graph)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "min", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == "" and len(out.splitlines()) == 3133
+    start = time.perf_counter()
+    code, out, err = run(capsys, "min", str(path), "--max-clauses", "3132")
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (3, "", "error: minimal clauses exceeded 3132\n")
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -534,6 +576,22 @@ def test_graph_questions_match_the_closure(capsys, path):
         assert run(capsys, *argv, str(path)) == (code, text, "")
         as_json = to_json(result, argv[0]) + "\n"
         assert run(capsys, *argv, str(path), "--json") == (code, as_json, "")
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.name)
+def test_min_and_relevant_match_the_closure_route(capsys, path):
+    # --max-atoms 0 sends a graph input to the closure: both routes must
+    # print the same bytes and exit alike.
+    _, theory = load_demo(path)
+    minimal = sorted_clause_strings(kl.min_clauses(theory))
+    assert run(capsys, "min", str(path)) == (0, "".join(c + "\n" for c in minimal), "")
+    goals = [DEMO_GOALS[path.name], *minimal]
+    goals += [f"{a} {b}" for a, b in zip(minimal, minimal[1:])]
+    for argv in [("min",)] + [("relevant", goal) for goal in goals]:
+        for flags in ([], ["--json"]):
+            models = run(capsys, *argv, str(path), *flags)
+            closure = run(capsys, *argv, str(path), *flags, "--max-atoms", "0")
+            assert models == closure and models[0] in (0, 1), argv
 
 
 def test_min_json_lists_a_lone_clause(capsys, tmp_path):

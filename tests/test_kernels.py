@@ -194,8 +194,11 @@ def check_model_side(g, data):
     assert subdiscourse_report(theory, g, side.paradox_atoms()) == kl.consistent_subtheory(
         theory, g, closure=closure
     )
+    assert side.minimal_clauses(len(closure)) == kl.min_clauses(theory, closure=closure)
     for goal in goal_clauses(g, data):
         assert side.entails(goal) == kl.entails_para(theory, goal, closure=closure)
+        if not goal.is_empty:
+            assert side.relevant(goal) == kl.is_relevant(theory, goal, closure=closure)
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,6 +239,34 @@ def test_entails_semantic_on_wide_unions(g, data):
             assert verdict.witness.literals <= goal.literals
             assert not verdict.witness.atoms() & bad
             assert kl.entails_para(theory, verdict.witness, closure=closure)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Up to 7 edges over up to 7 vertices, as vertex bitmasks; the
+    empty edge and repeated edges included."""
+    return draw(st.lists(st.integers(0, 2**7 - 1), max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_minimal_transversals_match_a_subset_scan(edges):
+    found = list(kernels._minimal_transversals(edges))
+    hitting = [s for s in range(2**7) if all(s & e for e in edges)]
+    minimal = {s for s in hitting if not any(h != s and h & ~s == 0 for h in hitting)}
+    assert len(found) == len(set(found)) and set(found) == minimal
+
+
+def test_minimal_clauses_count_against_the_cap():
+    side = kernels.model_side(kl.Digraph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "c")]))
+    # c is paradoxical; the 2-cycle's models {a} and {b} give a b, ~a ~b,
+    # a ~a and b ~b.
+    found = side.minimal_clauses(6)
+    assert sorted(map(str, found)) == ["a b", "a ~a", "b ~b", "c", "~a ~b", "~c"]
+    with pytest.raises(kl.ResourceLimitError, match="minimal clauses exceeded 5"):
+        side.minimal_clauses(5)
+    with pytest.raises(kl.ResourceLimitError, match="minimal clauses exceeded 1"):
+        side.minimal_clauses(1)
 
 
 def test_model_side_caps_each_component():
