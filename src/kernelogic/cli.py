@@ -37,6 +37,7 @@ from .io_text import (
 from .kernels import (
     DEFAULT_MAX_ATOMS,
     ModelSide,
+    check_cap,
     enumerate_kernels,
     enumerate_semikernels,
     model_side,
@@ -252,6 +253,8 @@ def cmd_min(args) -> int:
 
 
 def cmd_check_random(args) -> int:
+    if args.count:  # refused before the n² edge coins of a graph are drawn
+        check_cap(args.n, args.max_atoms)
     mismatches = []
     rows = []
     for i in range(args.count):

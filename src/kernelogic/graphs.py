@@ -163,6 +163,11 @@ class Digraph:
     def in_closed_mask(self, mask: int) -> int:
         return mask | self.in_mask(mask)
 
+    def inverse_closed(self, mask: int) -> bool:
+        """True if the in-closure of ``mask`` has no predecessors outside it."""
+        dom = self.in_closed_mask(mask)
+        return self.in_mask(dom) & ~dom == 0
+
 
 class GnfTheory:
     """A well-formed GNF theory: every mentioned atom is defined once.
@@ -269,9 +274,7 @@ def reachable(graph: Digraph, atoms: Iterable[str], direction: str = "forward") 
 
 def is_inverse_closed(graph: Digraph, atoms: Iterable[str]) -> bool:
     """True if the in-closure of ``atoms`` has no predecessors outside itself."""
-    mask = graph.universe.mask_of(atoms)
-    closed = graph.in_closed_mask(mask)
-    return graph.in_mask(closed) & ~closed == 0
+    return graph.inverse_closed(graph.universe.mask_of(atoms))
 
 
 def induced_subgraph(graph: Digraph, atoms: Iterable[str]) -> Digraph:

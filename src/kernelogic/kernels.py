@@ -15,15 +15,16 @@ independence, and the whole graph's lists are the products of the
 components' lists, sorted by subset rank. Models need no pairwise
 comparison: any inverse-closed semikernel can be grown to settle the
 domain of any other (``extend_partition``), so every one settles atoms
-inside one maximal domain, the union of all their domains, and the
-models are those that settle exactly it.
+inside one maximal domain, and the search keeps the widest domain it
+has met with the sets that settle exactly it: the models.
 
 Direct resolution is sound and complete for this semantics, so the
-models also answer the closure's questions (``ModelSide``): the atoms
-every model leaves unsettled are the provably paradoxical atoms, a
-clause holds in every model exactly when the closure entails it, and
-the minimal derivable clauses are the minimal transversals of the
-literal sets the models make true, found by MMCS.
+models also answer the closure's questions (``ModelSide``, which
+computes its paradox mask once): the atoms every model leaves unsettled
+are the provably paradoxical atoms, a clause holds in every model
+exactly when the closure entails it, and the minimal derivable clauses
+are the minimal transversals of the literal sets the models make true,
+found by MMCS.
 
 Kernel problems are NP-hard in general, so a configurable atom cap
 (default 20) keeps calls honest. The listings count the whole graph,
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .clauses import Clause, clause_of_masks, intern_clause
@@ -94,17 +94,12 @@ def _is_kernel(graph: Digraph, mask: int) -> bool:
     return _is_independent(graph, mask) and graph.in_mask(mask) == rest
 
 
-def _is_closed(graph: Digraph, mask: int) -> bool:
-    dom = graph.in_closed_mask(mask)
-    return graph.in_mask(dom) & ~dom == 0
-
-
 def classify_subset(graph: Digraph, atoms: Iterable[str]) -> SubsetReport:
     """Classify a vertex subset in one pass."""
     mask = graph.universe.mask_of(atoms)
     independent = _is_independent(graph, mask)
     semikernel = independent and _is_semikernel(graph, mask)
-    closed = _is_closed(graph, mask)
+    closed = graph.inverse_closed(mask)
     return SubsetReport(
         independent=independent,
         kernel=_is_kernel(graph, mask),
@@ -133,11 +128,10 @@ def _partition_from_mask(graph: Digraph, mask: int) -> Partition3:
     return Partition3(u.atoms_of(mask), u.atoms_of(false_mask), u.atoms_of(rest))
 
 
-def _check_cap(graph: Digraph, max_atoms: int) -> None:
-    if len(graph.vertices) > max_atoms:
-        raise ResourceLimitError(
-            f"graph has {len(graph.vertices)} atoms, enumeration cap is {max_atoms}"
-        )
+def check_cap(atoms: int, max_atoms: int) -> None:
+    """Refuse a graph of ``atoms`` atoms to the whole-graph listings."""
+    if atoms > max_atoms:
+        raise ResourceLimitError(f"graph has {atoms} atoms, enumeration cap is {max_atoms}")
 
 
 class _ComponentSets(NamedTuple):
@@ -179,7 +173,7 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
     full = graph.universe.full_mask
     found = []
     for comp in component_masks(graph):
-        kernels, semikernels, closed = [], [], {}
+        kernels, semikernels, chosen, domain = [], [], [], 0
         for p in _independent_sets(graph, comp):
             m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
             # An independent set is a semikernel when its predecessors
@@ -190,15 +184,16 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
             semikernels.append(m)
             if into == comp & ~m:
                 kernels.append(m)
-            if far & ~(m | into) == 0:
-                closed[m] = m | into
-        # Every inverse-closed semikernel's domain lies inside the one
-        # maximal domain (extend_partition grows any other), so that
-        # domain is the union of them all.
-        domain = 0
-        for dom in closed.values():
-            domain |= dom
-        chosen = [m for m, dom in closed.items() if dom == domain]
+            dom = m | into
+            if far & ~dom:
+                continue
+            # Every inverse-closed semikernel's domain lies inside the one
+            # maximal domain (extend_partition grows any other): a domain
+            # adding atoms replaces the one kept, and once met it stays.
+            if dom & ~domain:
+                domain, chosen = dom, [m]
+            elif dom == domain:
+                chosen.append(m)
         found.append(
             _ComponentSets(tuple(kernels), tuple(semikernels), tuple(chosen), domain)
         )
@@ -216,14 +211,14 @@ def _product(per_component: Iterable[tuple[int, ...]]) -> list[int]:
 
 def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All kernels, ordered by subset rank over the sorted vertices."""
-    _check_cap(graph, max_atoms)
+    check_cap(len(graph.vertices), max_atoms)
     u = graph.universe
     return [u.atoms_of(m) for m in _product(c.kernels for c in _component_sets(graph))]
 
 
 def enumerate_semikernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All semikernels, including the empty set, ordered by subset rank."""
-    _check_cap(graph, max_atoms)
+    check_cap(len(graph.vertices), max_atoms)
     u = graph.universe
     return [u.atoms_of(m) for m in _product(c.semikernels for c in _component_sets(graph))]
 
@@ -238,7 +233,7 @@ def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition
     The list is never empty and is ordered by subset rank of the true
     atoms; ties with an equal domain are all kept.
     """
-    _check_cap(graph, max_atoms)
+    check_cap(len(graph.vertices), max_atoms)
     return [
         _partition_from_mask(graph, m)
         for m in _product(c.models for c in _component_sets(graph))
@@ -258,16 +253,11 @@ class ModelSide(NamedTuple):
 
     graph: Digraph
     components: tuple[_ComponentSets, ...]
-
-    def _paradox_mask(self) -> int:
-        settled = 0
-        for c in self.components:
-            settled |= c.domain
-        return self.graph.universe.full_mask & ~settled
+    paradox_mask: int  # the atoms no component's domain settles
 
     def paradox_atoms(self) -> frozenset[str]:
         """The atoms that every model leaves unsettled."""
-        return self.graph.universe.atoms_of(self._paradox_mask())
+        return self.graph.universe.atoms_of(self.paradox_mask)
 
     def countermodel(self, clause: Clause) -> Optional[int]:
         """The true atoms of the least model by subset rank that fails
@@ -282,7 +272,7 @@ class ModelSide(NamedTuple):
         return self._countermodel(*intern_clause(clause, self.graph.universe))
 
     def _countermodel(self, pos: int, neg: int) -> Optional[int]:
-        bad = self._paradox_mask()
+        bad = self.paradox_mask
         if bad and not (pos | neg) & ~bad:
             return None
         found = 0
@@ -333,14 +323,14 @@ class ModelSide(NamedTuple):
         """
         u = self.graph.universe
         w = len(u)
-        bad = self._paradox_mask()
+        bad = self.paradox_mask
         found = [(1 << i, 0) for i in bits(bad)] + [(0, 1 << i) for i in bits(bad)]
         for c in self.components:
             # One literal bit per atom and sign: x at bit i, ~x at bit w + i.
-            edges = [t | self.graph.in_mask(t) << w for t in c.models]
+            edges = [t | (c.domain & ~t) << w for t in c.models]
+            hits = _minimal_transversals(edges)
             # Search no further than one clause past the cap.
-            room = max(0, max_clauses + 1 - len(found))
-            for hit in islice(_minimal_transversals(edges), room):
+            while len(found) <= max_clauses and (hit := next(hits, None)) is not None:
                 found.append((hit & u.full_mask, hit >> w))
         if len(found) > max_clauses:
             raise ResourceLimitError(f"minimal clauses exceeded {max_clauses}")
@@ -394,7 +384,11 @@ def model_side(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[M
     """
     if any(comp.bit_count() > max_atoms for comp in component_masks(graph)):
         return None
-    return ModelSide(graph, _component_sets(graph))
+    components = _component_sets(graph)
+    settled = 0
+    for c in components:
+        settled |= c.domain
+    return ModelSide(graph, components, graph.universe.full_mask & ~settled)
 
 
 def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:
@@ -453,11 +447,7 @@ def _require_partition(graph: Digraph, p: Partition3, name: str) -> tuple[int, i
 
 
 def _is_psk_partition(graph: Digraph, t: int, f: int) -> bool:
-    return (
-        f == graph.in_mask(t)
-        and _is_semikernel(graph, t)
-        and _is_closed(graph, t)
-    )
+    return f == graph.in_mask(t) and _is_semikernel(graph, t) and graph.inverse_closed(t)
 
 
 def extend_partition(graph: Digraph, alpha: Partition3, beta: Partition3) -> Partition3:
@@ -480,7 +470,7 @@ def extend_partition(graph: Digraph, alpha: Partition3, beta: Partition3) -> Par
     if not _is_psk_partition(graph, b_true, b_false):
         raise ValidationError("beta is not an inverse-closed semikernel partition")
     grown = a_true | (b_true & ~a_dom)
-    if not (_is_semikernel(graph, grown) and _is_closed(graph, grown)):
+    if not (_is_semikernel(graph, grown) and graph.inverse_closed(grown)):
         raise AssertionError("combined set is not an inverse-closed semikernel")
     new_dom = graph.in_closed_mask(grown)
     if a_dom & ~new_dom or a_dom == new_dom:

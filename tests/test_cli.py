@@ -602,6 +602,56 @@ def test_min_json_lists_a_lone_clause(capsys, tmp_path):
     assert json.loads(out)["result"] == ["a"]
 
 
+@pytest.mark.parametrize("name", ["delta.gnf", "f1.gnf", "loop_chain.edges"])
+def test_min_takes_a_cap_past_sys_maxsize(capsys, name):
+    # islice refuses a stop past sys.maxsize; a cap that large is never
+    # reached, so min answers as at the default cap.
+    demo = str(DEMO_DATA / name)
+    expected = run(capsys, "min", demo)
+    assert expected[0] == 0
+    for cap in (str(sys.maxsize), str(10**20)):
+        assert run(capsys, "min", demo, "--max-clauses", cap) == expected
+
+
+SWEEP_COMMANDS = [
+    ["models"],
+    ["kernels"],
+    ["semikernels"],
+    ["paradox"],
+    ["subdiscourse"],
+    ["closure"],
+    ["prove", "a"],
+    ["prove", "a b", "--weakening", "cw"],
+    ["entails", "a"],
+    ["entails", "a", "--semantic"],
+    ["entails", "a", "--classical"],
+    ["relevant", "a"],
+    ["min"],
+]
+
+
+@pytest.mark.parametrize("flag", ["--max-atoms", "--max-clauses"])
+@pytest.mark.parametrize("value", [0, 1, 2**64])
+def test_every_command_exits_by_the_contract_at_extreme_caps(capsys, flag, value):
+    calls = [["check-random"]]
+    for name in ("delta.gnf", "lewis.clauses"):
+        calls += [argv + [str(DEMO_DATA / name)] for argv in SWEEP_COMMANDS]
+    for argv in calls:
+        code, out, err = run(capsys, *argv, flag, str(value))
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out + err, argv
+
+
+def test_check_random_refuses_a_wide_graph_before_drawing_it(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-random", "--n", "3000", "--p", "0", "--count", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: graph has 3000 atoms, enumeration cap is 20\n"
+    code, out, _ = run(capsys, "check-random", "--n", "3000", "--count", "0")
+    assert code == 0 and out == "0 graphs checked, 0 mismatches\n"
+
+
 # The a* and c* atoms are one 9-atom component; b sorts inside it, so
 # that component's atoms are not consecutive in the universe and map to
 # its own indices run by run. The expected texts were recorded before

@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelogic as kl
@@ -164,6 +164,33 @@ def small_graphs(draw):
     return kl.random_digraph(kl.RandomGraphSpec(n, p, draw(st.integers(0, 2**32))))
 
 
+def two_pass_models(graph, comp):
+    """A component's domain and chosen models by the two-pass rule the
+    one-pass walk replaced: every inverse-closed semikernel's domain is
+    kept, their union is the maximal domain, and the models are the sets
+    that settle exactly it, in search order."""
+    w = len(graph.vertices)
+    full = graph.universe.full_mask
+    closed = {}
+    for p in kernels._independent_sets(graph, comp):
+        m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
+        if out & ~into == 0 and far & ~(m | into) == 0:
+            closed[m] = m | into
+    domain = 0
+    for dom in closed.values():
+        domain |= dom
+    return domain, tuple(m for m, dom in closed.items() if dom == domain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+# {a, c} settles all four atoms before {d} settles its subdomain {a, d}.
+@example(kl.Digraph(["a", "b", "c", "d"], [("a", "b"), ("a", "d"), ("b", "c"), ("d", "a")]))
+def test_one_pass_models_match_the_two_pass_rule(g):
+    found = [(c.domain, c.models) for c in kernels._component_sets(g)]
+    assert found == [two_pass_models(g, comp) for comp in graphs.component_masks(g)]
+
+
 @st.composite
 def wide_unions(draw):
     """A disjoint union of 1-5-atom components, self-loops included,
@@ -317,7 +344,7 @@ def whole_graph_lists(graph):
     independent = sorted(found)
     semi = [m for m in independent if kernels._is_semikernel(graph, m)]
     kern = [m for m in independent if kernels._is_kernel(graph, m)]
-    closed = [m for m in semi if kernels._is_closed(graph, m)]
+    closed = [m for m in semi if graph.inverse_closed(m)]
     domains = {m: graph.in_closed_mask(m) for m in closed}
     kept = []
     for m in closed:
@@ -519,8 +546,8 @@ def test_extend_partition_post_checks_raise(monkeypatch):
     sinks = kl.Digraph(["a", "b"], [])
     alpha = kl.partition_of(sinks, {"a"})
     beta = kl.partition_of(sinks, {"b"})
-    real = kernels._is_closed
-    monkeypatch.setattr(kernels, "_is_closed", failing_on(sinks, {"a", "b"}, real))
+    real = kl.Digraph.inverse_closed
+    monkeypatch.setattr(kl.Digraph, "inverse_closed", failing_on(sinks, {"a", "b"}, real))
     with pytest.raises(AssertionError, match="not an inverse-closed semikernel"):
         kl.extend_partition(sinks, alpha, beta)
 
@@ -532,6 +559,6 @@ def test_extend_partition_post_checks_raise(monkeypatch):
     beta = kl.partition_of(g, {"y"})
     with pytest.raises(kl.ValidationError, match="alpha is not an inverse-closed"):
         kl.extend_partition(g, alpha, beta)
-    monkeypatch.setattr(kernels, "_is_closed", lambda graph, mask: True)
+    monkeypatch.setattr(kl.Digraph, "inverse_closed", lambda graph, mask: True)
     with pytest.raises(AssertionError, match="does not strictly extend"):
         kl.extend_partition(g, alpha, beta)
