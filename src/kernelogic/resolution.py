@@ -39,7 +39,11 @@ the pivot's union convolution in transform space. The products of all
 pivots are added up, and one Moebius inversion of the sum yields, for
 every clause, the number of resolvable pairs producing it: the
 clauses with a positive count are the round's resolvents. Rounds
-repeat until nothing new appears. The component's closure is then one
+repeat until nothing new appears, or stop at once when every cell is
+derived, since a full lattice leaves nothing to find. A pass along one
+of the low cell bits meets its cells in short contiguous runs, so on
+lattices of 6 atoms or more it runs as strided slices, one offset below
+the bit at a time, each a long run. The component's closure is then one
 byte per lattice cell, the round in which that clause was derived
 (a reserved value marks clauses never derived; a closure needing that
 many rounds is refused), plus the order of its round-0 clauses. A
@@ -628,6 +632,21 @@ def _code_order(codes: np.ndarray) -> np.ndarray:
     return np.lexsort((*codes[:, ::-1].T, size))
 
 
+# A pass along cell bit ``b`` meets its cells in contiguous runs of
+# ``2**b``, and over runs shorter than ``_MIN_RUN`` numpy spends the
+# pass mostly on per-run overhead. On a lattice of at least
+# ``_STRIDED_MIN_CELLS`` cells such a pass therefore takes the offsets
+# below bit ``b`` one at a time, each an in-place strided slice of one
+# long run; on smaller lattices the extra slices cost more than they save.
+_MIN_RUN = 8
+_STRIDED_MIN_CELLS = 4**6
+
+
+def _short_runs(run: int, size: int) -> bool:
+    """Whether a pass over ``size`` cells in runs of ``run`` goes by offsets."""
+    return run < _MIN_RUN and size >= _STRIDED_MIN_CELLS
+
+
 def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
     """Zeta (``sign`` 1) or Moebius (``sign`` -1) transform, in place.
 
@@ -638,8 +657,10 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
     step = np.add if sign > 0 else np.subtract
     size = values.shape[0]
     for b in range(nbits):
+        # Axis 1 is bit b; axis 2 is the offset below it.
         pair = values.reshape(size >> (b + 1), 2, 1 << b)
-        step(pair[:, 1, :], pair[:, 0, :], out=pair[:, 1, :])
+        for o in range(1 << b) if _short_runs(1 << b, size) else (slice(None),):
+            step(pair[:, 1, o], pair[:, 0, o], out=pair[:, 1, o])
     return values
 
 
@@ -654,13 +675,33 @@ def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     zd = _subset_transform(derived.astype(_PAIR_COUNT), 2 * n, 1)
     pairs = np.zeros(derived.shape[0], dtype=_PAIR_COUNT)
     for i in range(n):
-        # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i).
+        # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i); axis 4 is
+        # the offset below bit i.
         cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
+        _add_pivot(cells, pairs.reshape(cells.shape))
+    return pairs
+
+
+def _add_pivot(cells: np.ndarray, total: np.ndarray) -> None:
+    """Add one pivot's union product, read off the zeta transform
+    ``cells`` as shaped in ``_pair_counts``, to ``total``.
+
+    Over short runs it takes one offset and one value of the positive
+    pivot bit at a time, so that every operand runs along the bits
+    between the pivot's two. The temporaries go on return, before the
+    next pivot allocates its own, which keeps the peak memory of wide
+    lattices down.
+    """
+    if not _short_runs(cells.shape[4], cells.size):
         with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
         with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
-        total = pairs.reshape(cells.shape)
         total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
-    return pairs
+        return
+    for o in range(cells.shape[4]):
+        with_pos = cells[:, :, :, 1, o] - cells[:, :, :, 0, o]
+        for x in (0, 1):
+            run = total[:, :, :, x, o]
+            run += with_pos * (cells[:, 1, :, x, o] - cells[:, 0, :, x, o])[:, None, :]
 
 
 def _saturate_lattice(
@@ -675,7 +716,8 @@ def _saturate_lattice(
     derived = rounds == 0
     count = len(seeds)
     rnd = 0
-    while True:
+    # A full lattice leaves no clause to derive: no empty round confirms it.
+    while count < rounds.size:
         rnd += 1
         # Each pivot's union product counts resolvable pairs and is
         # never negative, so one inversion of the sum has the union of

@@ -1,7 +1,8 @@
 """Saturation, the consistent subtheory, entailment, weakening, proofs."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelogic as kl
@@ -983,6 +984,175 @@ def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
     for run in (lambda: whole_closure(resolution._saturate_lattice, t), lambda: kl.saturate(t)):
         with pytest.raises(kl.ResourceLimitError, match=f"more than {last - 1} resolution rounds"):
             run()
+
+
+# ---------------------------------------------------------------------------
+# Lattice transforms and the lattice round loop, against plain twins:
+# one reshaped pass per bit and pivot, and rounds that repeat until one
+# derives nothing.
+
+
+def plain_subset_transform(values, nbits, sign):
+    """Zeta (``sign`` 1) or Moebius (``sign`` -1) transform in place,
+    one pass per bit over runs of ``2**b`` cells."""
+    step = np.add if sign > 0 else np.subtract
+    size = values.shape[0]
+    for b in range(nbits):
+        pair = values.reshape(size >> (b + 1), 2, 1 << b)
+        step(pair[:, 1, :], pair[:, 0, :], out=pair[:, 1, :])
+    return values
+
+
+def plain_pair_counts(derived, n):
+    """The zeta transform of the resolvable pairs of ``derived``, one
+    broadcast product per pivot."""
+    zd = plain_subset_transform(derived.astype(np.int64), 2 * n, 1)
+    pairs = np.zeros(derived.shape[0], dtype=np.int64)
+    for i in range(n):
+        cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
+        with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
+        with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
+        total = pairs.reshape(cells.shape)
+        total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
+    return pairs
+
+
+def plain_saturate_lattice(n, seeds, max_clauses, started):
+    """The round number of every cell of an ``n``-atom lattice closure,
+    with no stop at the full lattice: rounds repeat until one derives
+    nothing. Appends the number of every round it starts to ``started``."""
+    sentinel = resolution._NOT_DERIVED
+    rounds = np.full(1 << (2 * n), sentinel, dtype=np.uint8)
+    rounds[np.array(seeds, dtype=np.int64)] = 0
+    derived = rounds == 0
+    count = len(seeds)
+    rnd = 0
+    while True:
+        rnd += 1
+        started.append(rnd)
+        fresh = plain_subset_transform(plain_pair_counts(derived, n), 2 * n, -1) > 0
+        fresh &= ~derived
+        new = int(np.count_nonzero(fresh))
+        if not new:
+            return rounds
+        if rnd >= sentinel:
+            raise kl.ResourceLimitError(f"closure needs more than {sentinel - 1} resolution rounds")
+        count += new
+        if count > max_clauses:
+            raise kl.ResourceLimitError(f"closure exceeded {max_clauses} clauses")
+        derived |= fresh
+        rounds[fresh] = rnd
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_lattice_transforms_match_their_plain_twins(n, seed, density):
+    # Widths 1-9 lie on both sides of the size from which passes over
+    # short runs go by offsets; int32 is the dtype of minimal clauses.
+    assert 4**1 < resolution._STRIDED_MIN_CELLS <= 4**9
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-1000, 1000, 4**n)
+    for dtype in ("int32", "int64"):
+        for sign in (1, -1):
+            got = resolution._subset_transform(values.astype(dtype), 2 * n, sign)
+            want = plain_subset_transform(values.astype(dtype), 2 * n, sign)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    derived = rng.random(4**n) < density
+    assert np.array_equal(resolution._pair_counts(derived, n), plain_pair_counts(derived, n))
+
+
+def spy_pair_counts(monkeypatch):
+    """Patch ``resolution._pair_counts`` to count its calls, one per round."""
+    calls = []
+    real = resolution._pair_counts
+
+    def spy(derived, n):
+        calls.append(n)
+        return real(derived, n)
+
+    monkeypatch.setattr(resolution, "_pair_counts", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, full",
+    [
+        # Paradoxical: each closure is the full lattice.
+        (kl.RandomGraphSpec(6, 0.35, 2), True),
+        (kl.RandomGraphSpec(7, 0.35, 0), True),
+        (kl.RandomGraphSpec(8, 0.35, 0), True),
+        (kl.RandomGraphSpec(9, 0.35, 2), True),
+        # Consistent: no closure derives [], so none is full.
+        (kl.RandomGraphSpec(6, 0.35, 0), False),
+        (kl.RandomGraphSpec(7, 0.35, 5), False),
+        (kl.RandomGraphSpec(8, 0.35, 1), False),
+        (kl.RandomGraphSpec(9, 0.35, 0), False),
+    ],
+)
+def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
+    # Connected clause forms of random digraphs. A full lattice stops
+    # after the round that fills it; any other closure after the first
+    # round that derives nothing, as the plain loop does.
+    t = kl.clausal_theory(kl.random_digraph(spec))
+    ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
+    n = len(atoms)
+    calls = spy_pair_counts(monkeypatch)
+    part = resolution._saturate_lattice(n, seeds, inputs, resolution.DEFAULT_MAX_CLAUSES)
+    started = []
+    twin = plain_saturate_lattice(n, seeds, resolution.DEFAULT_MAX_CLAUSES, started)
+    assert np.array_equal(part.rounds, twin)
+    assert (part.count == 4**n) == full == (twin[0] != resolution._NOT_DERIVED)
+    last = int(twin[twin != resolution._NOT_DERIVED].max())
+    assert len(started) == last + 1
+    assert len(calls) == (last if full else last + 1)
+
+
+# A connected 3-atom clause set whose closure fills the lattice in round 4.
+FULL_TEXTS = ("a b c", "~a", "~b", "~c", "~a ~b", "~a ~c", "~b ~c")
+
+
+def test_a_full_lattice_is_refused_where_the_plain_loop_refuses_it(monkeypatch):
+    # The stop at the full lattice skips only the round that would
+    # derive nothing: the round sentinel and every clause cap accept
+    # and refuse the closure as the plain loop does, in the same round.
+    t = kl.ClausalTheory(clauses(*FULL_TEXTS))
+    ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
+    n = len(atoms)
+    sentinel = resolution._NOT_DERIVED
+    twin = plain_saturate_lattice(n, seeds, resolution.DEFAULT_MAX_CLAUSES, [])
+    assert sentinel not in twin
+    last = int(twin.max())
+    assert last == 4
+    calls = spy_pair_counts(monkeypatch)
+
+    def trial(sentinel, cap):
+        """The rounds or refusal of both loops, and the rounds each started."""
+        monkeypatch.setattr(resolution, "_NOT_DERIVED", sentinel)
+        calls.clear()
+        started = []
+        outcomes = []
+        for run in (
+            lambda: resolution._saturate_lattice(n, seeds, inputs, cap).rounds,
+            lambda: plain_saturate_lattice(n, seeds, cap, started),
+        ):
+            try:
+                outcomes.append(run().tolist())
+            except kl.ResourceLimitError as exc:
+                outcomes.append(str(exc))
+        return outcomes, len(calls), len(started)
+
+    (new, old), ran, twin_ran = trial(last + 1, 4**n)
+    assert new == old == twin.tolist() and (ran, twin_ran) == (last, last + 1)
+    (new, old), ran, twin_ran = trial(last, 4**n)
+    assert new == old == f"closure needs more than {last - 1} resolution rounds"
+    assert ran == twin_ran == last
+    for cap in range(len(seeds), 4**n):
+        (new, old), ran, twin_ran = trial(sentinel, cap)
+        assert new == f"closure exceeded {cap} clauses" == old
+        assert ran == twin_ran
+    # The last cap refused is one short of the full lattice, in its last round.
+    assert ran == last
 
 
 DELTA_PROOF_OF_A = """\
