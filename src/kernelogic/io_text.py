@@ -118,9 +118,12 @@ def parse_clause(text: str) -> Clause:
     """Parse one clause: ``~``-prefixed literals, or ``[]`` for empty.
 
     Errors give the line and column of the offending token within
-    ``text``.
+    ``text``. Text with no token is refused: the empty clause is
+    spelled ``[]``.
     """
     tokens = _tokens(text)
+    if not tokens:
+        raise ParseError("no clause given; the empty clause is spelled '[]'")
     if [word for _, word in tokens] == ["[]"]:
         return Clause()
     literals = []

@@ -346,16 +346,18 @@ def _minimal_transversals(edges: list[int]) -> Iterator[int]:
     branch grows a set ``hit`` that misses the edges ``uncov``; every
     vertex of ``hit`` keeps a critical edge, one that no other vertex
     of ``hit`` meets, or the branch is cut, since growing ``hit`` only
-    takes critical edges away. A branch hits the uncovered edge with
-    the fewest candidates by each of them in turn, and the branch of
-    the k-th leaves the later ones out, so no transversal comes twice.
+    takes critical edges away; ``crit`` holds the mask of each vertex's
+    critical edges, and only whether it is empty matters. A branch hits
+    the uncovered edge with the fewest candidates by each of them in
+    turn, and the branch of the k-th leaves the later ones out, so no
+    transversal comes twice.
     """
     occurs: dict[int, int] = {}  # vertex -> mask of the edges holding it
     for k, edge in enumerate(edges):
         for v in bits(edge):
             occurs[v] = occurs.get(v, 0) | 1 << k
 
-    def grow(hit: int, crit: list[tuple[int, int]], uncov: int, cand: int) -> Iterator[int]:
+    def grow(hit: int, crit: list[int], uncov: int, cand: int) -> Iterator[int]:
         if not uncov:
             yield hit
             return
@@ -363,9 +365,9 @@ def _minimal_transversals(edges: list[int]) -> Iterator[int]:
         cand &= ~fewest
         for v in bits(fewest):
             meets = occurs[v]
-            kept = [(u, e & ~meets) for u, e in crit]
-            if all(e for _, e in kept):
-                kept.append((v, uncov & meets))
+            kept = [e & ~meets for e in crit]
+            if all(kept):
+                kept.append(uncov & meets)
                 yield from grow(hit | 1 << v, kept, uncov & ~meets, cand)
             cand |= 1 << v
 

@@ -12,10 +12,12 @@ Two clauses that share no atom never resolve, so the closure is the
 union of the closures of the connected components of the clause
 hypergraph (atoms linked when they share a clause; an atom in no clause
 is a component holding only its axiom). Saturation closes each
-component in its own atom indices, and a ``Closure`` keeps the
-component closures side by side: every question about a nonempty
-clause goes to the component that holds its atoms, and clause masks
-over the whole universe are built only where a caller asks for them.
+component in its own lattice cells ``pos | neg << n`` over its ``n``
+atoms, and a ``Closure`` keeps the component closures side by side:
+every question about a nonempty clause goes to the component that
+holds its atoms, and the component answers in cells. Its ``_AtomMap``
+is the only bridge between those cells and clause masks over the
+whole universe, which are built only where a caller asks for them.
 The empty clause, common to all components, takes the earliest round at
 which any of them derives it.
 
@@ -144,14 +146,17 @@ class _OverCap(ResourceLimitError):
 
 
 class _AtomMap:
-    """Where a component's atoms sit in the universe.
+    """Where a component's atoms sit in the universe, and the one bridge
+    between universe clause masks and the component's lattice cells.
 
     ``atoms`` are their universe indices, increasing, and ``span`` their
     universe mask; bit ``j`` of a component's own masks is ``atoms[j]``.
     ``local`` maps a universe mask's bits on the component to its own
     indices and ``lift`` maps back. Consecutive atoms map by a shift
     (``shift``); others (``shift`` is None) by one shift per run of
-    consecutive atoms.
+    consecutive atoms. ``cell`` turns a clause's universe masks into the
+    cell ``pos | neg << n`` of the component's ``n`` atoms, and
+    ``masks`` turns a cell back.
     """
 
     __slots__ = ("atoms", "span", "shift", "_runs")
@@ -159,7 +164,7 @@ class _AtomMap:
     def __init__(self, atoms: "tuple[int, ...]"):
         self.atoms = atoms
         self.span = sum(1 << g for g in atoms)
-        self.shift = atoms[0] if atoms[-1] - atoms[0] == len(atoms) - 1 else None
+        self.shift = atoms[0] if atoms and atoms[-1] - atoms[0] == len(atoms) - 1 else None
         # Each run of consecutive atoms as (own index, universe index, width mask).
         self._runs = []
         for j, g in enumerate(atoms):
@@ -179,6 +184,17 @@ class _AtomMap:
             return mask << self.shift
         return sum((mask >> j & width) << g for j, g, width in self._runs)
 
+    def cell(self, pos: int, neg: int) -> int:
+        """The cell of the clause ``(pos, neg)``, its bits off the component dropped."""
+        return self.local(pos) | self.local(neg) << len(self.atoms)
+
+    def masks(self, cell: int, lift=None) -> tuple[int, int]:
+        """The universe masks of the clause at ``cell``; ``lift`` stands in
+        for ``self.lift``, such as a caller's cache of it."""
+        lift = lift or self.lift
+        n = len(self.atoms)
+        return lift(cell & ~(-1 << n)), lift(cell >> n)
+
 
 def _subcells(cell: int) -> np.ndarray:
     """Every cell whose bits lie inside ``cell``, in increasing order."""
@@ -190,11 +206,12 @@ def _subcells(cell: int) -> np.ndarray:
 
 
 # A component's closure is a part, returned straight by its saturator.
-# Both kinds of part answer the same questions in the component's own
-# atom indices: ``entry``, ``items``, ``subclauses`` (nonempty ones),
-# ``codes``, ``minimal``, and ``sides`` and ``precedes`` for
-# ``_parent_step``, plus ``count`` and ``resolves``; only ``Closure``
-# maps them to the universe, through the component's ``_AtomMap``.
+# Both kinds of part answer the same questions, in the component's cells
+# ``pos | neg << n``: ``entry``, ``items``, ``subclauses`` (nonempty
+# ones), ``codes``, ``minimal``, and ``sides`` and ``precedes`` for
+# ``_parent_step``, plus ``count`` and ``resolves``. Only ``Closure``
+# and ``_components`` speak universe masks, and the component's
+# ``_AtomMap`` is their only bridge to its cells.
 
 
 class _LatticePart:
@@ -218,18 +235,11 @@ class _LatticePart:
         self.count = int(np.count_nonzero(rounds != _NOT_DERIVED))
         self.resolves = self.count > len(seeds)
 
-    def _masks(self, cell: int) -> tuple[int, int]:
-        return cell & ((1 << self.n) - 1), cell >> self.n
-
-    def _all_masks(self, cells: np.ndarray):
-        return zip((cells & ((1 << self.n) - 1)).tolist(), (cells >> self.n).tolist())
-
     def _derived_cells(self) -> np.ndarray:
         import numpy as np
         return np.flatnonzero(self.rounds != _NOT_DERIVED)
 
-    def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
-        cell = pos | neg << self.n
+    def entry(self, cell: int) -> Optional[tuple[str, int]]:
         rnd = int(self.rounds[cell])
         if rnd == _NOT_DERIVED:
             return None
@@ -240,16 +250,16 @@ class _LatticePart:
     def items(self):
         import numpy as np
         for k, cell in enumerate(self.seeds):
-            yield self._masks(cell), (_INPUT if k < self.inputs else _AXIOM, 0)
+            yield cell, (_INPUT if k < self.inputs else _AXIOM, 0)
         later = self._derived_cells()
         later = later[self.rounds[later] > 0]
         later = later[np.argsort(self.rounds[later], kind="stable")]
-        for masks, rnd in zip(self._all_masks(later), self.rounds[later].tolist()):
-            yield masks, (_RESOLVENT, rnd)
+        for cell, rnd in zip(later.tolist(), self.rounds[later].tolist()):
+            yield cell, (_RESOLVENT, rnd)
 
-    def subclauses(self, pos: int, neg: int):
-        subs = _subcells(pos | neg << self.n)[1:]
-        return self._all_masks(subs[self.rounds[subs] != _NOT_DERIVED])
+    def subclauses(self, cell: int) -> "list[int]":
+        subs = _subcells(cell)[1:]
+        return subs[self.rounds[subs] != _NOT_DERIVED].tolist()
 
     def codes(self) -> np.ndarray:
         """The literal codes of ``_clause_order`` of every derived nonempty clause."""
@@ -261,14 +271,14 @@ class _LatticePart:
             codes[:, j] = 3 - 2 * ((cells >> j) & 1) - ((cells >> (self.n + j)) & 1)
         return codes
 
-    def minimal(self) -> "list[tuple[int, int]]":
+    def minimal(self) -> "list[int]":
         import numpy as np
         # z[S] counts the derived clauses inside S; S is minimal when
         # they are S itself and, if derived, the empty clause. Cell 0
         # never qualifies: z[0] is its own bit.
         derived = self.rounds != _NOT_DERIVED
         z = _subset_transform(derived.astype(np.int32), 2 * self.n, 1)
-        return list(self._all_masks(np.flatnonzero(derived & (z == 1 + derived[0]))))
+        return np.flatnonzero(derived & (z == 1 + derived[0])).tolist()
 
     def sides(self, cell: int, rnd: int):
         for i in range(self.n):
@@ -303,30 +313,26 @@ class _PairwisePart:
         self.count = len(entries)
         self.resolves = any(kind == _RESOLVENT for kind, _ in entries.values())
 
-    def _masks(self, cell: int) -> tuple[int, int]:
-        return cell & ((1 << self.n) - 1), cell >> self.n
-
-    def entry(self, pos: int, neg: int) -> Optional[tuple[str, int]]:
-        return self.entries.get(pos | neg << self.n)
+    def entry(self, cell: int) -> Optional[tuple[str, int]]:
+        return self.entries.get(cell)
 
     def items(self):
-        return ((self._masks(cell), value) for cell, value in self.entries.items())
+        return self.entries.items()
 
-    def subclauses(self, pos: int, neg: int):
-        cell = pos | neg << self.n
-        return (self._masks(c) for c in self.entries if c and not c & ~cell)
+    def subclauses(self, cell: int):
+        return (c for c in self.entries if c and not c & ~cell)
 
     def codes(self) -> np.ndarray:
-        return _mask_codes([self._masks(c) for c in self.entries if c], self.n)
+        return _cell_codes([c for c in self.entries if c], self.n)
 
-    def minimal(self) -> "list[tuple[int, int]]":
+    def minimal(self) -> "list[int]":
         minimal: list[int] = []
         for cell in sorted((c for c in self.entries if c), key=int.bit_count):
             # Any derivable proper subclause contains a minimal one of
             # strictly smaller size, so checking the antichain so far is enough.
             if not any(m & ~cell == 0 for m in minimal):
                 minimal.append(cell)
-        return [self._masks(cell) for cell in minimal]
+        return minimal
 
     def sides(self, cell: int, rnd: int):
         # One pass over the entries before round ``rnd``, which come
@@ -349,7 +355,7 @@ class _PairwisePart:
 
 
 def _parent_step(part, cell: int, rnd: int) -> tuple:
-    """The parents' masks (positive pivot first) and pivot of the clause
+    """The parents' cells (positive pivot first) and pivot of the clause
     at ``cell`` of ``part``, first seen in round ``rnd``.
 
     Parents come from strictly earlier rounds, which keeps proofs
@@ -367,12 +373,12 @@ def _parent_step(part, cell: int, rnd: int) -> tuple:
                 continue
             direct = (cell & ~(c & ~pbit)) | nbit
             if part.precedes(direct, rnd):
-                return part._masks(c), part._masks(direct), i
+                return c, direct, i
         for c in pos_side:
             rest = c & ~pbit
             for d in neg_side:
                 if rest | (d & ~nbit) == cell:
-                    return part._masks(c), part._masks(d), i
+                    return c, d, i
     raise AssertionError("resolvent without a parent pair; layering is broken")
 
 
@@ -381,8 +387,9 @@ class Closure:
 
     A closure is the union of its components' closures (``parts``: the
     universe indices of each component's atoms, and its part) and
-    holds each clause, as bitmasks, only in the part of its atoms; one
-    ``_AtomMap`` per part maps masks between the universe and the part.
+    holds each clause only in the part of its atoms, as a cell; one
+    ``_AtomMap`` per part maps clause masks over the universe to the
+    part's cells and back.
     The empty clause, shared by all, takes the earliest round any part
     derives it at, round 0 when it is an input. ``derived``, ``origin``
     and ``parents`` are name-level views built on demand. Closures are
@@ -398,20 +405,19 @@ class Closure:
     ):
         self._u = universe
         self._parts = [(_AtomMap(atoms), part) for atoms, part in parts]
-        self._owner = [None] * len(universe)  # atom -> (part index, local atom)
+        self._owner = [None] * len(universe)  # atom -> part index
         for k, (atoms, _) in enumerate(parts):
-            for j, g in enumerate(atoms):
-                self._owner[g] = (k, j)
-        # (origin, round, part index or None for an input) of the empty clause
-        self._empty: Optional[tuple[str, int, Optional[int]]] = (
-            (_INPUT, 0, None) if empty_input else None
-        )
+            for g in atoms:
+                self._owner[g] = k
+        # The origin and round of the empty clause. No part seeds it, so
+        # it is an input exactly when its origin is.
+        self._empty: Optional[tuple[str, int]] = (_INPUT, 0) if empty_input else None
         size = 0
-        for k, (_, part) in enumerate(parts):
-            own = part.entry(0, 0)
+        for _, part in parts:
+            own = part.entry(0)
             size += part.count - (own is not None)
             if own is not None and (self._empty is None or own[1] < self._empty[1]):
-                self._empty = (*own, k)
+                self._empty = own
         self._size = size + (self._empty is not None)
         self._parents_m: dict[tuple[int, int], Optional[tuple]] = {}
         self.universe: tuple[str, ...] = universe.names
@@ -424,20 +430,19 @@ class Closure:
 
     def _part_of(self, pos: int, neg: int):
         """The atom map and part holding the nonempty clause ``(pos, neg)``,
-        and its local masks; None when its atoms span several components."""
+        and its cell there; None when its atoms span several components."""
         mask = pos | neg
-        k, _ = self._owner[(mask & -mask).bit_length() - 1]
-        amap, part = self._parts[k]
+        amap, part = self._parts[self._owner[(mask & -mask).bit_length() - 1]]
         if mask & ~amap.span:
             return None
-        return amap, part, amap.local(pos), amap.local(neg)
+        return amap, part, amap.cell(pos, neg)
 
     def _entry(self, m: tuple[int, int]) -> Optional[tuple[str, int]]:
         """The origin and round of a derived clause, else None."""
         if m == (0, 0):
-            return None if self._empty is None else self._empty[:2]
+            return self._empty
         found = self._part_of(*m)
-        return None if found is None else found[1].entry(found[2], found[3])
+        return None if found is None else found[1].entry(found[2])
 
     def clause_masks(self, clause: Clause) -> tuple[int, int]:
         """Intern a clause over this closure's universe."""
@@ -453,17 +458,17 @@ class Closure:
         and the empty clause where it first appears (first of all when
         it is an input).
         """
-        empty_seen = self._empty is not None and self._empty[2] is None
+        empty_seen = self._empty == (_INPUT, 0)
         if empty_seen:
-            yield (0, 0), self._empty[:2]
+            yield (0, 0), self._empty
         for amap, part in self._parts:
             lift = cache(amap.lift)  # a part's halves repeat across its entries
-            for (p, q), value in part.items():
-                if p or q:
-                    yield (lift(p), lift(q)), value
+            for cell, value in part.items():
+                if cell:
+                    yield amap.masks(cell, lift), value
                 elif not empty_seen:
                     empty_seen = True
-                    yield (0, 0), self._empty[:2]
+                    yield (0, 0), self._empty
 
     def iter_masks(self):
         return (m for m, _ in self.entries())
@@ -474,16 +479,14 @@ class Closure:
         the clause touches."""
         if self._empty is not None:
             yield (0, 0)
-        for k in sorted({self._owner[g][0] for g in bits(pos | neg)}):
+        for k in sorted({self._owner[g] for g in bits(pos | neg)}):
             amap, part = self._parts[k]
-            for p, q in part.subclauses(amap.local(pos), amap.local(neg)):
-                yield amap.lift(p), amap.lift(q)
+            yield from map(amap.masks, part.subclauses(amap.cell(pos, neg)))
 
     def _units(self, g: int) -> "tuple[Optional[tuple[str, int]], ...]":
         """The origin and round of the two units of atom ``g``, or None."""
-        k, j = self._owner[g]
-        part = self._parts[k][1]
-        return part.entry(1 << j, 0), part.entry(0, 1 << j)
+        amap, part = self._parts[self._owner[g]]
+        return part.entry(amap.cell(1 << g, 0)), part.entry(amap.cell(0, 1 << g))
 
     @cached_property
     def paradox_mask(self) -> int:
@@ -500,15 +503,16 @@ class Closure:
         antichain scan of its entries.
         """
         return frozenset(
-            self.clause_of((amap.lift(p), amap.lift(q)))
+            self.clause_of(amap.masks(cell))
             for amap, part in self._parts
-            for p, q in part.minimal()
+            for cell in part.minimal()
         )
 
     def in_clause_order(self, masks) -> list[tuple[int, int]]:
         """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
         masks = list(masks)
-        order = _code_order(_mask_codes(masks, len(self._u)))
+        whole = _AtomMap(tuple(range(len(self._u))))
+        order = _code_order(_cell_codes([whole.cell(*m) for m in masks], len(self._u)))
         return [masks[i] for i in order.tolist()]
 
     def clause_texts(self) -> list[str]:
@@ -594,24 +598,20 @@ class Closure:
                 if all(e is not None and e[1] < rnd for e in self._units(g)):
                     return (1 << g, 0), (0, 1 << g), g
             raise AssertionError("resolvent without a parent pair; layering is broken")
-        amap, part, lp, ln = self._part_of(*m)
-        left, right, i = _parent_step(part, lp | ln << part.n, rnd)
-        return (
-            (amap.lift(left[0]), amap.lift(left[1])),
-            (amap.lift(right[0]), amap.lift(right[1])),
-            amap.atoms[i],
-        )
+        amap, part, cell = self._part_of(*m)
+        left, right, i = _parent_step(part, cell, rnd)
+        return amap.masks(left), amap.masks(right), amap.atoms[i]
 
 
-def _mask_codes(masks: "list[tuple[int, int]]", n: int) -> np.ndarray:
-    """One literal code per clause and atom, for clause masks over ``n`` atoms.
+def _cell_codes(cells: "list[int]", n: int) -> np.ndarray:
+    """One literal code per clause and atom, for clause cells over ``n`` atoms.
 
     The code is 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3
     for neither.
     """
     import numpy as np
     width = 2 * n // 8 + 1
-    raw = b"".join([(p | q << n).to_bytes(width, "little") for p, q in masks])
+    raw = b"".join([cell.to_bytes(width, "little") for cell in cells])
     lits = np.unpackbits(
         np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1, bitorder="little"
     )
@@ -830,12 +830,11 @@ def _components(
         if pos | neg:
             # A clause lies in the component of its lowest atom.
             k = owner[((pos | neg) & -(pos | neg)).bit_length() - 1]
-            amap = maps[k]
-            seeds[k].append(amap.local(pos) | amap.local(neg) << len(amap.atoms))
+            seeds[k].append(maps[k].cell(pos, neg))
     groups = []
     for amap, cells in zip(maps, seeds):
-        n, inputs = len(amap.atoms), set(cells)
-        axioms = [c for c in (1 << i | 1 << (n + i) for i in range(n)) if c not in inputs]
+        inputs = set(cells)
+        axioms = [c for c in (amap.cell(1 << g, 1 << g) for g in amap.atoms) if c not in inputs]
         groups.append((amap.atoms, tuple(cells + axioms), len(cells)))
     return groups
 
@@ -867,7 +866,7 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
             part = saturator(n, seeds, inputs, budget)
         except _OverCap:
             raise ResourceLimitError(f"closure exceeded {max_clauses} clauses") from None
-        own_empty = part.entry(0, 0) is not None
+        own_empty = part.entry(0) is not None
         size += part.count - (has_empty and own_empty)
         has_empty = has_empty or own_empty
         parts.append((atoms, part))
@@ -1120,39 +1119,26 @@ def proof_of(closure: Closure, clause: Clause) -> Proof:
     if closure._entry(target) is None:
         raise ValidationError(f"clause {clause} is not derivable")
 
-    # Iterative post-order walk; proofs can be deep enough to overflow
-    # the interpreter stack if done recursively.
+    # Iterative post-order walk, which writes each step once its premises
+    # hold positions; proofs can be deep enough to overflow the
+    # interpreter stack if done recursively.
     position: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
+    steps: list[ProofStep] = []
     stack: list[tuple[tuple[int, int], bool]] = [(target, False)]
     while stack:
         m, expanded = stack.pop()
         if m in position:
             continue
         par = closure.parents_of_masks(m)
-        if expanded or par is None:
-            position[m] = len(order) + 1
-            order.append(m)
-            continue
-        stack.append((m, True))
-        stack.append((par[1], False))
-        stack.append((par[0], False))
-
-    steps = []
-    for idx, m in enumerate(order, start=1):
-        kind, _ = closure._entry(m)
-        par = closure.parents_of_masks(m)
+        idx = len(steps) + 1
         if par is None:
-            steps.append(ProofStep(idx, closure.clause_of(m), kind))
-        else:
+            steps.append(ProofStep(idx, closure.clause_of(m), closure._entry(m)[0]))
+        elif expanded:
             p, q, i = par
-            steps.append(
-                ProofStep(
-                    idx,
-                    closure.clause_of(m),
-                    "res",
-                    premises=(position[p], position[q]),
-                    atom=closure.universe[i],
-                )
-            )
+            premises = (position[p], position[q])
+            steps.append(ProofStep(idx, closure.clause_of(m), "res", premises, closure.universe[i]))
+        else:
+            stack += [(m, True), (par[1], False), (par[0], False)]
+            continue
+        position[m] = idx
     return Proof(conclusion=closure.clause_of(target), steps=tuple(steps))

@@ -233,6 +233,20 @@ def test_usage_and_parse_errors(capsys, tmp_path, delta_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["prove", "entails", "relevant"])
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_a_blank_clause_argument_is_refused(capsys, tmp_path, delta_file, command, blank):
+    # The empty clause is spelled "[]"; a blank argument is no clause at
+    # all, on a graph input and on a one-line theory alike.
+    sink = tmp_path / "sink.gnf"
+    sink.write_text("a :\n")
+    for path in (delta_file, str(sink)):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, command, blank, path, *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: no clause given; the empty clause is spelled '[]'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

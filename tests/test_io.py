@@ -113,6 +113,10 @@ def test_parse_clause():
         io.parse_clause("a [] b")
     with pytest.raises(kl.ParseError):
         io.parse_clause("~~a")
+    # Text with no token is no clause; the empty one is spelled "[]".
+    for blank in ("", "  ", "\n\t"):
+        with pytest.raises(kl.ParseError, match=r"spelled '\[\]'"):
+            io.parse_clause(blank)
 
 
 def test_parse_clause_set():

@@ -123,6 +123,11 @@ def test_witness_subclause(our_closure):
     assert kl.witness_subclause(units, clause("a b")) == clause("a")
     assert kl.witness_subclause(units, clause("~a b")) == clause("b")
 
+    # Over no atoms at all, only an input [] can witness [].
+    for texts, witness in (((), None), (("[]",), Clause())):
+        nothing = kl.saturate(kl.ClausalTheory(clauses(*texts)))
+        assert kl.witness_subclause(nothing, Clause()) == witness
+
 
 def test_paradoxical_atoms(our_closure, gamma2):
     assert kl.paradoxical_atoms(our_closure) == {"c", "d", "e"}
@@ -562,6 +567,28 @@ def test_wide_clause_cap_boundary():
         kl.saturate(t, max_clauses=103)
 
 
+def test_a_forty_atom_chain_answers_from_cells_past_64_bits():
+    # w00 -> w01 -> ... -> w39 is one pairwise component whose cells
+    # pos | neg << 40 run to bit 79, past one machine word.
+    n = 40
+    atoms = [f"w{i:02d}" for i in range(n)]
+    t = kl.ClausalTheory(clauses("w00", *(f"~{x} {y}" for x, y in zip(atoms, atoms[1:]))))
+    closure = kl.saturate(t)
+    ((_, part),) = closure._parts
+    assert isinstance(part, resolution._PairwisePart) and part.n == n
+    assert max(part.entries).bit_length() == 2 * n
+    assert len(closure) == n * (n - 1) // 2 + n + n == 860
+    check_listing(closure)
+    assert kl.min_clauses(t, closure=closure) == frozenset(clause(a) for a in atoms)
+    check_replay(kl.proof_of(closure, clause("w39")), t)
+    # Literal codes of Python-int cells, against one bit at a time.
+    cells = sorted(part.entries)
+    codes = resolution._cell_codes(cells, n)
+    assert codes.tolist() == [
+        [3 - 2 * (c >> j & 1) - (c >> (n + j) & 1) for j in range(n)] for c in cells
+    ]
+
+
 def test_wide_rounds_are_refused_by_their_pair_count():
     # A consistent connected 12-atom graph's clause form does not close
     # at desk scale; its fourth round alone would form billions of
@@ -937,6 +964,16 @@ def test_atom_map_matches_a_per_atom_twin(drawn, data):
     assert amap.local(amap.lift(own_mask)) == own_mask
     consecutive = atoms == tuple(range(atoms[0], atoms[-1] + 1))
     assert amap.shift == (atoms[0] if consecutive else None)
+    # Cells are the bridge's other side: pos | neg << n over the
+    # component's n atoms, bits off the component dropped.
+    other_mask = data.draw(st.integers(0, (1 << width) - 1))
+    cell = data.draw(st.integers(0, (1 << 2 * len(atoms)) - 1))
+    assert amap.cell(universe_mask, other_mask) == local | amap.local(other_mask) << len(atoms)
+    assert amap.masks(amap.cell(universe_mask, other_mask)) == (
+        universe_mask & span,
+        other_mask & span,
+    )
+    assert amap.cell(*amap.masks(cell)) == cell
 
 
 def test_membership_in_interleaved_components():

@@ -70,3 +70,27 @@ def test_closure_internals_stay_in_resolution():
             if isinstance(node, ast.Attribute) and node.attr in private
         ]
     assert found == []
+
+
+def test_both_kinds_of_part_answer_the_same_questions():
+    # A Closure asks any part the same questions, in the part's cells;
+    # and the atom map, the one bridge from universe masks to cells,
+    # stays inside resolution.py.
+    tree = ast.parse((PACKAGE / "resolution.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def questions(name):
+        return {
+            node.name
+            for node in classes[name].body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+
+    assert questions("_LatticePart") == questions("_PairwisePart")
+    assert {"entry", "items", "subclauses", "minimal", "sides"} <= questions("_LatticePart")
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "resolution.py" and "_AtomMap" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
