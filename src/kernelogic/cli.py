@@ -19,6 +19,7 @@ minimal clauses ``min`` finds instead of the closure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -121,12 +122,22 @@ def _fmt_partition3(p) -> str:
 
 
 def _emit(args, command: str, result, render) -> None:
-    """Print ``result`` as JSON, or else the lines ``render()`` returns."""
-    if args.json:
-        print(to_json(result, command))
-    else:
-        for line in render():
-            print(line)
+    """Print ``result`` as JSON, or else the lines ``render()`` returns.
+
+    A reader that closes the pipe early (``| head``) drops the rest of
+    the output: stdout then points at the null device, so that neither
+    this nor the interpreter's last flush fails, and the command keeps
+    its own exit code.
+    """
+    try:
+        if args.json:
+            print(to_json(result, command))
+        else:
+            for line in render():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # The graph listings: name -> (engine, brute-force oracle, line format).

@@ -16,7 +16,10 @@ components' lists, sorted by subset rank. Models need no pairwise
 comparison: any inverse-closed semikernel can be grown to settle the
 domain of any other (``extend_partition``), so every one settles atoms
 inside one maximal domain, and the search keeps the widest domain it
-has met with the sets that settle exactly it: the models.
+has met with the sets that settle exactly it: the models. A kernel is
+an inverse-closed semikernel that settles its whole component, so a
+component's kernels are its models when their domain is the whole
+component, and it has none otherwise.
 
 Direct resolution is sound and complete for this semantics, so the
 models also answer the closure's questions (``ModelSide``, which
@@ -135,11 +138,11 @@ def check_cap(atoms: int, max_atoms: int) -> None:
 
 
 class _ComponentSets(NamedTuple):
-    """One weakly connected component's kernels, semikernels and models,
+    """One weakly connected component's atoms, semikernels and models,
     as bitmasks over the whole graph's universe, and the one domain its
     models settle."""
 
-    kernels: tuple[int, ...]
+    atoms: int
     semikernels: tuple[int, ...]
     models: tuple[int, ...]
     domain: int
@@ -173,7 +176,7 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
     full = graph.universe.full_mask
     found = []
     for comp in component_masks(graph):
-        kernels, semikernels, chosen, domain = [], [], [], 0
+        semikernels, chosen, domain = [], [], 0
         for p in _independent_sets(graph, comp):
             m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
             # An independent set is a semikernel when its predecessors
@@ -182,8 +185,6 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
             if out & ~into:
                 continue
             semikernels.append(m)
-            if into == comp & ~m:
-                kernels.append(m)
             dom = m | into
             if far & ~dom:
                 continue
@@ -194,9 +195,7 @@ def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
                 domain, chosen = dom, [m]
             elif dom == domain:
                 chosen.append(m)
-        found.append(
-            _ComponentSets(tuple(kernels), tuple(semikernels), tuple(chosen), domain)
-        )
+        found.append(_ComponentSets(comp, tuple(semikernels), tuple(chosen), domain))
     return tuple(found)
 
 
@@ -210,10 +209,12 @@ def _product(per_component: Iterable[tuple[int, ...]]) -> list[int]:
 
 
 def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
-    """All kernels, ordered by subset rank over the sorted vertices."""
+    """All kernels, ordered by subset rank over the sorted vertices: the
+    models of each component whose domain is the whole component."""
     check_cap(len(graph.vertices), max_atoms)
     u = graph.universe
-    return [u.atoms_of(m) for m in _product(c.kernels for c in _component_sets(graph))]
+    kernels = (c.models if c.domain == c.atoms else () for c in _component_sets(graph))
+    return [u.atoms_of(m) for m in _product(kernels)]
 
 
 def enumerate_semikernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:

@@ -152,19 +152,18 @@ class _AtomMap:
     ``atoms`` are their universe indices, increasing, and ``span`` their
     universe mask; bit ``j`` of a component's own masks is ``atoms[j]``.
     ``local`` maps a universe mask's bits on the component to its own
-    indices and ``lift`` maps back. Consecutive atoms map by a shift
-    (``shift``); others (``shift`` is None) by one shift per run of
-    consecutive atoms. ``cell`` turns a clause's universe masks into the
-    cell ``pos | neg << n`` of the component's ``n`` atoms, and
-    ``masks`` turns a cell back.
+    indices and ``lift`` maps back, both by one shift per run of
+    consecutive atoms (a component of consecutive atoms is one run).
+    ``cell`` turns a clause's universe masks into the cell
+    ``pos | neg << n`` of the component's ``n`` atoms, and ``masks``
+    turns a cell back.
     """
 
-    __slots__ = ("atoms", "span", "shift", "_runs")
+    __slots__ = ("atoms", "span", "_runs")
 
     def __init__(self, atoms: "tuple[int, ...]"):
         self.atoms = atoms
         self.span = sum(1 << g for g in atoms)
-        self.shift = atoms[0] if atoms and atoms[-1] - atoms[0] == len(atoms) - 1 else None
         # Each run of consecutive atoms as (own index, universe index, width mask).
         self._runs = []
         for j, g in enumerate(atoms):
@@ -175,14 +174,16 @@ class _AtomMap:
                 self._runs.append((j, g, 1))
 
     def local(self, mask: int) -> int:
-        if self.shift is not None:
-            return (mask & self.span) >> self.shift
-        return sum((mask >> g & width) << j for j, g, width in self._runs)
+        out = 0
+        for j, g, width in self._runs:
+            out |= (mask >> g & width) << j
+        return out
 
     def lift(self, mask: int) -> int:
-        if self.shift is not None:
-            return mask << self.shift
-        return sum((mask >> j & width) << g for j, g, width in self._runs)
+        out = 0
+        for j, g, width in self._runs:
+            out |= (mask >> j & width) << g
+        return out
 
     def cell(self, pos: int, neg: int) -> int:
         """The cell of the clause ``(pos, neg)``, its bits off the component dropped."""
@@ -208,10 +209,10 @@ def _subcells(cell: int) -> np.ndarray:
 # A component's closure is a part, returned straight by its saturator.
 # Both kinds of part answer the same questions, in the component's cells
 # ``pos | neg << n``: ``entry``, ``items``, ``subclauses`` (nonempty
-# ones), ``codes``, ``minimal``, and ``sides`` and ``precedes`` for
-# ``_parent_step``, plus ``count`` and ``resolves``. Only ``Closure``
-# and ``_components`` speak universe masks, and the component's
-# ``_AtomMap`` is their only bridge to its cells.
+# ones), ``codes``, ``minimal``, and ``sides`` for ``_parent_step``,
+# plus ``count`` and ``resolves``. Only ``Closure`` and ``_components``
+# speak universe masks, and the component's ``_AtomMap`` is their only
+# bridge to its cells.
 
 
 class _LatticePart:
@@ -262,14 +263,9 @@ class _LatticePart:
         return subs[self.rounds[subs] != _NOT_DERIVED].tolist()
 
     def codes(self) -> np.ndarray:
-        """The literal codes of ``_clause_order`` of every derived nonempty clause."""
-        import numpy as np
+        """The literal codes (``_cell_codes``) of every derived nonempty clause."""
         cells = self._derived_cells()
-        cells = cells[cells != 0]
-        codes = np.empty((len(cells), self.n), dtype=np.uint8)
-        for j in range(self.n):
-            codes[:, j] = 3 - 2 * ((cells >> j) & 1) - ((cells >> (self.n + j)) & 1)
-        return codes
+        return _cell_codes(cells[cells != 0], self.n)
 
     def minimal(self) -> "list[int]":
         import numpy as np
@@ -284,9 +280,6 @@ class _LatticePart:
         for i in range(self.n):
             pbit, nbit = 1 << i, 1 << (self.n + i)
             yield self._earlier(cell & ~pbit, pbit, rnd), self._earlier(cell & ~nbit, nbit, rnd)
-
-    def precedes(self, cell: int, rnd: int) -> bool:
-        return self.rounds[cell] < rnd
 
     def _earlier(self, inside: int, bit: int, rnd: int) -> "list[int]":
         """The cells holding ``bit`` within ``inside | bit`` derived before
@@ -350,9 +343,6 @@ class _PairwisePart:
                 found[b].append(c)
         return zip(found[: self.n], found[self.n :])
 
-    def precedes(self, cell: int, rnd: int) -> bool:
-        return self.entries.get(cell, (None, rnd))[1] < rnd
-
 
 def _parent_step(part, cell: int, rnd: int) -> tuple:
     """The parents' cells (positive pivot first) and pivot of the clause
@@ -372,7 +362,7 @@ def _parent_step(part, cell: int, rnd: int) -> tuple:
                 # through the positive-side parent.
                 continue
             direct = (cell & ~(c & ~pbit)) | nbit
-            if part.precedes(direct, rnd):
+            if (found := part.entry(direct)) and found[1] < rnd:
                 return c, direct, i
         for c in pos_side:
             rest = c & ~pbit
@@ -419,7 +409,6 @@ class Closure:
             if own is not None and (self._empty is None or own[1] < self._empty[1]):
                 self._empty = own
         self._size = size + (self._empty is not None)
-        self._parents_m: dict[tuple[int, int], Optional[tuple]] = {}
         self.universe: tuple[str, ...] = universe.names
 
     def __len__(self) -> int:
@@ -511,8 +500,8 @@ class Closure:
     def in_clause_order(self, masks) -> list[tuple[int, int]]:
         """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
         masks = list(masks)
-        whole = _AtomMap(tuple(range(len(self._u))))
-        order = _code_order(_cell_codes([whole.cell(*m) for m in masks], len(self._u)))
+        n = len(self._u)
+        order = _code_order(_cell_codes([p | q << n for p, q in masks], n))
         return [masks[i] for i in order.tolist()]
 
     def clause_texts(self) -> list[str]:
@@ -581,12 +570,8 @@ class Closure:
         return out
 
     def parents_of_masks(self, m: tuple[int, int]) -> Optional[tuple]:
-        if m in self._parents_m:
-            return self._parents_m[m]
         kind, rnd = self._entry(m)
-        found = self._search_parents(m, rnd) if kind == _RESOLVENT else None
-        self._parents_m[m] = found
-        return found
+        return self._search_parents(m, rnd) if kind == _RESOLVENT else None
 
     def _search_parents(self, m: tuple[int, int], rnd: int) -> tuple:
         """The parent step of the resolvent ``m`` of round ``rnd``."""
@@ -603,19 +588,22 @@ class Closure:
         return amap.masks(left), amap.masks(right), amap.atoms[i]
 
 
-def _cell_codes(cells: "list[int]", n: int) -> np.ndarray:
+def _cell_codes(cells: "np.ndarray | list[int]", n: int) -> np.ndarray:
     """One literal code per clause and atom, for clause cells over ``n`` atoms.
 
-    The code is 0 for both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3
-    for neither.
+    ``cells`` is an int64 array of lattice cells, whose bytes are read
+    in place, or a list of Python ints of any width. The code is 0 for
+    both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3 for neither.
     """
     import numpy as np
-    width = 2 * n // 8 + 1
-    raw = b"".join([cell.to_bytes(width, "little") for cell in cells])
-    lits = np.unpackbits(
-        np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1, bitorder="little"
-    )
-    return 3 - 2 * lits[:, :n] - lits[:, n : 2 * n]
+    if isinstance(cells, np.ndarray):
+        raw = np.ascontiguousarray(cells, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    else:
+        width = 2 * n // 8 + 1
+        raw = b"".join([cell.to_bytes(width, "little") for cell in cells])
+        raw = np.frombuffer(raw, np.uint8).reshape(-1, width)
+    lits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
+    return 3 - 2 * lits[:, :n] - lits[:, n:]
 
 
 def _code_order(codes: np.ndarray) -> np.ndarray:
@@ -1121,24 +1109,26 @@ def proof_of(closure: Closure, clause: Clause) -> Proof:
 
     # Iterative post-order walk, which writes each step once its premises
     # hold positions; proofs can be deep enough to overflow the
-    # interpreter stack if done recursively.
+    # interpreter stack if done recursively. A resolvent goes back on
+    # the stack with the parent step found for it, so it is searched once.
     position: dict[tuple[int, int], int] = {}
     steps: list[ProofStep] = []
-    stack: list[tuple[tuple[int, int], bool]] = [(target, False)]
+    stack: list[tuple[tuple[int, int], Optional[tuple]]] = [(target, None)]
     while stack:
-        m, expanded = stack.pop()
+        m, par = stack.pop()
         if m in position:
             continue
-        par = closure.parents_of_masks(m)
         idx = len(steps) + 1
-        if par is None:
-            steps.append(ProofStep(idx, closure.clause_of(m), closure._entry(m)[0]))
-        elif expanded:
+        if par is not None:
             p, q, i = par
             premises = (position[p], position[q])
             steps.append(ProofStep(idx, closure.clause_of(m), "res", premises, closure.universe[i]))
         else:
-            stack += [(m, True), (par[1], False), (par[0], False)]
-            continue
+            kind, rnd = closure._entry(m)
+            if kind == _RESOLVENT:
+                par = closure._search_parents(m, rnd)
+                stack += [(m, par), (par[1], None), (par[0], None)]
+                continue
+            steps.append(ProofStep(idx, closure.clause_of(m), kind))
         position[m] = idx
     return Proof(conclusion=closure.clause_of(target), steps=tuple(steps))

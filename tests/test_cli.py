@@ -504,6 +504,26 @@ def test_module_entry_point(delta_file):
     assert proc.stdout.strip() == "{c,d,e}"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_reader_closing_the_pipe_early_keeps_the_exit_code(tmp_path, flags):
+    # An 8-atom closure of 65,026 clauses, far past any pipe buffer.
+    graph = kl.random_digraph(kl.RandomGraphSpec(8, 0.2, 0))
+    path = tmp_path / "big.edges"
+    path.write_text(
+        "".join(f"{a} -> {b}\n" for a in sorted(graph.vertices) for b in graph.successors(a))
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kernelogic", "closure", str(path), *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+
+
 def test_undecodable_input_exits_2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bad.gnf"
     path.write_bytes(b"\xff")

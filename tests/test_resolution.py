@@ -589,6 +589,24 @@ def test_a_forty_atom_chain_answers_from_cells_past_64_bits():
     ]
 
 
+@pytest.mark.parametrize("n", range(1, resolution.LATTICE_MAX_ATOMS + 1))
+def test_cell_codes_of_lattice_arrays_match_python_ints(n):
+    # Lattice parts hand over int64 arrays of cells, pairwise parts
+    # lists of Python ints; both give one code per atom, bit by bit.
+    if n == 8:
+        cells = np.arange(1 << 2 * n, dtype=np.int64)  # a full lattice
+    else:
+        stream = splitmix64(n)
+        cells = np.array(sorted({next(stream) % (1 << 2 * n) for _ in range(300)}))
+    for some in (cells, cells[::3]):
+        codes = resolution._cell_codes(some, n)
+        assert codes.shape == (len(some), n)
+        assert codes.tolist() == resolution._cell_codes(some.tolist(), n).tolist()
+        assert codes.tolist() == [
+            [3 - 2 * (c >> j & 1) - (c >> (n + j) & 1) for j in range(n)] for c in some.tolist()
+        ]
+
+
 def test_wide_rounds_are_refused_by_their_pair_count():
     # A consistent connected 12-atom graph's clause form does not close
     # at desk scale; its fourth round alone would form billions of
@@ -835,6 +853,53 @@ def test_witness_subclause_is_least_in_clause_order(our_cth, our_closure):
         assert kl.witness_subclause(our_closure, goal) == expected
 
 
+def test_weakening_witness_is_the_least_accepted_premise(corpus):
+    # The twin scans every derived clause: the witness is the least
+    # subclause of the goal, by clause_sort_key, that the mode may weaken
+    # from; "awbw" takes only one that keeps a healthy atom.
+    stream = splitmix64(91)
+    cases = set()
+    for spec, graph in corpus[::13]:
+        closure = kl.saturate(kl.clausal_theory(graph))
+        bad = kl.paradoxical_atoms(closure)
+        derived = [closure.clause_of(m) for m in closure.iter_masks()]
+        goals = [rand_clause(stream, closure.universe, max_len=5) for _ in range(8)]
+        goals.append(Clause(Literal(a, next(stream) % 2 == 1) for a in bad))
+        for goal in goals:
+            below = sorted((c for c in derived if c.issubset(goal)), key=kl.clause_sort_key)
+            accepted = {"none": [], "cw": below, "awbw": [c for c in below if c.atoms() - bad]}
+            for mode, premises in accepted.items():
+                witness = resolution.weakening_witness(closure, goal, mode)
+                assert witness == (premises[0] if premises else None), (spec, goal, mode)
+                if mode == "cw" and witness == Clause():
+                    cases.add("cw from a derived []")
+                if mode == "awbw" and witness is None and goal.atoms() and goal.atoms() <= bad:
+                    cases.add("awbw on paradoxical atoms alone")
+    assert cases == {"cw from a derived []", "awbw on paradoxical atoms alone"}
+
+
+def test_proof_of_searches_each_resolvent_once(monkeypatch, our_cth):
+    searched = []
+    real = kl.Closure._search_parents
+
+    def spy(self, m, rnd):
+        searched.append(m)
+        return real(self, m, rnd)
+
+    monkeypatch.setattr(kl.Closure, "_search_parents", spy)
+    lattice = kl.saturate(our_cth)
+    # The 13-atom chain w00 -> ... -> w12 is one pairwise component.
+    chain = kl.ClausalTheory(clauses("w00", *(f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:]))))
+    pairwise = kl.saturate(chain)
+    for closure, kind in ((lattice, resolution._LatticePart), (pairwise, resolution._PairwisePart)):
+        assert {type(part) for _, part in closure._parts} == {kind}
+        for goal in sorted(closure.derived, key=kl.clause_sort_key)[::11]:
+            searched.clear()
+            proof = kl.proof_of(closure, goal)
+            resolved = [closure.clause_masks(s.clause) for s in proof.steps if s.rule == "res"]
+            assert sorted(searched) == sorted(resolved) and len(set(searched)) == len(searched)
+
+
 def test_lattice_width_is_bounded_by_the_accumulator():
     resolution._check_lattice_width(resolution.LATTICE_MAX_ATOMS)
     resolution._check_lattice_width(15)
@@ -962,8 +1027,8 @@ def test_atom_map_matches_a_per_atom_twin(drawn, data):
     assert amap.lift(own_mask) == lift
     assert amap.lift(amap.local(universe_mask)) == universe_mask & span
     assert amap.local(amap.lift(own_mask)) == own_mask
-    consecutive = atoms == tuple(range(atoms[0], atoms[-1] + 1))
-    assert amap.shift == (atoms[0] if consecutive else None)
+    # One shift per maximal run of consecutive atoms.
+    assert len(amap._runs) == 1 + sum(b != a + 1 for a, b in zip(atoms, atoms[1:]))
     # Cells are the bridge's other side: pos | neg << n over the
     # component's n atoms, bits off the component dropped.
     other_mask = data.draw(st.integers(0, (1 << width) - 1))
@@ -978,7 +1043,7 @@ def test_atom_map_matches_a_per_atom_twin(drawn, data):
 
 def test_membership_in_interleaved_components():
     # Components whose atoms are scattered over three bytes of a 20-atom
-    # universe map run by run, consecutive atoms by one shift;
+    # universe map run by run, consecutive atoms as one run;
     # both must give the closure's own clauses.
     names = tuple(f"a{i:02d}" for i in range(20))
     groups = [(0, 7, 9, 17), (1, 2, 3), (4, 10, 15, 19), (5, 16)]
@@ -989,8 +1054,8 @@ def test_membership_in_interleaved_components():
             atoms = [names[g] for g in group if next(stream) % 2]
             cls.add(Clause(Literal(a, next(stream) % 3 == 0) for a in atoms))
     closure = kl.saturate(kl.ClausalTheory(frozenset(cls), names))
-    shifts = {amap.atoms: amap.shift for amap, _ in closure._parts}
-    assert shifts[(1, 2, 3)] == 1 and shifts[(0, 7, 9, 17)] is None
+    runs = {amap.atoms: len(amap._runs) for amap, _ in closure._parts}
+    assert runs[(1, 2, 3)] == 1 and runs[(0, 7, 9, 17)] == 4
     derived = closure.derived
     for c in derived:
         assert c in closure

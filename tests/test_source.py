@@ -87,7 +87,9 @@ def test_both_kinds_of_part_answer_the_same_questions():
         }
 
     assert questions("_LatticePart") == questions("_PairwisePart")
-    assert {"entry", "items", "subclauses", "minimal", "sides"} <= questions("_LatticePart")
+    assert questions("_LatticePart") == {
+        "entry", "items", "subclauses", "codes", "minimal", "sides"
+    }
     found = [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
