@@ -74,24 +74,23 @@ EXIT_RESOURCE = 3
 _FORMAT_KINDS = {"gnf": GNF_THEORY, "edges": EDGE_LIST, "clauses": CLAUSE_SET}
 
 
-def _read_input(path: str) -> tuple[str, str]:
+def _read_input(path: str) -> str:
     source = "<stdin>" if path == "-" else path
     try:
         if path == "-":
-            return sys.stdin.read(), source
+            return sys.stdin.read()
         # newline="" keeps every "\r": parse_document alone decides
         # where lines end, for files as for stdin.
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read(), source
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
 
 def _load(args) -> tuple[Optional[Digraph], ClausalTheory]:
-    text, source = _read_input(args.input)
     kind = _FORMAT_KINDS[args.format] if args.format else None
     doc = parse_document(
-        text, source, kind=kind, complete_loose=args.complete_loose
+        _read_input(args.input), kind=kind, complete_loose=args.complete_loose
     )
     if doc.kind == GNF_THEORY:
         graph = theory_to_graph(doc.payload)

@@ -36,7 +36,6 @@ class InputDocument:
 
     kind: str
     payload: Union[GnfTheory, Digraph, ClausalTheory]
-    source: str
 
 
 def _content_lines(text: str):
@@ -166,7 +165,6 @@ def detect_kind(text: str) -> str:
 
 def parse_document(
     text: str,
-    source: str = "<input>",
     kind: Optional[str] = None,
     complete_loose: bool = False,
 ) -> InputDocument:
@@ -181,7 +179,7 @@ def parse_document(
         payload = parse_clause_set(text)
     else:
         raise ParseError(f"unknown input kind {kind!r}")
-    return InputDocument(kind=kind, payload=payload, source=source)
+    return InputDocument(kind=kind, payload=payload)
 
 
 def format_clause(clause: Clause) -> str:

@@ -10,16 +10,20 @@ set always qualifies.
 All three properties are local to the weakly connected components: a
 set is a kernel, a semikernel or an inverse-closed semikernel exactly
 when its trace on every component is one. Enumeration therefore runs
-per component, as plain subset search with early pruning on
-independence, and the whole graph's lists are the products of the
-components' lists, sorted by subset rank. Models need no pairwise
-comparison: any inverse-closed semikernel can be grown to settle the
-domain of any other (``extend_partition``), so every one settles atoms
-inside one maximal domain, and the search keeps the widest domain it
-has met with the sets that settle exactly it: the models. A kernel is
-an inverse-closed semikernel that settles its whole component, so a
-component's kernels are its models when their domain is the whole
-component, and it has none otherwise.
+per component, as one walk that grows the independent sets and hands
+out the semikernels among them, and the whole graph's lists are the
+products of the components' lists, sorted by subset rank. Models need
+no pairwise comparison: any inverse-closed semikernel can be grown to
+settle the domain of any other (``extend_partition``), so every one
+settles atoms inside one maximal domain, and the walk keeps the widest
+domain it has met with the sets that settle exactly it: the models.
+
+Each graph caches one value, its ``ModelSide``: per component, the
+models and the one domain they settle, and nothing else. A kernel is
+an inverse-closed semikernel that settles every atom, and the maximal
+domain is unique, so the kernels are the models when no atom is
+paradoxical, and there are none otherwise. Semikernels are walked
+again whenever they are listed, since only that listing reads them.
 
 Direct resolution is sound and complete for this semantics, so the
 models also answer the closure's questions (``ModelSide``, which
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .clauses import Clause, clause_of_masks, intern_clause
 from .errors import ResourceLimitError, ValidationError
@@ -137,28 +141,20 @@ def check_cap(atoms: int, max_atoms: int) -> None:
         raise ResourceLimitError(f"graph has {atoms} atoms, enumeration cap is {max_atoms}")
 
 
-class _ComponentSets(NamedTuple):
-    """One weakly connected component's atoms, semikernels and models,
-    as bitmasks over the whole graph's universe, and the one domain its
-    models settle."""
+def _semikernels(graph: Digraph, comp: int) -> Iterator[int]:
+    """The semikernels inside ``comp``, each packed into one int of four
+    ``len(graph)``-bit fields: the set, its successors, its predecessors
+    and their predecessors.
 
-    atoms: int
-    semikernels: tuple[int, ...]
-    models: tuple[int, ...]
-    domain: int
-
-
-def _independent_sets(graph: Digraph, comp: int) -> list[int]:
-    """The independent sets inside ``comp``, each packed into one int
-    of four ``len(graph)``-bit fields: the set, its successors, its
-    predecessors and their predecessors.
-
-    Sets are grown one vertex at a time: a vertex joins exactly the sets
-    built so far that it does not touch (a looped vertex joins none),
-    and every field of the grown set is the OR of the set's field and
-    the vertex's, so one OR of packed ints grows all four.
+    Independent sets are grown one vertex at a time: a vertex joins
+    exactly the sets built so far that it does not touch (a looped
+    vertex joins none), and every field of the grown set is the OR of
+    the set's field and the vertex's, so one OR of packed ints grows all
+    four. An independent set is a semikernel when its predecessors
+    cover its successors.
     """
     w = len(graph.vertices)
+    full = graph.universe.full_mask
     packed = [0]
     for i in bits(comp):
         bit = 1 << i
@@ -167,39 +163,10 @@ def _independent_sets(graph: Digraph, comp: int) -> list[int]:
             touch = succ | pred
             grown = bit | succ << w | pred << 2 * w | graph.in_mask(pred) << 3 * w
             packed += [p | grown for p in packed if p & touch == 0]
-    return packed
+    return (p for p in packed if p >> w & ~(p >> 2 * w) & full == 0)
 
 
-@lru_cache(maxsize=512)
-def _component_sets(graph: Digraph) -> tuple[_ComponentSets, ...]:
-    w = len(graph.vertices)
-    full = graph.universe.full_mask
-    found = []
-    for comp in component_masks(graph):
-        semikernels, chosen, domain = [], [], 0
-        for p in _independent_sets(graph, comp):
-            m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
-            # An independent set is a semikernel when its predecessors
-            # cover its successors; it is inverse-closed when the
-            # predecessors of its predecessors stay inside its domain.
-            if out & ~into:
-                continue
-            semikernels.append(m)
-            dom = m | into
-            if far & ~dom:
-                continue
-            # Every inverse-closed semikernel's domain lies inside the one
-            # maximal domain (extend_partition grows any other): a domain
-            # adding atoms replaces the one kept, and once met it stays.
-            if dom & ~domain:
-                domain, chosen = dom, [m]
-            elif dom == domain:
-                chosen.append(m)
-        found.append(_ComponentSets(comp, tuple(semikernels), tuple(chosen), domain))
-    return tuple(found)
-
-
-def _product(per_component: Iterable[tuple[int, ...]]) -> list[int]:
+def _product(per_component: Iterable[Sequence[int]]) -> list[int]:
     """The sets whose trace on every component is one of that
     component's sets, sorted as integers, that is by subset rank."""
     combined = [0]
@@ -210,18 +177,22 @@ def _product(per_component: Iterable[tuple[int, ...]]) -> list[int]:
 
 def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All kernels, ordered by subset rank over the sorted vertices: the
-    models of each component whose domain is the whole component."""
+    models when they settle every atom, and none otherwise."""
     check_cap(len(graph.vertices), max_atoms)
-    u = graph.universe
-    kernels = (c.models if c.domain == c.atoms else () for c in _component_sets(graph))
-    return [u.atoms_of(m) for m in _product(kernels)]
+    side = _model_side(graph)
+    if side.paradox_mask:
+        return []
+    return [graph.universe.atoms_of(m) for m in _product(ms for ms, _ in side.components)]
 
 
 def enumerate_semikernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All semikernels, including the empty set, ordered by subset rank."""
     check_cap(len(graph.vertices), max_atoms)
     u = graph.universe
-    return [u.atoms_of(m) for m in _product(c.semikernels for c in _component_sets(graph))]
+    per_component = (
+        [p & u.full_mask for p in _semikernels(graph, comp)] for comp in component_masks(graph)
+    )
+    return [u.atoms_of(m) for m in _product(per_component)]
 
 
 def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition3]:
@@ -237,7 +208,7 @@ def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition
     check_cap(len(graph.vertices), max_atoms)
     return [
         _partition_from_mask(graph, m)
-        for m in _product(c.models for c in _component_sets(graph))
+        for m in _product(ms for ms, _ in _model_side(graph).components)
     ]
 
 
@@ -253,7 +224,9 @@ class ModelSide(NamedTuple):
     """
 
     graph: Digraph
-    components: tuple[_ComponentSets, ...]
+    # Per weakly connected component, its models' true sets as bitmasks
+    # over the universe and the one domain they settle.
+    components: tuple[tuple[tuple[int, ...], int], ...]
     paradox_mask: int  # the atoms no component's domain settles
 
     def paradox_atoms(self) -> frozenset[str]:
@@ -277,8 +250,8 @@ class ModelSide(NamedTuple):
         if bad and not (pos | neg) & ~bad:
             return None
         found = 0
-        for c in self.components:
-            failing = [t for t in c.models if t & pos == 0 and neg & c.domain & ~t == 0]
+        for models, domain in self.components:
+            failing = [t for t in models if t & pos == 0 and neg & domain & ~t == 0]
             if not failing:
                 return None
             found |= min(failing)
@@ -326,9 +299,9 @@ class ModelSide(NamedTuple):
         w = len(u)
         bad = self.paradox_mask
         found = [(1 << i, 0) for i in bits(bad)] + [(0, 1 << i) for i in bits(bad)]
-        for c in self.components:
+        for models, domain in self.components:
             # One literal bit per atom and sign: x at bit i, ~x at bit w + i.
-            edges = [t | (c.domain & ~t) << w for t in c.models]
+            edges = [t | (domain & ~t) << w for t in models]
             hits = _minimal_transversals(edges)
             # Search no further than one clause past the cap.
             while len(found) <= max_clauses and (hit := next(hits, None)) is not None:
@@ -387,11 +360,35 @@ def model_side(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Optional[M
     """
     if any(comp.bit_count() > max_atoms for comp in component_masks(graph)):
         return None
-    components = _component_sets(graph)
-    settled = 0
-    for c in components:
-        settled |= c.domain
-    return ModelSide(graph, components, graph.universe.full_mask & ~settled)
+    return _model_side(graph)
+
+
+@lru_cache(maxsize=512)
+def _model_side(graph: Digraph) -> ModelSide:
+    """The model side of ``graph``, by one walk over each component's
+    semikernels."""
+    w = len(graph.vertices)
+    full = graph.universe.full_mask
+    components, settled = [], 0
+    for comp in component_masks(graph):
+        chosen, domain = [], 0
+        for p in _semikernels(graph, comp):
+            m, into, far = p & full, p >> 2 * w & full, p >> 3 * w
+            # A semikernel is inverse-closed when the predecessors of its
+            # predecessors stay inside its domain.
+            dom = m | into
+            if far & ~dom:
+                continue
+            # Every inverse-closed semikernel's domain lies inside the one
+            # maximal domain (extend_partition grows any other): a domain
+            # adding atoms replaces the one kept, and once met it stays.
+            if dom & ~domain:
+                domain, chosen = dom, [m]
+            elif dom == domain:
+                chosen.append(m)
+        components.append((tuple(chosen), domain))
+        settled |= domain
+    return ModelSide(graph, tuple(components), full & ~settled)
 
 
 def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:

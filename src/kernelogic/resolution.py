@@ -701,17 +701,17 @@ def _saturate_lattice(
     _check_lattice_width(n)
     rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
     rounds[np.array(seeds, dtype=np.int64)] = 0
-    derived = rounds == 0
     count = len(seeds)
     rnd = 0
     # A full lattice leaves no clause to derive: no empty round confirms it.
     while count < rounds.size:
         rnd += 1
+        underived = rounds == _NOT_DERIVED
         # Each pivot's union product counts resolvable pairs and is
         # never negative, so one inversion of the sum has the union of
         # their supports.
-        fresh = _subset_transform(_pair_counts(derived, n), 2 * n, -1) > 0
-        fresh &= ~derived
+        fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) > 0
+        fresh &= underived
         new = int(np.count_nonzero(fresh))
         if not new:
             break
@@ -722,7 +722,6 @@ def _saturate_lattice(
         count += new
         if count > max_clauses:
             raise _OverCap(f"closure exceeded {max_clauses} clauses")
-        derived |= fresh
         rounds[fresh] = rnd
     return _LatticePart(n, rounds, seeds, inputs)
 

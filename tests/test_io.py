@@ -137,13 +137,13 @@ def test_detect_kind():
 
 
 def test_parse_document_kinds():
-    doc = io.parse_document(DELTA_TEXT, "delta.gnf")
+    doc = io.parse_document(DELTA_TEXT)
     assert doc.kind == io.GNF_THEORY and isinstance(doc.payload, kl.GnfTheory)
-    doc = io.parse_document("a -> b", "g.edges")
+    doc = io.parse_document("a -> b")
     assert doc.kind == io.EDGE_LIST and isinstance(doc.payload, kl.Digraph)
-    doc = io.parse_document("a ~b", "t.clauses")
+    doc = io.parse_document("a ~b")
     assert doc.kind == io.CLAUSE_SET and isinstance(doc.payload, kl.ClausalTheory)
-    forced = io.parse_document("a", "u.clauses", kind=io.CLAUSE_SET)
+    forced = io.parse_document("a", kind=io.CLAUSE_SET)
     assert forced.payload.clauses == clauses("a")
 
 

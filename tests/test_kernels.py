@@ -1,6 +1,8 @@
 """Kernel and semikernel classification, enumeration, and combination."""
 
+import gc
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -172,7 +174,7 @@ def two_pass_models(graph, comp):
     w = len(graph.vertices)
     full = graph.universe.full_mask
     closed = {}
-    for p in kernels._independent_sets(graph, comp):
+    for p in kernels._semikernels(graph, comp):
         m, out, into, far = p & full, p >> w & full, p >> 2 * w & full, p >> 3 * w
         if out & ~into == 0 and far & ~(m | into) == 0:
             closed[m] = m | into
@@ -187,7 +189,7 @@ def two_pass_models(graph, comp):
 # {a, c} settles all four atoms before {d} settles its subdomain {a, d}.
 @example(kl.Digraph(["a", "b", "c", "d"], [("a", "b"), ("a", "d"), ("b", "c"), ("d", "a")]))
 def test_one_pass_models_match_the_two_pass_rule(g):
-    found = [(c.domain, c.models) for c in kernels._component_sets(g)]
+    found = [(domain, models) for models, domain in kernels._model_side(g).components]
     assert found == [two_pass_models(g, comp) for comp in graphs.component_masks(g)]
 
 
@@ -308,12 +310,12 @@ def test_model_side_flood_fills_a_graph_once(monkeypatch):
     # refuses a component over it before any search.
     g = odd_cycles(3, 5)
     graphs.component_masks.cache_clear()
-    kernels._component_sets.cache_clear()
+    kernels._model_side.cache_clear()
     fills, searches = [], []
-    real_fill, real_search = graphs.flood_fill, kernels._independent_sets
+    real_fill, real_search = graphs.flood_fill, kernels._semikernels
     monkeypatch.setattr(graphs, "flood_fill", lambda links: fills.append(1) or real_fill(links))
     monkeypatch.setattr(
-        kernels, "_independent_sets", lambda *a: searches.append(1) or real_search(*a)
+        kernels, "_semikernels", lambda *a: searches.append(1) or real_search(*a)
     )
     assert kernels.model_side(g, max_atoms=4) is None
     assert (fills, searches) == ([1], [])
@@ -321,6 +323,23 @@ def test_model_side_flood_fills_a_graph_once(monkeypatch):
         assert kernels.model_side(g, max_atoms=5) is not None
         assert kernels.model_side(g, max_atoms=4) is None
     assert (fills, searches) == ([1], [1, 1])
+
+
+def test_cached_model_side_keeps_no_semikernels():
+    # The out-star has 2**16 + 1 semikernels but one model; the cache
+    # keeps the model side, not the sets its walk passed over.
+    leaves = [f"l{i:02d}" for i in range(16)]
+    g = kl.Digraph(["hub"] + leaves, [("hub", leaf) for leaf in leaves])
+    kernels._model_side.cache_clear()
+    tracemalloc.start()
+    try:
+        side = kernels.model_side(g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert side.components == (((g.universe.mask_of(leaves),), g.universe.full_mask),)
+    assert held < 1 << 20
 
 
 def whole_graph_lists(graph):
