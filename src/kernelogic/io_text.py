@@ -20,7 +20,7 @@ from .clauses import ClausalTheory, Clause, Literal, clause_sort_key
 from .errors import ParseError
 from .graphs import Digraph, GnfTheory, complete_loose_atoms, is_valid_atom
 from .kernels import Partition2, Partition3
-from .resolution import Closure, Proof, SubdiscourseReport
+from .resolution import Closure, SubdiscourseReport
 from .semantics import EntailmentVerdict
 
 SCHEMA_VERSION = 1
@@ -155,11 +155,11 @@ def parse_clause_set(text: str) -> ClausalTheory:
 def detect_kind(text: str) -> str:
     """Sniff the input format; clause sets are the fallback."""
     for _, line in _content_lines(text):
-        tokens = line.split()
-        if "->" in tokens or (tokens and tokens[0] == "vertex"):
-            return EDGE_LIST
         if ":" in line:
             return GNF_THEORY
+        tokens = line.split()
+        if "->" in tokens or tokens[0] == "vertex":
+            return EDGE_LIST
     return CLAUSE_SET
 
 
@@ -230,11 +230,6 @@ def to_jsonable(value):
         return {"true": sorted(value.true_set), "false": sorted(value.false_set)}
     if isinstance(value, Clause):
         return str(value)
-    if isinstance(value, ClausalTheory):
-        return {
-            "clauses": sorted_clause_strings(value.clauses),
-            "universe": list(value.universe),
-        }
     if isinstance(value, Closure):
         return value.clause_texts()
     if isinstance(value, SubdiscourseReport):
@@ -251,11 +246,6 @@ def to_jsonable(value):
         if value.countermodel is not None:
             via["countermodel"] = to_jsonable(value.countermodel)
         return {"holds": value.holds, "via": via}
-    if isinstance(value, Proof):
-        return {
-            "conclusion": str(value.conclusion),
-            "steps": [str(step) for step in value.steps],
-        }
     if isinstance(value, (frozenset, set)):
         # Elements that order among themselves (atom names) keep that
         # order; the others (clauses, partitions) order by their JSON

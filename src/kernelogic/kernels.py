@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .clauses import Clause, clause_of_masks, intern_clause
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, bits, component_masks
+from .graphs import Digraph, bits, component_masks, reachable
 
 DEFAULT_MAX_ATOMS = 20
 
@@ -404,13 +404,7 @@ def sk_intersect_reach(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> fr
         raise ValidationError("t must be a subset of s")
     if not _is_semikernel(graph, s_mask):
         raise ValidationError("s is not a semikernel")
-    reach = t_mask
-    while True:
-        grown = reach | graph.out_mask(reach)
-        if grown == reach:
-            break
-        reach = grown
-    result = s_mask & reach
+    result = s_mask & u.mask_of(reachable(graph, u.atoms_of(t_mask)))
     if not _is_semikernel(graph, result):
         raise AssertionError("combinator broke the semikernel property")
     return u.atoms_of(result)

@@ -22,7 +22,7 @@ from typing import Iterator
 from .clauses import ClausalTheory, Clause, Literal
 from .errors import ResourceLimitError
 from .graphs import Digraph
-from .kernels import Partition3
+from .kernels import DEFAULT_MAX_ATOMS, Partition3
 
 BRUTE_MAX_ATOMS = 16
 BRUTE_CLOSURE_MAX_ATOMS = 6
@@ -128,7 +128,7 @@ def brute_models(graph: Digraph) -> list[Partition3]:
 
 
 def truth_table_models(
-    theory: ClausalTheory, max_atoms: int = 20
+    theory: ClausalTheory, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> list[dict[str, bool]]:
     """Every total two-valued assignment satisfying the whole theory."""
     atoms = theory.universe

@@ -556,22 +556,13 @@ class Closure:
         resolvent; intended for modest closures.
         """
         out = {}
-        for m in self.iter_masks():
-            par = self.parents_of_masks(m)
-            if par is None:
-                out[self.clause_of(m)] = None
-            else:
-                p, q, i = par
-                out[self.clause_of(m)] = (
-                    self.clause_of(p),
-                    self.clause_of(q),
-                    self._u.names[i],
-                )
+        for m, (kind, rnd) in self.entries():
+            step = None
+            if kind == _RESOLVENT:
+                p, q, i = self._search_parents(m, rnd)
+                step = (self.clause_of(p), self.clause_of(q), self._u.names[i])
+            out[self.clause_of(m)] = step
         return out
-
-    def parents_of_masks(self, m: tuple[int, int]) -> Optional[tuple]:
-        kind, rnd = self._entry(m)
-        return self._search_parents(m, rnd) if kind == _RESOLVENT else None
 
     def _search_parents(self, m: tuple[int, int], rnd: int) -> tuple:
         """The parent step of the resolvent ``m`` of round ``rnd``."""

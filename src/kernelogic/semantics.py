@@ -171,31 +171,14 @@ def component_claim_check(
 ) -> bool:
     """Check that resolution couples exactly the atoms that hang together.
 
-    True when every derivable clause of the graph's clause form stays
-    inside one component of the underlying undirected graph, and every
-    two atoms sharing a component co-occur in some derivable clause.
+    True when, for every atom, the union of the derivable clauses of the
+    graph's clause form that hold it is exactly its component of the
+    underlying undirected graph.
     """
     theory = clausal_theory(graph)
     closure = _closure_for(theory, closure, max_clauses)
-    u = graph.universe
-    comp_masks = component_masks(graph)
-    comp_of = {}
-    for cm in comp_masks:
-        for i in bits(cm):
-            comp_of[i] = cm
-    n = len(u)
-    cooccur = [0] * n
+    cooccur = [0] * len(graph.universe)
     for p, q in closure.iter_masks():
-        atoms_mask = p | q
-        if not atoms_mask:
-            continue
-        first = (atoms_mask & -atoms_mask).bit_length() - 1
-        if atoms_mask & ~comp_of[first]:
-            return False
-        for i in bits(atoms_mask):
-            cooccur[i] |= atoms_mask
-    for cm in comp_masks:
-        for i in bits(cm):
-            if cm & ~cooccur[i]:
-                return False
-    return True
+        for i in bits(p | q):
+            cooccur[i] |= p | q
+    return all(cooccur[i] == cm for cm in component_masks(graph) for i in bits(cm))

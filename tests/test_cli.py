@@ -494,6 +494,31 @@ def test_check_random(capsys):
     assert doc["result"]["ok"] is True
 
 
+def test_check_random_reports_a_mismatch(capsys, monkeypatch):
+    _, oracle, fmt = cli._LISTINGS["kernels"]
+    monkeypatch.setitem(cli._LISTINGS, "kernels", (lambda graph, cap: [], oracle, fmt))
+    argv = ["check-random", "--n", "4", "--p", "0.3", "--seed", "5", "--count", "6"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    doc = json.loads(out)["result"]
+    assert doc["ok"] is False and doc["mismatches"]
+    assert all("kernels" in m["mismatched"] for m in doc["mismatches"])
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    rows = out.splitlines()
+    assert any("MISMATCH kernels" in row for row in rows[:-1])
+    assert rows[-1] == f"6 graphs checked, {len(doc['mismatches'])} mismatches"
+
+
+def test_gnf_defining_vertex_first_parses(capsys, tmp_path):
+    path = tmp_path / "vertex.gnf"
+    path.write_text("vertex : a\na :\n")
+    code, out, err = run(capsys, "models", str(path))
+    assert (code, err) == (0, "")
+    assert out == "true={a} false={vertex} paradox={}\n"
+
+
 def test_module_entry_point(delta_file):
     proc = subprocess.run(
         [sys.executable, "-m", "kernelogic", "paradox", delta_file],

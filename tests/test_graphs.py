@@ -88,6 +88,12 @@ def test_neighborhoods_unknown_atom(our_graph):
         kl.neighborhoods(our_graph, {"zz"})
 
 
+def test_negated_unknown_atom(our_theory):
+    assert our_theory.negated("a") == {"a'"}
+    with pytest.raises(kl.ValidationError, match="unknown atom 'zz'"):
+        our_theory.negated("zz")
+
+
 def test_reachable_examples(our_graph):
     assert kl.reachable(our_graph, {"b"}) == {"a", "a'", "b", "c", "d", "e"}
     assert kl.reachable(our_graph, set()) == frozenset()

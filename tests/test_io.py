@@ -134,6 +134,9 @@ def test_detect_kind():
     assert io.detect_kind("vertex a\n") == io.EDGE_LIST
     assert io.detect_kind("a ~b\n") == io.CLAUSE_SET
     assert io.detect_kind("") == io.CLAUSE_SET
+    # A line holding ":" is GNF even when its atom is named vertex.
+    assert io.detect_kind("vertex : a\na :\n") == io.GNF_THEORY
+    assert io.detect_kind("vertex :\n") == io.GNF_THEORY
 
 
 def test_parse_document_kinds():
@@ -145,6 +148,8 @@ def test_parse_document_kinds():
     assert doc.kind == io.CLAUSE_SET and isinstance(doc.payload, kl.ClausalTheory)
     forced = io.parse_document("a", kind=io.CLAUSE_SET)
     assert forced.payload.clauses == clauses("a")
+    with pytest.raises(kl.ParseError, match="unknown input kind 'csv'"):
+        io.parse_document("a", kind="csv")
 
 
 ATOM_NAMES = st.sampled_from(["a", "a'", "b", "c", "d_2"])

@@ -476,8 +476,10 @@ def test_sk_union():
     cycle = kl.Digraph(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(kl.ValidationError, match="overlap"):
         kl.sk_union(cycle, {"a"}, {"b"})
-    with pytest.raises(kl.ValidationError, match="not a semikernel"):
+    with pytest.raises(kl.ValidationError, match="^t is not a semikernel"):
         kl.sk_union(path, {"x", "z"}, {"y"})
+    with pytest.raises(kl.ValidationError, match="^s is not a semikernel"):
+        kl.sk_union(path, {"y"}, {"x", "z"})
 
 
 def test_combinators_random():
@@ -513,6 +515,11 @@ def test_extend_partition_examples(our_graph, f1_graph):
         kl.extend_partition(our_graph, beta, bad_beta)
     with pytest.raises(kl.ValidationError, match="not an inverse-closed"):
         kl.extend_partition(our_graph, alpha, bad_beta)
+    overlapping = kl.Partition3(
+        beta.true_set, beta.false_set | beta.true_set, beta.paradox_set
+    )
+    with pytest.raises(kl.ValidationError, match="beta is not a partition"):
+        kl.extend_partition(our_graph, alpha, overlapping)
 
     # Disjoint union of the F1 shape and a 3-cycle.
     g = kl.Digraph(

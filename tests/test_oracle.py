@@ -54,6 +54,12 @@ def test_truth_table_models(f1_graph):
     empty_over_a = kl.ClausalTheory(frozenset(), ("a",))
     assert kl.truth_table_models(empty_over_a) == [{"a": False}, {"a": True}]
 
+    wide = kl.ClausalTheory(frozenset(), tuple(f"v{i:02d}" for i in range(21)))
+    with pytest.raises(kl.ResourceLimitError, match="21 atoms, truth-table cap is 20"):
+        kl.truth_table_models(wide)
+    with pytest.raises(kl.ResourceLimitError, match="cap is 1"):
+        kl.truth_table_models(kl.clausal_theory(f1_graph), max_atoms=1)
+
 
 def test_splitmix64_reference_values():
     # First outputs for seed 1234567, matching the published algorithm.

@@ -197,6 +197,9 @@ def test_core_models_consistent_graphs():
 
 def test_entails_para(our_cth, our_closure):
     assert kl.entails_para(our_cth, clause("~b"), closure=our_closure)
+    other = kl.saturate(kl.ClausalTheory(clauses("a"), ("a", "b")))
+    with pytest.raises(kl.ValidationError, match="closure universe does not match"):
+        kl.entails_para(our_cth, clause("~b"), closure=other)
     assert kl.entails_para(our_cth, clause("c ~d e"), closure=our_closure)
     assert not kl.entails_para(our_cth, clause("a' c"), closure=our_closure)
 

@@ -7,6 +7,7 @@ import pytest
 
 import kernelogic as kl
 from kernelogic import Clause, Literal, Partition3
+from kernelogic.graphs import bits, component_masks
 from kernelogic.oracle import splitmix64
 
 from conftest import clause, clauses, entails_by_listing
@@ -247,6 +248,53 @@ def test_component_claim_check(our_graph):
 
     assert kl.component_claim_check(our_graph)
     assert kl.component_claim_check(kl.Digraph(["s"]))
+
+
+def two_condition_claim(graph, closure):
+    """The component claim as two conditions: the twin of
+    ``component_claim_check``, which states it as one equality."""
+    comp_masks = component_masks(graph)
+    comp_of = {i: cm for cm in comp_masks for i in bits(cm)}
+    cooccur = [0] * len(graph.universe)
+    for p, q in closure.iter_masks():
+        atoms_mask = p | q
+        if not atoms_mask:
+            continue
+        first = (atoms_mask & -atoms_mask).bit_length() - 1
+        if atoms_mask & ~comp_of[first]:
+            return False
+        for i in bits(atoms_mask):
+            cooccur[i] |= atoms_mask
+    return all(not cm & ~cooccur[i] for cm in comp_masks for i in bits(cm))
+
+
+def test_component_claim_check_matches_the_two_conditions():
+    stream = splitmix64(1919)
+    answers = []
+    for g in rand_graphs(40, sizes=(1, 2, 3, 4, 5, 6), base=1919):
+        own = kl.saturate(kl.clausal_theory(g))
+        assert kl.component_claim_check(g, closure=own) is True
+        assert two_condition_claim(g, own) is True
+        names = g.vertices
+        for _ in range(3):
+            width = 1 + next(stream) % 5
+            cls = frozenset(rand_clause(stream, names) for _ in range(width))
+            other = kl.saturate(kl.ClausalTheory(cls, names))
+            answer = kl.component_claim_check(g, closure=other)
+            assert answer == two_condition_claim(g, other), (g, cls)
+            answers.append(answer)
+    assert True in answers and False in answers
+
+
+def test_component_claim_check_false_cases():
+    # A clause across two components couples atoms that do not hang together.
+    edgeless = kl.Digraph(["a", "b"])
+    across = kl.saturate(kl.ClausalTheory(clauses("a b"), ("a", "b")))
+    assert not kl.component_claim_check(edgeless, closure=across)
+    # Two atoms of one component that no derivable clause holds together.
+    edge = kl.Digraph(["a", "b"], [("a", "b")])
+    apart = kl.saturate(kl.ClausalTheory(frozenset(), ("a", "b")))
+    assert not kl.component_claim_check(edge, closure=apart)
 
 
 def test_inconsistency_agreement():
