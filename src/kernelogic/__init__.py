@@ -7,152 +7,114 @@ as models that keep the consistent part of the discourse meaningful.
 Direct resolution (no refutation, no weakening) decides entailment for
 this semantics, and brute-force oracles double-check every engine path
 at desk scale.
+
+The public names load lazily (PEP 562): ``import kernelogic`` runs no
+submodule, and the first use of a name imports only the submodule that
+defines it, so a caller pays for the engines it uses.
 """
 
-from .clauses import (
-    ClausalTheory,
-    Clause,
-    Literal,
-    clausal_theory,
-    clause_sort_key,
-    complement_units,
-    remove_atoms,
-)
-from .errors import (
-    KernelogicError,
-    ParseError,
-    ResourceLimitError,
-    ValidationError,
-)
-from .graphs import (
-    Digraph,
-    GnfTheory,
-    Neighborhood,
-    Universe,
-    complete_loose_atoms,
-    graph_to_theory,
-    induced_subgraph,
-    is_inverse_closed,
-    is_valid_atom,
-    neighborhoods,
-    reachable,
-    theory_to_graph,
-    underlying_components,
-)
-from .kernels import (
-    Partition2,
-    Partition3,
-    SubsetReport,
-    classify_subset,
-    enumerate_kernels,
-    enumerate_semikernels,
-    extend_partition,
-    models,
-    partition_of,
-    sk_intersect_reach,
-    sk_union,
-)
-from .oracle import (
-    RandomGraphSpec,
-    brute_closure,
-    brute_kernels,
-    brute_models,
-    brute_semikernels,
-    random_digraph,
-    splitmix64,
-    truth_table_models,
-)
-from .resolution import (
-    Closure,
-    Proof,
-    ProofStep,
-    SubdiscourseReport,
-    closure_with_assumptions,
-    consistent_subtheory,
-    core_models,
-    derives,
-    entails_para,
-    paradoxical_atoms,
-    proof_of,
-    provable_weakened,
-    saturate,
-    witness_subclause,
-)
-from .semantics import (
-    EntailmentVerdict,
-    classical_entails,
-    component_claim_check,
-    entails_semantic,
-    is_relevant,
-    min_clauses,
-    satisfies,
-)
+from importlib import import_module
+
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "clauses": (
+            "ClausalTheory",
+            "Clause",
+            "Literal",
+            "clausal_theory",
+            "clause_sort_key",
+            "complement_units",
+            "remove_atoms",
+        ),
+        "errors": (
+            "KernelogicError",
+            "ParseError",
+            "ResourceLimitError",
+            "ValidationError",
+        ),
+        "graphs": (
+            "Digraph",
+            "GnfTheory",
+            "Neighborhood",
+            "Universe",
+            "complete_loose_atoms",
+            "graph_to_theory",
+            "induced_subgraph",
+            "is_inverse_closed",
+            "is_valid_atom",
+            "neighborhoods",
+            "reachable",
+            "theory_to_graph",
+            "underlying_components",
+        ),
+        "kernels": (
+            "Partition2",
+            "Partition3",
+            "SubsetReport",
+            "classify_subset",
+            "enumerate_kernels",
+            "enumerate_semikernels",
+            "extend_partition",
+            "models",
+            "partition_of",
+            "sk_intersect_reach",
+            "sk_union",
+        ),
+        "oracle": (
+            "RandomGraphSpec",
+            "brute_closure",
+            "brute_kernels",
+            "brute_models",
+            "brute_semikernels",
+            "random_digraph",
+            "splitmix64",
+            "truth_table_models",
+        ),
+        "resolution": (
+            "Closure",
+            "Proof",
+            "ProofStep",
+            "closure_with_assumptions",
+            "consistent_subtheory",
+            "derives",
+            "entails_para",
+            "paradoxical_atoms",
+            "proof_of",
+            "provable_weakened",
+            "saturate",
+            "witness_subclause",
+        ),
+        "semantics": (
+            "EntailmentVerdict",
+            "SubdiscourseReport",
+            "classical_entails",
+            "component_claim_check",
+            "core_models",
+            "entails_semantic",
+            "is_relevant",
+            "min_clauses",
+            "satisfies",
+        ),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClausalTheory",
-    "Clause",
-    "Closure",
-    "Digraph",
-    "EntailmentVerdict",
-    "GnfTheory",
-    "KernelogicError",
-    "Literal",
-    "Neighborhood",
-    "ParseError",
-    "Partition2",
-    "Partition3",
-    "Proof",
-    "ProofStep",
-    "RandomGraphSpec",
-    "ResourceLimitError",
-    "SubdiscourseReport",
-    "SubsetReport",
-    "Universe",
-    "ValidationError",
-    "brute_closure",
-    "brute_kernels",
-    "brute_models",
-    "brute_semikernels",
-    "classical_entails",
-    "classify_subset",
-    "clausal_theory",
-    "clause_sort_key",
-    "closure_with_assumptions",
-    "complement_units",
-    "complete_loose_atoms",
-    "component_claim_check",
-    "consistent_subtheory",
-    "core_models",
-    "derives",
-    "entails_para",
-    "entails_semantic",
-    "enumerate_kernels",
-    "enumerate_semikernels",
-    "extend_partition",
-    "graph_to_theory",
-    "induced_subgraph",
-    "is_inverse_closed",
-    "is_relevant",
-    "is_valid_atom",
-    "min_clauses",
-    "models",
-    "neighborhoods",
-    "paradoxical_atoms",
-    "partition_of",
-    "proof_of",
-    "provable_weakened",
-    "random_digraph",
-    "reachable",
-    "remove_atoms",
-    "satisfies",
-    "saturate",
-    "sk_intersect_reach",
-    "sk_union",
-    "splitmix64",
-    "theory_to_graph",
-    "truth_table_models",
-    "underlying_components",
-    "witness_subclause",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its submodule on first use, and keep it."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,11 +9,19 @@ exhausted memory exits 3.
 ``entails`` answer a graph input whose every weakly connected component
 has at most ``--max-atoms`` atoms from its models
 (``kernels.model_side``); any other input takes the closure, as do
-``closure``, ``prove`` and ``entails --classical``. ``entails
---semantic`` takes the models under the same cap, or exits 3. Both
-sides give the same answer, since direct resolution is sound and
-complete for the models. On the models, ``--max-clauses`` caps the
-minimal clauses ``min`` finds instead of the closure.
+``closure`` and ``prove``. ``entails --semantic`` takes the models
+under the same cap, or exits 3. Both sides give the same answer, since
+direct resolution is sound and complete for the models. On the models,
+``--max-clauses`` caps the minimal clauses ``min`` finds instead of the
+closure. ``entails --classical`` builds no closure either: it runs
+truth tables over the whole universe, under the ``--max-atoms`` cap.
+
+A call loads only the modules its route runs. Every command loads the
+parsers (``io_text``, ``graphs``, ``clauses``) and ``kernels``, which
+answer the listings and the model route. ``subdiscourse`` and both
+``entails`` flags add ``semantics``; the closure route adds
+``resolution``, ``semantics`` and numpy; ``check-random`` and
+``--oracle`` add ``oracle``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .io_text import (
 )
 from .kernels import (
     DEFAULT_MAX_ATOMS,
+    DEFAULT_MAX_CLAUSES,
+    LATTICE_MAX_ATOMS,
+    WEAKENING_MODES,
     ModelSide,
     check_cap,
     enumerate_kernels,
@@ -44,27 +55,9 @@ from .kernels import (
     model_side,
     models,
 )
-from .oracle import (
-    RandomGraphSpec,
-    brute_kernels,
-    brute_models,
-    brute_semikernels,
-    random_digraph,
-    truth_table_models,
-)
-from .resolution import (
-    DEFAULT_MAX_CLAUSES,
-    LATTICE_MAX_ATOMS,
-    WEAKENING_MODES,
-    entails_para,
-    paradoxical_atoms,
-    proof_of,
-    provable_weakened,
-    saturate,
-    subdiscourse_report,
-    weakening_witness,
-)
-from .semantics import classical_entails, entails_semantic, is_relevant, min_clauses
+
+# resolution, semantics and oracle are imported by the commands that
+# run them, so that no call loads an engine its route does not use.
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -139,19 +132,25 @@ def _emit(args, command: str, result, render) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-# The graph listings: name -> (engine, brute-force oracle, line format).
-# check-random compares each engine against its oracle in this order.
+# The graph listings: name -> (engine, name of its brute-force oracle in
+# ``kernelogic.oracle``, line format). check-random compares each engine
+# against its oracle in this order.
 _LISTINGS = {
-    "kernels": (enumerate_kernels, brute_kernels, _fmt_set),
-    "semikernels": (enumerate_semikernels, brute_semikernels, _fmt_set),
-    "models": (models, brute_models, _fmt_partition3),
+    "kernels": (enumerate_kernels, "brute_kernels", _fmt_set),
+    "semikernels": (enumerate_semikernels, "brute_semikernels", _fmt_set),
+    "models": (models, "brute_models", _fmt_partition3),
 }
 
 
 def cmd_listing(args) -> int:
-    engine, oracle, fmt = _LISTINGS[args.command]
+    engine, brute, fmt = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
-    found = oracle(graph) if args.oracle else engine(graph, args.max_atoms)
+    if args.oracle:
+        from . import oracle
+
+        found = getattr(oracle, brute)(graph)
+    else:
+        found = engine(graph, args.max_atoms)
     _emit(args, args.command, found, lambda: map(fmt, found))
     return EXIT_YES
 
@@ -166,6 +165,8 @@ def _model_side(args, graph: Optional[Digraph]) -> Optional[ModelSide]:
 def _paradox_atoms(args, graph: Optional[Digraph], theory: ClausalTheory) -> frozenset[str]:
     side = _model_side(args, graph)
     if side is None:
+        from .resolution import paradoxical_atoms, saturate
+
         return paradoxical_atoms(saturate(theory, args.max_clauses))
     return side.paradox_atoms()
 
@@ -177,6 +178,8 @@ def cmd_paradox(args) -> int:
 
 
 def cmd_subdiscourse(args) -> int:
+    from .semantics import subdiscourse_report
+
     graph, theory = _load(args)
     report = subdiscourse_report(theory, graph, _paradox_atoms(args, graph, theory))
     lines = [
@@ -191,6 +194,8 @@ def cmd_subdiscourse(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .resolution import saturate
+
     _, theory = _load(args)
     closure = saturate(theory, args.max_clauses)
     _emit(args, "closure", closure, closure.clause_texts)
@@ -198,6 +203,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .resolution import proof_of, provable_weakened, saturate, weakening_witness
+
     _, theory = _load(args)
     goal = parse_clause(args.clause)
     closure = saturate(theory, args.max_clauses)
@@ -223,6 +230,8 @@ def cmd_entails(args) -> int:
     graph, theory = _load(args)
     goal = parse_clause(args.clause)
     if args.semantic:
+        from .semantics import entails_semantic
+
         verdict = entails_semantic(_require_graph(graph), goal, args.max_atoms)
         lines = [("yes" if verdict.holds else "no") + f" ({verdict.kind})"]
         if verdict.witness is not None:
@@ -232,10 +241,14 @@ def cmd_entails(args) -> int:
         _emit(args, "entails", verdict, lambda: lines)
         return EXIT_YES if verdict.holds else EXIT_NO
     if args.classical:
+        from .semantics import classical_entails
+
         yes = classical_entails(theory, goal, args.max_atoms)
     elif (side := _model_side(args, graph)) is not None:
         yes = side.entails(goal)
     else:
+        from .resolution import entails_para
+
         yes = entails_para(theory, goal, max_clauses=args.max_clauses)
     _emit(args, "entails", yes, lambda: ["yes" if yes else "no"])
     return EXIT_YES if yes else EXIT_NO
@@ -247,6 +260,8 @@ def cmd_relevant(args) -> int:
     if (side := _model_side(args, graph)) is not None:
         yes = side.relevant(goal)
     else:
+        from .semantics import is_relevant
+
         yes = is_relevant(theory, goal, max_clauses=args.max_clauses)
     _emit(args, "relevant", yes, lambda: ["yes" if yes else "no"])
     return EXIT_YES if yes else EXIT_NO
@@ -257,28 +272,32 @@ def cmd_min(args) -> int:
     if (side := _model_side(args, graph)) is not None:
         found = side.minimal_clauses(args.max_clauses)
     else:
+        from .semantics import min_clauses
+
         found = min_clauses(theory, max_clauses=args.max_clauses)
     _emit(args, "min", found, lambda: sorted_clause_strings(found))
     return EXIT_YES
 
 
 def cmd_check_random(args) -> int:
+    from . import oracle
+
     if args.count:  # refused before the n² edge coins of a graph are drawn
         check_cap(args.n, args.max_atoms)
     mismatches = []
     rows = []
     for i in range(args.count):
-        spec = RandomGraphSpec(n=args.n, edge_prob=args.p, seed=args.seed + i)
-        graph = random_digraph(spec)
+        spec = oracle.RandomGraphSpec(n=args.n, edge_prob=args.p, seed=args.seed + i)
+        graph = oracle.random_digraph(spec)
         found, bad = {}, []
-        for name, (engine, oracle, _) in _LISTINGS.items():
+        for name, (engine, brute, _) in _LISTINGS.items():
             found[name] = engine(graph, args.max_atoms)
-            if found[name] != oracle(graph):
+            if found[name] != getattr(oracle, brute)(graph):
                 bad.append(name)
         classical_engine = sorted(tuple(sorted(k)) for k in found["kernels"])
         classical_oracle = sorted(
             tuple(sorted(a for a, v in row.items() if v))
-            for row in truth_table_models(clausal_theory(graph))
+            for row in oracle.truth_table_models(clausal_theory(graph))
         )
         if classical_engine != classical_oracle:
             bad.append("classical-models")

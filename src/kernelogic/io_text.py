@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -20,8 +21,6 @@ from .clauses import ClausalTheory, Clause, Literal, clause_sort_key
 from .errors import ParseError
 from .graphs import Digraph, GnfTheory, complete_loose_atoms, is_valid_atom
 from .kernels import Partition2, Partition3
-from .resolution import Closure, SubdiscourseReport
-from .semantics import EntailmentVerdict
 
 SCHEMA_VERSION = 1
 
@@ -213,6 +212,14 @@ def sorted_clause_strings(clauses) -> list[str]:
     return [str(c) for c in sorted(clauses, key=clause_sort_key)]
 
 
+def _instance_of(value, module: str, name: str) -> bool:
+    """``isinstance(value, <module>.<name>)`` for a class of a package
+    module, without loading that module: until it is loaded, no value
+    of its classes exists."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(value, getattr(loaded, name))
+
+
 def to_jsonable(value):
     """Convert package values into JSON-ready structures.
 
@@ -230,16 +237,16 @@ def to_jsonable(value):
         return {"true": sorted(value.true_set), "false": sorted(value.false_set)}
     if isinstance(value, Clause):
         return str(value)
-    if isinstance(value, Closure):
+    if _instance_of(value, "resolution", "Closure"):
         return value.clause_texts()
-    if isinstance(value, SubdiscourseReport):
+    if _instance_of(value, "semantics", "SubdiscourseReport"):
         return {
             "paradox": sorted(value.paradox_atoms),
             "healthy": sorted(value.healthy_atoms),
             "border": sorted(value.border),
             "theory": sorted_clause_strings(value.theory.clauses),
         }
-    if isinstance(value, EntailmentVerdict):
+    if _instance_of(value, "semantics", "EntailmentVerdict"):
         via: dict = {"kind": value.kind}
         if value.witness is not None:
             via["witness"] = str(value.witness)

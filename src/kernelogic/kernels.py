@@ -52,6 +52,16 @@ from .graphs import Digraph, bits, component_masks, reachable
 
 DEFAULT_MAX_ATOMS = 20
 
+# The closure's caps and weakening modes live here, beside the model
+# side's cap, so that the command line can build its parser without
+# loading the resolution engine that reads them.
+DEFAULT_MAX_CLAUSES = 1_000_000
+
+# Widest universe for which 4**n lattice arrays are still cheap.
+LATTICE_MAX_ATOMS = 11
+
+WEAKENING_MODES = ("none", "awbw", "cw")
+
 
 @dataclass(frozen=True)
 class Partition3:

@@ -64,11 +64,12 @@ the empty clause is derived.
 
 On top of the closure this module derives the provably paradoxical
 atoms (both the atom and its negation derivable), the consistent
-subtheory obtained by deleting all literals over them, the classical
-models of that subtheory, the paraconsistent entailment decision, and
-three weakening variants of provability. Entailment, weakening and
-their witnesses all ask the closure for the derived subclauses of a
-clause (``Closure.subclauses``) and differ only in which of them count.
+subtheory obtained by deleting all literals over them (reported by
+:func:`kernelogic.semantics.subdiscourse_report`, which reads no
+closure), the paraconsistent entailment decision, and three weakening
+variants of provability. Entailment, weakening and their witnesses all
+ask the closure for the derived subclauses of a clause
+(``Closure.subclauses``) and differ only in which of them count.
 """
 
 from __future__ import annotations
@@ -86,22 +87,17 @@ from .clauses import (
     clause_sort_key,
     complement_units,
     intern_clause,
-    remove_atoms,
 )
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, flood_fill, induced_subgraph, neighborhoods
-from .kernels import DEFAULT_MAX_ATOMS, Partition2, enumerate_kernels
+from .graphs import Digraph, Universe, bits, flood_fill
+from .kernels import DEFAULT_MAX_CLAUSES, LATTICE_MAX_ATOMS, WEAKENING_MODES
+from .semantics import SubdiscourseReport, subdiscourse_report
 
 # numpy is imported inside the functions that build or read clause
 # lattices, so that graph-only work (models, kernels, parsing) never
 # loads it.
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_MAX_CLAUSES = 1_000_000
-
-# Widest universe for which 4**n lattice arrays are still cheap.
-LATTICE_MAX_ATOMS = 11
 
 # The lattice round's accumulator for pair counts, and its largest
 # value, ``np.iinfo(_PAIR_COUNT).max``.
@@ -889,21 +885,6 @@ def paradoxical_atoms(closure: Closure) -> frozenset[str]:
     return closure._u.atoms_of(mask)
 
 
-@dataclass(frozen=True)
-class SubdiscourseReport:
-    """The consistent part of a theory, and where it touches the rest.
-
-    ``theory`` is the input with every literal over a paradoxical atom
-    deleted. ``border`` is only populated for graph-derived theories:
-    the healthy vertices with an edge into the paradoxical region.
-    """
-
-    paradox_atoms: frozenset[str]
-    healthy_atoms: frozenset[str]
-    theory: ClausalTheory
-    border: frozenset[str]
-
-
 def _closure_for(
     theory: ClausalTheory, closure: Optional[Closure], max_clauses: int
 ) -> Closure:
@@ -928,43 +909,6 @@ def consistent_subtheory(
     return subdiscourse_report(theory, graph, paradoxical_atoms(closure))
 
 
-def subdiscourse_report(
-    theory: ClausalTheory, graph: Optional[Digraph], bad: frozenset[str]
-) -> SubdiscourseReport:
-    """The report of ``theory`` whose provably paradoxical atoms are
-    ``bad``, from the closure or from the models of ``graph``; the
-    graph, when given, must induce the theory."""
-    healthy = frozenset(theory.universe) - bad
-    border: frozenset[str] = frozenset()
-    if graph is not None:
-        border = frozenset(
-            x for x in healthy if graph.successors(x) - healthy
-        )
-    return SubdiscourseReport(
-        paradox_atoms=bad,
-        healthy_atoms=healthy,
-        theory=remove_atoms(theory, bad),
-        border=border,
-    )
-
-
-def core_models(
-    report: SubdiscourseReport, graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> list[Partition2]:
-    """Two-valued models of the consistent subtheory.
-
-    These are the kernels of the healthy induced subgraph whose false
-    part covers every border vertex, each paired with that false part.
-    """
-    healthy = induced_subgraph(graph, report.healthy_atoms)
-    out = []
-    for kernel in enumerate_kernels(healthy, max_atoms):
-        false_part = neighborhoods(healthy, kernel).in_
-        if report.border <= false_part:
-            out.append(Partition2(kernel, false_part))
-    return out
-
-
 def entails_para(
     theory: ClausalTheory,
     clause: Clause,
@@ -985,9 +929,6 @@ def entails_para(
     if bad and not (pos | neg) & ~bad:
         return True
     return any(p or q for p, q in closure.subclauses(pos & ~bad, neg & ~bad))
-
-
-WEAKENING_MODES = ("none", "awbw", "cw")
 
 
 def provable_weakened(

@@ -17,19 +17,36 @@ and countermodels from the same queries. :func:`is_relevant` and
 decides relevance; on graph inputs the CLI takes both from
 ``ModelSide`` instead, which finds the minimal clauses as minimal
 transversals of the literal sets the models make true.
+
+The consistent part of a discourse (:func:`subdiscourse_report`) and
+its two-valued models (:func:`core_models`) need only the paradoxical
+atoms, from whichever side found them. Only the closure-backed
+functions load :mod:`kernelogic.resolution`, and only when they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause
+from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause, remove_atoms
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, component_masks
-from .kernels import DEFAULT_MAX_ATOMS, Partition3, _partition_from_mask, model_side
-from .resolution import Closure, DEFAULT_MAX_CLAUSES, _closure_for
+from .graphs import Digraph, Universe, bits, component_masks, induced_subgraph, neighborhoods
+from .kernels import (
+    DEFAULT_MAX_ATOMS,
+    DEFAULT_MAX_CLAUSES,
+    Partition2,
+    Partition3,
+    _partition_from_mask,
+    enumerate_kernels,
+    model_side,
+)
+
+# The closure-backed functions import resolution when they run, so
+# that the model side never loads it.
+if TYPE_CHECKING:
+    from .resolution import Closure
 
 
 def satisfies(partition: Partition3, clause: Clause) -> bool:
@@ -121,6 +138,58 @@ def classical_entails(
     return True
 
 
+@dataclass(frozen=True)
+class SubdiscourseReport:
+    """The consistent part of a theory, and where it touches the rest.
+
+    ``theory`` is the input with every literal over a paradoxical atom
+    deleted. ``border`` is only populated for graph-derived theories:
+    the healthy vertices with an edge into the paradoxical region.
+    """
+
+    paradox_atoms: frozenset[str]
+    healthy_atoms: frozenset[str]
+    theory: ClausalTheory
+    border: frozenset[str]
+
+
+def subdiscourse_report(
+    theory: ClausalTheory, graph: Optional[Digraph], bad: frozenset[str]
+) -> SubdiscourseReport:
+    """The report of ``theory`` whose provably paradoxical atoms are
+    ``bad``, from the closure or from the models of ``graph``; the
+    graph, when given, must induce the theory."""
+    healthy = frozenset(theory.universe) - bad
+    border: frozenset[str] = frozenset()
+    if graph is not None:
+        border = frozenset(
+            x for x in healthy if graph.successors(x) - healthy
+        )
+    return SubdiscourseReport(
+        paradox_atoms=bad,
+        healthy_atoms=healthy,
+        theory=remove_atoms(theory, bad),
+        border=border,
+    )
+
+
+def core_models(
+    report: SubdiscourseReport, graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> list[Partition2]:
+    """Two-valued models of the consistent subtheory.
+
+    These are the kernels of the healthy induced subgraph whose false
+    part covers every border vertex, each paired with that false part.
+    """
+    healthy = induced_subgraph(graph, report.healthy_atoms)
+    out = []
+    for kernel in enumerate_kernels(healthy, max_atoms):
+        false_part = neighborhoods(healthy, kernel).in_
+        if report.border <= false_part:
+            out.append(Partition2(kernel, false_part))
+    return out
+
+
 def is_relevant(
     theory: ClausalTheory,
     clause: Clause,
@@ -139,6 +208,8 @@ def is_relevant(
     """
     if clause.is_empty:
         raise ValidationError("relevance is undefined for the empty clause")
+    from .resolution import _closure_for
+
     closure = _closure_for(theory, closure, max_clauses)
     if clause not in closure:
         return False
@@ -160,6 +231,8 @@ def min_clauses(
     derived clauses counts, inside it, only itself and the empty clause
     if that is derived.
     """
+    from .resolution import _closure_for
+
     return _closure_for(theory, closure, max_clauses).minimal_clauses()
 
 
@@ -175,6 +248,8 @@ def component_claim_check(
     graph's clause form that hold it is exactly its component of the
     underlying undirected graph.
     """
+    from .resolution import _closure_for
+
     theory = clausal_theory(graph)
     closure = _closure_for(theory, closure, max_clauses)
     cooccur = [0] * len(graph.universe)

@@ -382,34 +382,107 @@ def test_models_cap_counts_every_component(capsys, tmp_path):
     assert "cap of 20 atoms" in err
 
 
-def test_graph_commands_do_not_import_numpy():
-    demo = str(Path(__file__).parent.parent / "demos" / "data" / "delta.gnf")
-    script = (
-        "import sys\n"
-        "import kernelogic\n"
-        "from kernelogic import cli\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
+# Runs the CLI calls given as JSON in argv[1] in one fresh interpreter.
+# Prints the package modules (and numpy) loaded by ``import kernelogic``,
+# then one JSON line per call: its exit code, its stdout, and what is
+# loaded after it.
+ROUTE_SCRIPT = """
+import contextlib, io, json, sys
+import kernelogic
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("kernelogic", "numpy"))
+
+print(json.dumps(loaded()))
+from kernelogic import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded()}))
+"""
+
+ENGINES = ("kernelogic.oracle", "kernelogic.resolution", "kernelogic.semantics", "numpy")
+
+
+def run_routes(*argvs):
+    """The modules ``import kernelogic`` loads, and per call in order
+    its exit code, stdout lines and the engines loaded after it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUTE_SCRIPT, json.dumps(argvs)], capture_output=True, text=True
     )
-    for argv in (
+    assert proc.returncode == 0, proc.stderr
+    first, *calls = map(json.loads, proc.stdout.splitlines())
+    return first, [
+        (call["code"], call["out"].splitlines(), set(call["loaded"]) & set(ENGINES))
+        for call in calls
+    ]
+
+
+def test_graph_commands_do_not_import_numpy():
+    # Neither resolution nor numpy loads on the model route, semantics
+    # only for the commands that call it, and oracle only for --oracle.
+    demo = str(DEMO_DATA / "delta.gnf")
+    first, calls = run_routes(
         ["models", demo],
+        ["kernels", demo],
+        ["semikernels", demo],
         ["paradox", demo],
-        ["subdiscourse", demo],
-        ["entails", "~b c", demo, "--semantic"],
         ["entails", "c ~d e", demo],
         ["min", demo],
         ["relevant", "~b", demo],
-    ):
-        script += (
-            f"assert cli.main({argv!r}) == 0\n"
-            f"assert 'numpy' not in sys.modules, {argv[0]!r}\n"
-        )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "true={a} false={a',b} paradox={c,d,e}"
-    assert lines[1:3] == ["{c,d,e}", "paradox: {c,d,e}"]
-    assert lines[-13:-10] == ["yes (healthy-witness)", "witness: ~b", "yes"]
-    assert lines[-10:] == ["a", "~a'", "~b", "c", "~c", "d", "~d", "e", "~e", "yes"]
+        ["subdiscourse", demo],
+        ["entails", "~b c", demo, "--semantic"],
+        ["entails", "~b c", demo, "--classical"],
+        ["models", demo, "--oracle"],
+    )
+    assert first == ["kernelogic"]
+    assert [code for code, _, _ in calls] == [0] * 11
+    assert [engines for _, _, engines in calls] == [set()] * 7 + [
+        {"kernelogic.semantics"}
+    ] * 3 + [{"kernelogic.semantics", "kernelogic.oracle"}]
+    out = [lines for _, lines, _ in calls]
+    assert out[0] == ["true={a} false={a',b} paradox={c,d,e}"]
+    assert out[1:3] == [[], ["{}", "{a}", "{a'}"]]
+    assert out[3] == ["{c,d,e}"]
+    assert out[4] == ["yes"]
+    assert out[5] == ["a", "~a'", "~b", "c", "~c", "d", "~d", "e", "~e"]
+    assert out[6] == ["yes"]
+    assert out[7][0] == "paradox: {c,d,e}"
+    assert out[8] == ["yes (healthy-witness)", "witness: ~b"]
+    assert out[9] == ["yes"]
+    assert out[10] == out[0]
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["check-random", "--count", "2"], {"kernelogic.oracle"}),
+        (["closure", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
+        (["prove", "c", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
+        (["paradox", "lewis.clauses"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
+    ],
+)
+def test_the_closure_and_the_oracle_load_only_where_they_run(argv, engines):
+    argv = [str(DEMO_DATA / arg) if arg.endswith((".gnf", ".clauses")) else arg for arg in argv]
+    _, [(code, _, loaded)] = run_routes(argv)
+    assert (code, loaded) == (0, engines)
+
+
+def test_python_m_kernelogic_paradox_loads_no_engine():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "kernelogic", "paradox", str(DEMO_DATA / "delta.gnf")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "{c,d,e}\n")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"kernelogic", "kernelogic.cli", "kernelogic.kernels"} <= imported
+    assert imported.isdisjoint(ENGINES)
 
 
 def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
@@ -567,7 +640,7 @@ def test_memory_error_exits_3(capsys, monkeypatch, delta_file):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "saturate", exhausted)
+    monkeypatch.setattr("kernelogic.resolution.saturate", exhausted)
     code, out, err = run(capsys, "closure", delta_file)
     assert code == 3 and out == ""
     assert err == "error: out of memory\n"

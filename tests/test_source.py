@@ -1,7 +1,10 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import kernelogic
 
@@ -95,4 +98,57 @@ def test_both_kinds_of_part_answer_the_same_questions():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "resolution.py" and "_AtomMap" in path.read_text(encoding="utf-8")
     ]
+    assert found == []
+
+
+def test_public_names_resolve_lazily_to_their_definitions():
+    # Each name of __all__ is the object its defining submodule holds,
+    # reached through the package's module-level __getattr__.
+    for name in kernelogic.__all__:
+        value = getattr(kernelogic, name)
+        assert value.__module__.startswith("kernelogic.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    namespace = {}
+    exec("from kernelogic import *", namespace)
+    assert set(kernelogic.__all__) <= namespace.keys()
+    assert set(kernelogic.__all__) <= set(dir(kernelogic))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kernelogic.no_such_name
+
+
+# The modules every CLI call loads, and the engines they must not load
+# when they are imported: those load where a command runs them.
+LIGHT_MODULES = ("__init__", "cli", "io_text", "kernels", "graphs", "clauses", "errors")
+ENGINES = {"resolution", "semantics", "oracle", "numpy"}
+
+
+def load_time_imports(tree):
+    """The import statements a module runs when it is loaded: those
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            stack += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        stack += ast.iter_child_nodes(node)
+
+
+def test_light_modules_import_no_engine_at_load_time():
+    found = []
+    for name in LIGHT_MODULES:
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}:{target}"
+            for node, targets in load_time_imports(tree)
+            for target in targets
+            if ENGINES & set(target.split("."))
+        ]
     assert found == []
