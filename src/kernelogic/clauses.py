@@ -8,11 +8,11 @@ prints as ``[]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .graphs import Digraph, Universe, _check_atom
+from .records import Record
 
 
 class Literal(NamedTuple):
@@ -28,17 +28,25 @@ class Literal(NamedTuple):
         return "~" + self.atom if self.negated else self.atom
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """A clause as a canonical, immutable set of literals."""
 
-    literals: frozenset[Literal] = frozenset()
+    __slots__ = ("literals",)
 
-    def __post_init__(self):
-        if not isinstance(self.literals, frozenset):
-            object.__setattr__(self, "literals", frozenset(self.literals))
-        for lit in self.literals:
+    def __init__(self, literals: Iterable[Literal] = frozenset()):
+        if not isinstance(literals, frozenset):
+            literals = frozenset(literals)
+        for lit in literals:
             _check_atom(lit.atom)
+        object.__setattr__(self, "literals", literals)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.literals == other.literals
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.literals,))
 
     @classmethod
     def _unchecked(cls, literals: Iterable[Literal]) -> "Clause":
@@ -120,25 +128,22 @@ def clause_sort_key(clause: Clause) -> tuple:
     return (len(lits), lits)
 
 
-@dataclass(frozen=True)
-class ClausalTheory:
+class ClausalTheory(Record):
     """A finite clause set over an explicitly fixed atom universe.
 
     The universe defaults to the atoms that occur in the clauses but may
-    be wider; resolution axioms later quantify over all of it.
+    be wider; resolution axioms later quantify over all of it. It is
+    kept as a sorted tuple of atom names.
     """
 
-    clauses: frozenset[Clause]
-    universe: tuple[str, ...] = ()
+    __slots__ = ("clauses", "universe")
 
-    def __post_init__(self):
-        clauses = self.clauses
+    def __init__(self, clauses: Iterable[Clause], universe: Iterable[str] = ()):
         if not isinstance(clauses, frozenset):
             clauses = frozenset(clauses)
-            object.__setattr__(self, "clauses", clauses)
         occurring = {atom for cl in clauses for atom in cl.atoms()}
-        if self.universe:
-            names = tuple(sorted(set(self.universe)))
+        if universe:
+            names = tuple(sorted(set(universe)))
             missing = occurring - set(names)
             if missing:
                 raise ValidationError(
@@ -148,7 +153,16 @@ class ClausalTheory:
             names = tuple(sorted(occurring))
         for name in names:
             _check_atom(name)
+        object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "universe", names)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.clauses, self.universe) == (other.clauses, other.universe)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.clauses, self.universe))
 
     def atoms(self) -> tuple[str, ...]:
         return self.universe

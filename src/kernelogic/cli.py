@@ -21,7 +21,9 @@ parsers (``io_text``, ``graphs``, ``clauses``) and ``kernels``, which
 answer the listings and the model route. ``subdiscourse`` and both
 ``entails`` flags add ``semantics``; the closure route adds
 ``resolution``, ``semantics`` and numpy; ``check-random`` and
-``--oracle`` add ``oracle``.
+``--oracle`` add ``oracle``. The light route loads neither
+``dataclasses`` (the records are plain slotted classes) nor, without
+``--json``, ``json``.
 """
 
 from __future__ import annotations

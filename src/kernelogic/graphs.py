@@ -17,11 +17,11 @@ operations; the public API only ever speaks atom names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
+from .records import Record
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_']+\Z")
 
@@ -231,17 +231,27 @@ def graph_to_theory(graph: Digraph) -> GnfTheory:
     return GnfTheory({v: graph.successors(v) for v in graph.vertices})
 
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(Record):
     """One-step neighborhoods of a vertex set.
 
     ``out`` collects successors, ``in_`` predecessors, and ``in_closed``
     is the set itself together with its predecessors.
     """
 
-    out: frozenset[str]
-    in_: frozenset[str]
-    in_closed: frozenset[str]
+    __slots__ = ("out", "in_", "in_closed")
+
+    def __init__(self, out: frozenset[str], in_: frozenset[str], in_closed: frozenset[str]):
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "in_", in_)
+        object.__setattr__(self, "in_closed", in_closed)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.out, self.in_, self.in_closed) == (other.out, other.in_, other.in_closed)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.out, self.in_, self.in_closed))
 
 
 def neighborhoods(graph: Digraph, atoms: Iterable[str]) -> Neighborhood:

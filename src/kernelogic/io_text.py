@@ -11,16 +11,15 @@ and serialization round-trip for all three kinds.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .clauses import ClausalTheory, Clause, Literal, clause_sort_key
 from .errors import ParseError
 from .graphs import Digraph, GnfTheory, complete_loose_atoms, is_valid_atom
 from .kernels import Partition2, Partition3
+from .records import Record
 
 SCHEMA_VERSION = 1
 
@@ -29,12 +28,22 @@ EDGE_LIST = "edge-list"
 CLAUSE_SET = "clause-set"
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     """A parsed input file: what kind it was and the value it denotes."""
 
-    kind: str
-    payload: Union[GnfTheory, Digraph, ClausalTheory]
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: Union[GnfTheory, Digraph, ClausalTheory]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) == (other.kind, other.payload)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.payload))
 
 
 def _content_lines(text: str):
@@ -260,6 +269,8 @@ def to_jsonable(value):
         try:
             ordered = sorted(value)
         except TypeError:
+            import json
+
             return sorted((to_jsonable(v) for v in value), key=json.dumps)
         return [to_jsonable(v) for v in ordered]
     if isinstance(value, (list, tuple)):
@@ -271,6 +282,8 @@ def to_jsonable(value):
 
 def to_json(result, command: str = "result") -> str:
     """Serialize a command result in the stable, versioned envelope."""
+    import json
+
     document = {
         "schema": SCHEMA_VERSION,
         "command": command,

@@ -42,13 +42,13 @@ package targets desk scale and chooses exactness over volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .clauses import Clause, clause_of_masks, intern_clause
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, bits, component_masks, reachable
+from .records import Record
 
 DEFAULT_MAX_ATOMS = 20
 
@@ -63,13 +63,29 @@ LATTICE_MAX_ATOMS = 11
 WEAKENING_MODES = ("none", "awbw", "cw")
 
 
-@dataclass(frozen=True)
-class Partition3:
+class Partition3(Record):
     """A three-way split of a graph's atoms: true, false, unsettled."""
 
-    true_set: frozenset[str]
-    false_set: frozenset[str]
-    paradox_set: frozenset[str]
+    __slots__ = ("true_set", "false_set", "paradox_set")
+
+    def __init__(
+        self, true_set: frozenset[str], false_set: frozenset[str], paradox_set: frozenset[str]
+    ):
+        object.__setattr__(self, "true_set", true_set)
+        object.__setattr__(self, "false_set", false_set)
+        object.__setattr__(self, "paradox_set", paradox_set)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.true_set, self.false_set, self.paradox_set) == (
+                other.true_set,
+                other.false_set,
+                other.paradox_set,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.true_set, self.false_set, self.paradox_set))
 
     def atoms(self) -> frozenset[str]:
         return self.true_set | self.false_set | self.paradox_set
@@ -85,15 +101,39 @@ class Partition2(NamedTuple):
     false_set: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SubsetReport:
+class SubsetReport(Record):
     """What a vertex subset is: the five checks bundled."""
 
-    independent: bool
-    kernel: bool
-    semikernel: bool
-    inverse_closed: bool
-    psk: bool
+    __slots__ = ("independent", "kernel", "semikernel", "inverse_closed", "psk")
+
+    def __init__(
+        self, independent: bool, kernel: bool, semikernel: bool, inverse_closed: bool, psk: bool
+    ):
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "semikernel", semikernel)
+        object.__setattr__(self, "inverse_closed", inverse_closed)
+        object.__setattr__(self, "psk", psk)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (
+                self.independent,
+                self.kernel,
+                self.semikernel,
+                self.inverse_closed,
+                self.psk,
+            ) == (
+                other.independent,
+                other.kernel,
+                other.semikernel,
+                other.inverse_closed,
+                other.psk,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.independent, self.kernel, self.semikernel, self.inverse_closed, self.psk))
 
 
 def _is_independent(graph: Digraph, mask: int) -> bool:

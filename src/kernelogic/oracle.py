@@ -15,7 +15,6 @@ edge when ``draw >> 11`` times 2**-53 is below the edge probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -23,19 +22,30 @@ from .clauses import ClausalTheory, Clause, Literal
 from .errors import ResourceLimitError
 from .graphs import Digraph
 from .kernels import DEFAULT_MAX_ATOMS, Partition3
+from .records import Record
 
 BRUTE_MAX_ATOMS = 16
 BRUTE_CLOSURE_MAX_ATOMS = 6
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class RandomGraphSpec:
+class RandomGraphSpec(Record):
     """A reproducible random digraph: size, edge probability, seed."""
 
-    n: int
-    edge_prob: float
-    seed: int
+    __slots__ = ("n", "edge_prob", "seed")
+
+    def __init__(self, n: int, edge_prob: float, seed: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_prob", edge_prob)
+        object.__setattr__(self, "seed", seed)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.n, self.edge_prob, self.seed) == (other.n, other.edge_prob, other.seed)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_prob, self.seed))
 
 
 def splitmix64(seed: int) -> Iterator[int]:

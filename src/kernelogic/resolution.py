@@ -75,7 +75,6 @@ ask the closure for the derived subclauses of a clause
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
@@ -91,6 +90,7 @@ from .clauses import (
 from .errors import ResourceLimitError, ValidationError
 from .graphs import Digraph, Universe, bits, flood_fill
 from .kernels import DEFAULT_MAX_CLAUSES, LATTICE_MAX_ATOMS, WEAKENING_MODES
+from .records import Record
 from .semantics import SubdiscourseReport, subdiscourse_report
 
 # numpy is imported inside the functions that build or read clause
@@ -998,15 +998,42 @@ def closure_with_assumptions(
     return saturate(extended, max_clauses)
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    """One line of a proof: a clause and how it was obtained."""
+class ProofStep(Record):
+    """One line of a proof: a clause and how it was obtained.
 
-    index: int
-    clause: Clause
-    rule: str  # "input", "axiom" or "res"
-    premises: Optional[tuple[int, int]] = None
-    atom: Optional[str] = None
+    ``rule`` is ``"input"``, ``"axiom"`` or ``"res"``; a resolution step
+    also names its two ``premises`` by index and the ``atom`` resolved on.
+    """
+
+    __slots__ = ("index", "clause", "rule", "premises", "atom")
+
+    def __init__(
+        self,
+        index: int,
+        clause: Clause,
+        rule: str,
+        premises: Optional[tuple[int, int]] = None,
+        atom: Optional[str] = None,
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "atom", atom)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.index, self.clause, self.rule, self.premises, self.atom) == (
+                other.index,
+                other.clause,
+                other.rule,
+                other.premises,
+                other.atom,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.clause, self.rule, self.premises, self.atom))
 
     def __str__(self) -> str:
         if self.rule == "res":
@@ -1015,15 +1042,25 @@ class ProofStep:
         return f"{self.index}. {self.clause} [{self.rule}]"
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Record):
     """A replayable derivation ending at ``conclusion``.
 
     Premises of every resolution step appear earlier in ``steps``.
     """
 
-    conclusion: Clause
-    steps: tuple[ProofStep, ...]
+    __slots__ = ("conclusion", "steps")
+
+    def __init__(self, conclusion: Clause, steps: tuple[ProofStep, ...]):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.conclusion, self.steps) == (other.conclusion, other.steps)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.conclusion, self.steps))
 
     def to_text(self) -> str:
         return "\n".join(str(step) for step in self.steps)

@@ -26,7 +26,6 @@ functions load :mod:`kernelogic.resolution`, and only when they run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
@@ -42,6 +41,7 @@ from .kernels import (
     enumerate_kernels,
     model_side,
 )
+from .records import Record
 
 # The closure-backed functions import resolution when they run, so
 # that the model side never loads it.
@@ -68,8 +68,7 @@ def satisfies(partition: Partition3, clause: Clause) -> bool:
     return bool(partition.paradox_set) and clause.atoms() <= partition.paradox_set
 
 
-@dataclass(frozen=True)
-class EntailmentVerdict:
+class EntailmentVerdict(Record):
     """Outcome of a semantic entailment check, with its reason.
 
     ``kind`` is ``"healthy-witness"`` (some subclause over settled atoms
@@ -79,10 +78,32 @@ class EntailmentVerdict:
     ``countermodel``).
     """
 
-    holds: bool
-    kind: str
-    witness: Optional[Clause] = None
-    countermodel: Optional[Partition3] = None
+    __slots__ = ("holds", "kind", "witness", "countermodel")
+
+    def __init__(
+        self,
+        holds: bool,
+        kind: str,
+        witness: Optional[Clause] = None,
+        countermodel: Optional[Partition3] = None,
+    ):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "countermodel", countermodel)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.holds, self.kind, self.witness, self.countermodel) == (
+                other.holds,
+                other.kind,
+                other.witness,
+                other.countermodel,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.kind, self.witness, self.countermodel))
 
 
 def entails_semantic(
@@ -138,8 +159,7 @@ def classical_entails(
     return True
 
 
-@dataclass(frozen=True)
-class SubdiscourseReport:
+class SubdiscourseReport(Record):
     """The consistent part of a theory, and where it touches the rest.
 
     ``theory`` is the input with every literal over a paradoxical atom
@@ -147,10 +167,32 @@ class SubdiscourseReport:
     the healthy vertices with an edge into the paradoxical region.
     """
 
-    paradox_atoms: frozenset[str]
-    healthy_atoms: frozenset[str]
-    theory: ClausalTheory
-    border: frozenset[str]
+    __slots__ = ("paradox_atoms", "healthy_atoms", "theory", "border")
+
+    def __init__(
+        self,
+        paradox_atoms: frozenset[str],
+        healthy_atoms: frozenset[str],
+        theory: ClausalTheory,
+        border: frozenset[str],
+    ):
+        object.__setattr__(self, "paradox_atoms", paradox_atoms)
+        object.__setattr__(self, "healthy_atoms", healthy_atoms)
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "border", border)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.paradox_atoms, self.healthy_atoms, self.theory, self.border) == (
+                other.paradox_atoms,
+                other.healthy_atoms,
+                other.theory,
+                other.border,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.paradox_atoms, self.healthy_atoms, self.theory, self.border))
 
 
 def subdiscourse_report(

@@ -485,6 +485,29 @@ def test_python_m_kernelogic_paradox_loads_no_engine():
     assert imported.isdisjoint(ENGINES)
 
 
+# Site hooks load standard modules before any script runs, and which
+# ones differs between machines: only those loaded after the snapshot
+# count. The script imports no json itself.
+STDLIB_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from kernelogic import cli
+for command in ("paradox", "models"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, sys.argv[1]]) == 0
+print(" ".join(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before))))
+"""
+
+
+def test_text_output_calls_load_no_dataclasses_inspect_or_json():
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_SCRIPT, str(DEMO_DATA / "delta.gnf")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
     # --max-atoms 0 sends entails to the closure.
     f2 = str(DEMO_DATA / "f2.gnf")

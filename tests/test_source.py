@@ -117,8 +117,11 @@ def test_public_names_resolve_lazily_to_their_definitions():
 
 
 # The modules every CLI call loads, and the engines they must not load
-# when they are imported: those load where a command runs them.
-LIGHT_MODULES = ("__init__", "cli", "io_text", "kernels", "graphs", "clauses", "errors")
+# when they are imported: those load where a command runs them. json
+# loads only where JSON is written.
+LIGHT_MODULES = (
+    "__init__", "cli", "io_text", "kernels", "graphs", "clauses", "records", "errors"
+)
 ENGINES = {"resolution", "semantics", "oracle", "numpy"}
 
 
@@ -140,15 +143,28 @@ def load_time_imports(tree):
         stack += ast.iter_child_nodes(node)
 
 
-def test_light_modules_import_no_engine_at_load_time():
+def load_time_imports_of(modules, banned):
+    """Where ``modules`` import a module named in ``banned`` at load time."""
     found = []
-    for name in LIGHT_MODULES:
+    for name in modules:
         path = PACKAGE / f"{name}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}:{target}"
             for node, targets in load_time_imports(tree)
             for target in targets
-            if ENGINES & set(target.split("."))
+            if banned & set(target.split("."))
         ]
-    assert found == []
+    return found
+
+
+def test_light_modules_import_no_engine_at_load_time():
+    assert load_time_imports_of(LIGHT_MODULES, ENGINES | {"json"}) == []
+
+
+def test_no_module_imports_dataclasses_at_load_time():
+    # Importing dataclasses loads inspect, ast, dis and tokenize, and
+    # each decorated class execs generated code: the records are plain
+    # slotted classes instead.
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py"))]
+    assert load_time_imports_of(modules, {"dataclasses"}) == []
