@@ -77,9 +77,12 @@ _EXPORTS = {
             "Proof",
             "ProofStep",
             "closure_with_assumptions",
+            "component_claim_check",
             "consistent_subtheory",
             "derives",
             "entails_para",
+            "is_relevant",
+            "min_clauses",
             "paradoxical_atoms",
             "proof_of",
             "provable_weakened",
@@ -90,11 +93,8 @@ _EXPORTS = {
             "EntailmentVerdict",
             "SubdiscourseReport",
             "classical_entails",
-            "component_claim_check",
             "core_models",
             "entails_semantic",
-            "is_relevant",
-            "min_clauses",
             "satisfies",
         ),
     }.items()

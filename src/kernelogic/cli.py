@@ -70,14 +70,16 @@ _FORMAT_KINDS = {"gnf": GNF_THEORY, "edges": EDGE_LIST, "clauses": CLAUSE_SET}
 
 
 def _read_input(path: str) -> str:
-    source = "<stdin>" if path == "-" else path
+    """The input's bytes decoded as strict UTF-8, from a file or stdin
+    alike. Every carriage return is kept: parse_document alone decides
+    where lines end."""
+    if path == "-":
+        source, data = "<stdin>", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            source, data = path, handle.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        # newline="" keeps every "\r": parse_document alone decides
-        # where lines end, for files as for stdin.
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
@@ -262,7 +264,7 @@ def cmd_relevant(args) -> int:
     if (side := _model_side(args, graph)) is not None:
         yes = side.relevant(goal)
     else:
-        from .semantics import is_relevant
+        from .resolution import is_relevant
 
         yes = is_relevant(theory, goal, max_clauses=args.max_clauses)
     _emit(args, "relevant", yes, lambda: ["yes" if yes else "no"])
@@ -274,7 +276,7 @@ def cmd_min(args) -> int:
     if (side := _model_side(args, graph)) is not None:
         found = side.minimal_clauses(args.max_clauses)
     else:
-        from .semantics import min_clauses
+        from .resolution import min_clauses
 
         found = min_clauses(theory, max_clauses=args.max_clauses)
     _emit(args, "min", found, lambda: sorted_clause_strings(found))

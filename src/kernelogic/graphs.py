@@ -209,6 +209,9 @@ class GnfTheory:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GnfTheory) and self.formulas == other.formulas
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.formulas.items()))
+
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{atom}: {sorted(rhs)}" for atom, rhs in self.formulas.items()

@@ -66,8 +66,11 @@ On top of the closure this module derives the provably paradoxical
 atoms (both the atom and its negation derivable), the consistent
 subtheory obtained by deleting all literals over them (reported by
 :func:`kernelogic.semantics.subdiscourse_report`, which reads no
-closure), the paraconsistent entailment decision, and three weakening
-variants of provability. Entailment, weakening and their witnesses all
+closure), the paraconsistent entailment decision, relevance
+(:func:`is_relevant`), the minimal clauses (:func:`min_clauses`), the
+check that resolution couples exactly the atoms of each component
+(:func:`component_claim_check`), and three weakening variants of
+provability. Entailment, relevance, weakening and their witnesses all
 ask the closure for the derived subclauses of a clause
 (``Closure.subclauses``) and differ only in which of them count.
 """
@@ -88,7 +91,7 @@ from .clauses import (
     intern_clause,
 )
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, flood_fill
+from .graphs import Digraph, Universe, bits, component_masks, flood_fill
 from .kernels import DEFAULT_MAX_CLAUSES, LATTICE_MAX_ATOMS, WEAKENING_MODES
 from .records import Record
 from .semantics import SubdiscourseReport, subdiscourse_report
@@ -929,6 +932,69 @@ def entails_para(
     if bad and not (pos | neg) & ~bad:
         return True
     return any(p or q for p, q in closure.subclauses(pos & ~bad, neg & ~bad))
+
+
+def is_relevant(
+    theory: ClausalTheory,
+    clause: Clause,
+    *,
+    closure: Optional[Closure] = None,
+    max_clauses: int = DEFAULT_MAX_CLAUSES,
+) -> bool:
+    """Entailed, with no entailed nonempty proper subclause.
+
+    A relevant clause says nothing that one of its proper parts already
+    says; the empty clause is outside the definition. These are exactly
+    the derivable clauses with no derivable nonempty proper subclause:
+    an entailed clause has a nonempty derivable subclause, and a
+    nonempty derivable clause is entailed (resolving with the units of
+    paradoxical atoms deletes their literals).
+    """
+    if clause.is_empty:
+        raise ValidationError("relevance is undefined for the empty clause")
+    closure = _closure_for(theory, closure, max_clauses)
+    if clause not in closure:
+        return False
+    masks = closure.clause_masks(clause)
+    return all(m in ((0, 0), masks) for m in closure.subclauses(*masks))
+
+
+def min_clauses(
+    theory: ClausalTheory,
+    *,
+    closure: Optional[Closure] = None,
+    max_clauses: int = DEFAULT_MAX_CLAUSES,
+) -> frozenset[Clause]:
+    """Derivable clauses with no nonempty derivable proper subclause.
+
+    The empty clause is excluded; these are exactly the relevant
+    clauses of the theory. The closure finds them per component: on a
+    clause lattice, a clause is minimal when the zeta transform of the
+    derived clauses counts, inside it, only itself and the empty clause
+    if that is derived.
+    """
+    return _closure_for(theory, closure, max_clauses).minimal_clauses()
+
+
+def component_claim_check(
+    graph: Digraph,
+    *,
+    closure: Optional[Closure] = None,
+    max_clauses: int = DEFAULT_MAX_CLAUSES,
+) -> bool:
+    """Check that resolution couples exactly the atoms that hang together.
+
+    True when, for every atom, the union of the derivable clauses of the
+    graph's clause form that hold it is exactly its component of the
+    underlying undirected graph.
+    """
+    theory = clausal_theory(graph)
+    closure = _closure_for(theory, closure, max_clauses)
+    cooccur = [0] * len(graph.universe)
+    for p, q in closure.iter_masks():
+        for i in bits(p | q):
+            cooccur[i] |= p | q
+    return all(cooccur[i] == cm for cm in component_masks(graph) for i in bits(cm))
 
 
 def provable_weakened(

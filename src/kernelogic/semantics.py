@@ -1,4 +1,4 @@
-"""Model-side consequence: satisfaction, entailment, relevance.
+"""Model-side consequence: satisfaction and entailment.
 
 Satisfaction of a clause by a three-way partition has three routes: a
 positive literal lands in the true part, a negative literal lands in
@@ -12,29 +12,24 @@ in :mod:`kernelogic.resolution` works straight off the saturated
 closure; :class:`kernelogic.kernels.ModelSide` decides it from the
 models one component at a time, without listing them. It answers the
 CLI on graph inputs, and :func:`entails_semantic` builds its witnesses
-and countermodels from the same queries. :func:`is_relevant` and
-:func:`min_clauses` come from the closure, where one subclause query
-decides relevance; on graph inputs the CLI takes both from
-``ModelSide`` instead, which finds the minimal clauses as minimal
-transversals of the literal sets the models make true.
+and countermodels from the same queries. :func:`classical_entails` is
+the two-valued relation, by truth tables.
 
 The consistent part of a discourse (:func:`subdiscourse_report`) and
 its two-valued models (:func:`core_models`) need only the paradoxical
-atoms, from whichever side found them. Only the closure-backed
-functions load :mod:`kernelogic.resolution`, and only when they run.
+atoms, from whichever side found them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .clauses import ClausalTheory, Clause, clausal_theory, intern_clause, remove_atoms
+from .clauses import ClausalTheory, Clause, intern_clause, remove_atoms
 from .errors import ResourceLimitError, ValidationError
-from .graphs import Digraph, Universe, bits, component_masks, induced_subgraph, neighborhoods
+from .graphs import Digraph, Universe, induced_subgraph, neighborhoods
 from .kernels import (
     DEFAULT_MAX_ATOMS,
-    DEFAULT_MAX_CLAUSES,
     Partition2,
     Partition3,
     _partition_from_mask,
@@ -42,11 +37,6 @@ from .kernels import (
     model_side,
 )
 from .records import Record
-
-# The closure-backed functions import resolution when they run, so
-# that the model side never loads it.
-if TYPE_CHECKING:
-    from .resolution import Closure
 
 
 def satisfies(partition: Partition3, clause: Clause) -> bool:
@@ -143,15 +133,12 @@ def classical_entails(
 ) -> bool:
     """Two-valued entailment by truth tables over the whole universe."""
     u = Universe(theory.universe)
-    foreign = clause.atoms() - set(u.names)
-    if foreign:
-        raise ValidationError(f"clause atoms outside the universe: {sorted(foreign)}")
+    goal_pos, goal_neg = intern_clause(clause, u)
     n = len(u)
     if n > max_atoms:
         raise ResourceLimitError(f"universe has {n} atoms, truth-table cap is {max_atoms}")
 
     theory_masks = [intern_clause(cl, u) for cl in theory.clauses]
-    goal_pos, goal_neg = intern_clause(clause, u)
     for assignment in range(1 << n):
         if all(p & assignment or q & ~assignment for p, q in theory_masks):
             if not (goal_pos & assignment or goal_neg & ~assignment):
@@ -231,71 +218,3 @@ def core_models(
             out.append(Partition2(kernel, false_part))
     return out
 
-
-def is_relevant(
-    theory: ClausalTheory,
-    clause: Clause,
-    *,
-    closure: Optional[Closure] = None,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-) -> bool:
-    """Entailed, with no entailed nonempty proper subclause.
-
-    A relevant clause says nothing that one of its proper parts already
-    says; the empty clause is outside the definition. These are exactly
-    the derivable clauses with no derivable nonempty proper subclause:
-    an entailed clause has a nonempty derivable subclause, and a
-    nonempty derivable clause is entailed (resolving with the units of
-    paradoxical atoms deletes their literals).
-    """
-    if clause.is_empty:
-        raise ValidationError("relevance is undefined for the empty clause")
-    from .resolution import _closure_for
-
-    closure = _closure_for(theory, closure, max_clauses)
-    if clause not in closure:
-        return False
-    masks = closure.clause_masks(clause)
-    return all(m in ((0, 0), masks) for m in closure.subclauses(*masks))
-
-
-def min_clauses(
-    theory: ClausalTheory,
-    *,
-    closure: Optional[Closure] = None,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-) -> frozenset[Clause]:
-    """Derivable clauses with no nonempty derivable proper subclause.
-
-    The empty clause is excluded; these are exactly the relevant
-    clauses of the theory. The closure finds them per component: on a
-    clause lattice, a clause is minimal when the zeta transform of the
-    derived clauses counts, inside it, only itself and the empty clause
-    if that is derived.
-    """
-    from .resolution import _closure_for
-
-    return _closure_for(theory, closure, max_clauses).minimal_clauses()
-
-
-def component_claim_check(
-    graph: Digraph,
-    *,
-    closure: Optional[Closure] = None,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-) -> bool:
-    """Check that resolution couples exactly the atoms that hang together.
-
-    True when, for every atom, the union of the derivable clauses of the
-    graph's clause form that hold it is exactly its component of the
-    underlying undirected graph.
-    """
-    from .resolution import _closure_for
-
-    theory = clausal_theory(graph)
-    closure = _closure_for(theory, closure, max_clauses)
-    cooccur = [0] * len(graph.universe)
-    for p, q in closure.iter_masks():
-        for i in bits(p | q):
-            cooccur[i] |= p | q
-    return all(cooccur[i] == cm for cm in component_masks(graph) for i in bits(cm))

@@ -284,7 +284,7 @@ def test_a_bare_carriage_return_does_not_end_a_line(capsys, monkeypatch, tmp_pat
     assert code == 2 and out == ""
     assert err == "error: line 1, column 7: invalid atom 'b$'\n"
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     code, out, err = run(capsys, "models", "-")
     assert code == 2 and out == ""
     assert err == "error: line 1, column 7: invalid atom 'b$'\n"
@@ -513,7 +513,7 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
     f2 = str(DEMO_DATA / "f2.gnf")
     script = (
         "from kernelogic.cli import main\n"
-        "for route in ([], ['--max-atoms', '0'], ['--semantic']):\n"
+        "for route in ([], ['--max-atoms', '0'], ['--semantic'], ['--classical']):\n"
         f"    assert main(['entails', 'A ~contingent', {f2!r}] + route) == 2\n"
         f"assert main(['prove', 'A ~contingent', {f2!r}]) == 2\n"
         "for route in ([], ['--max-atoms', '0']):\n"
@@ -525,7 +525,7 @@ def test_unknown_atom_error_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0 and proc.stdout == ""
-        assert proc.stderr == "error: unknown atom 'A'\n" * 6
+        assert proc.stderr == "error: unknown atom 'A'\n" * 7
 
 
 def test_relevant_errors_match_the_closure_route(capsys, delta_file):
@@ -566,7 +566,7 @@ def test_min_on_many_models_answers_and_caps_promptly(capsys, tmp_path):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("a -> b\nb -> a\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a -> b\nb -> a\n")))
     code, out, _ = run(capsys, "kernels")
     assert code == 0
     assert out.splitlines() == ["{a}", "{b}"]
@@ -657,6 +657,23 @@ def test_undecodable_input_exits_2(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "paradox", "-")
     assert code == 2 and out == ""
     assert err.startswith("error: <stdin>") and "UTF-8" in err
+
+
+def test_stdin_is_read_as_strict_utf8_whatever_the_io_encoding():
+    # The bad byte sits in a comment, so only a strict decoding refuses
+    # it, on stdin as from a file.
+    for extra in ({}, {"PYTHONIOENCODING": "latin-1"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernelogic", "models", "-"],
+            input=b"a -> b # \xff\n",
+            capture_output=True,
+            env=dict(os.environ, **extra),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2,
+            b"",
+            b"error: <stdin> is not UTF-8 text (invalid start byte)\n",
+        )
 
 
 def test_memory_error_exits_3(capsys, monkeypatch, delta_file):
@@ -1058,7 +1075,7 @@ def test_clause_commands_take_the_input_after_their_flags(capsys, argv):
 def test_clause_commands_read_stdin_after_their_flags(capsys, monkeypatch, lewis_file):
     expected = run(capsys, "prove", "b", lewis_file, "--weakening", "cw")
     for dash in (["-"], []):
-        monkeypatch.setattr("sys.stdin", io.StringIO(LEWIS_TEXT))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(LEWIS_TEXT.encode())))
         assert run(capsys, "prove", "b", "--weakening", "cw", *dash) == expected
 
 

@@ -152,6 +152,18 @@ def test_parse_document_kinds():
         io.parse_document("a", kind="csv")
 
 
+def test_every_kind_of_document_hashes():
+    theory = kl.GnfTheory({"a": ["b"], "b": []})
+    twin = kl.GnfTheory({"b": set(), "a": {"b"}})
+    assert theory == twin and hash(theory) == hash(twin)
+    assert theory != kl.GnfTheory({"a": [], "b": []})
+    for text in (DELTA_TEXT, "a -> b", "a ~b"):
+        doc = io.parse_document(text)
+        assert hash(doc) == hash(io.parse_document(text))
+    doc = io.InputDocument(io.GNF_THEORY, theory)
+    assert hash(doc) == hash(io.InputDocument(io.GNF_THEORY, twin))
+
+
 ATOM_NAMES = st.sampled_from(["a", "a'", "b", "c", "d_2"])
 
 

@@ -92,6 +92,9 @@ def test_classical_entails():
     assert not kl.classical_entails(empty_over_a, clause("a"))
     with pytest.raises(kl.ValidationError):
         kl.classical_entails(empty_over_a, clause("zz"))
+    # An unknown atom is refused before the truth-table cap.
+    with pytest.raises(kl.ValidationError, match="unknown atom 'zz'"):
+        kl.classical_entails(empty_over_a, clause("zz"), max_atoms=0)
 
 
 def test_classical_entails_matches_witness_subclause():

@@ -125,37 +125,41 @@ LIGHT_MODULES = (
 ENGINES = {"resolution", "semantics", "oracle", "numpy"}
 
 
-def load_time_imports(tree):
-    """The import statements a module runs when it is loaded: those
-    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
-    stack = list(tree.body)
+def imports(tree):
+    """Each import statement of a module, with its targets and where it
+    runs: ``"load"`` when the module is loaded, ``"call"`` inside a
+    function body, ``"typing"`` under ``if TYPE_CHECKING:`` only."""
+    stack = [(node, "load") for node in tree.body]
     while stack:
-        node = stack.pop()
+        node, place = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
-            stack += node.orelse
+            place = "call"
+        elif isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            stack += [(child, "typing") for child in node.body]
+            stack += [(child, place) for child in node.orelse]
             continue
         if isinstance(node, ast.Import):
-            yield node, [alias.name for alias in node.names]
+            yield node, [alias.name for alias in node.names], place
         elif isinstance(node, ast.ImportFrom):
-            yield node, [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        stack += ast.iter_child_nodes(node)
+            yield node, [f"{node.module or ''}.{alias.name}" for alias in node.names], place
+        stack += [(child, place) for child in ast.iter_child_nodes(node)]
+
+
+def parsed(name):
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def load_time_imports_of(modules, banned):
     """Where ``modules`` import a module named in ``banned`` at load time."""
-    found = []
-    for name in modules:
-        path = PACKAGE / f"{name}.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}:{target}"
-            for node, targets in load_time_imports(tree)
-            for target in targets
-            if banned & set(target.split("."))
-        ]
-    return found
+    return [
+        f"{name}.py:{node.lineno}:{target}"
+        for name in modules
+        for node, targets, place in imports(parsed(name))
+        if place == "load"
+        for target in targets
+        if banned & set(target.split("."))
+    ]
 
 
 def test_light_modules_import_no_engine_at_load_time():
@@ -168,3 +172,43 @@ def test_no_module_imports_dataclasses_at_load_time():
     # slotted classes instead.
     modules = [path.stem for path in sorted(PACKAGE.glob("*.py"))]
     assert load_time_imports_of(modules, {"dataclasses"}) == []
+
+
+def test_only_the_cli_imports_package_modules_inside_functions():
+    # The CLI imports each engine in the commands that run it. Every
+    # other module imports the package modules it needs when it loads,
+    # so the package's imports run one way; numpy and json may still
+    # load where they are used.
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"]
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name in modules
+        for node, targets, place in imports(parsed(name))
+        if place == "call"
+        and (
+            getattr(node, "level", 0)
+            or any(target.split(".")[0] == "kernelogic" for target in targets)
+        )
+    ]
+    assert found == []
+
+
+def test_semantics_imports_nothing_from_resolution():
+    # resolution builds on semantics, never the other way round.
+    found = [
+        f"semantics.py:{node.lineno}:{target}"
+        for node, targets, _ in imports(parsed("semantics"))
+        for target in targets
+        if "resolution" in target.split(".")
+    ]
+    assert found == []
+
+
+def test_closure_lookup_stays_in_resolution():
+    # Every closure-backed query lives beside the closure it reads.
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "resolution.py" and "_closure_for" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
