@@ -40,14 +40,6 @@ class Clause(Record):
             _check_atom(lit.atom)
         object.__setattr__(self, "literals", literals)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.literals == other.literals
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.literals,))
-
     @classmethod
     def _unchecked(cls, literals: Iterable[Literal]) -> "Clause":
         """A clause of literals whose atoms are already known valid."""
@@ -155,14 +147,6 @@ class ClausalTheory(Record):
             _check_atom(name)
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "universe", names)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.clauses, self.universe) == (other.clauses, other.universe)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.clauses, self.universe))
 
     def atoms(self) -> tuple[str, ...]:
         return self.universe

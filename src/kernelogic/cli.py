@@ -74,6 +74,9 @@ def _read_input(path: str) -> str:
     alike. Every carriage return is kept: parse_document alone decides
     where lines end."""
     if path == "-":
+        # A process started without file descriptor 0 has no sys.stdin.
+        if sys.stdin is None:
+            raise ParseError("<stdin> is closed")
         source, data = "<stdin>", sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:

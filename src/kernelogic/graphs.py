@@ -248,14 +248,6 @@ class Neighborhood(Record):
         object.__setattr__(self, "in_", in_)
         object.__setattr__(self, "in_closed", in_closed)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.out, self.in_, self.in_closed) == (other.out, other.in_, other.in_closed)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.out, self.in_, self.in_closed))
-
 
 def neighborhoods(graph: Digraph, atoms: Iterable[str]) -> Neighborhood:
     mask = graph.universe.mask_of(atoms)

@@ -37,14 +37,6 @@ class InputDocument(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) == (other.kind, other.payload)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.payload))
-
 
 def _content_lines(text: str):
     # Lines end at "\n" alone, as wc -l counts them; str.splitlines

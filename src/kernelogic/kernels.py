@@ -75,18 +75,6 @@ class Partition3(Record):
         object.__setattr__(self, "false_set", false_set)
         object.__setattr__(self, "paradox_set", paradox_set)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.true_set, self.false_set, self.paradox_set) == (
-                other.true_set,
-                other.false_set,
-                other.paradox_set,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.true_set, self.false_set, self.paradox_set))
-
     def atoms(self) -> frozenset[str]:
         return self.true_set | self.false_set | self.paradox_set
 
@@ -114,26 +102,6 @@ class SubsetReport(Record):
         object.__setattr__(self, "semikernel", semikernel)
         object.__setattr__(self, "inverse_closed", inverse_closed)
         object.__setattr__(self, "psk", psk)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (
-                self.independent,
-                self.kernel,
-                self.semikernel,
-                self.inverse_closed,
-                self.psk,
-            ) == (
-                other.independent,
-                other.kernel,
-                other.semikernel,
-                other.inverse_closed,
-                other.psk,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.independent, self.kernel, self.semikernel, self.inverse_closed, self.psk))
 
 
 def _is_independent(graph: Digraph, mask: int) -> bool:

@@ -39,14 +39,6 @@ class RandomGraphSpec(Record):
         object.__setattr__(self, "edge_prob", edge_prob)
         object.__setattr__(self, "seed", seed)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.n, self.edge_prob, self.seed) == (other.n, other.edge_prob, other.seed)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edge_prob, self.seed))
-
 
 def splitmix64(seed: int) -> Iterator[int]:
     """The SplitMix64 stream for ``seed``, yielding 64-bit values."""

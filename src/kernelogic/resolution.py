@@ -1057,9 +1057,7 @@ def closure_with_assumptions(
     only the components holding the clause's atoms are saturated again;
     the others share that closure's parts.
     """
-    missing = clause.atoms() - set(theory.universe)
-    if missing:
-        raise ValidationError(f"clause atoms outside the universe: {sorted(missing)}")
+    intern_clause(clause, Universe(theory.universe))
     extended = ClausalTheory(theory.clauses | complement_units(clause), theory.universe)
     return saturate(extended, max_clauses)
 
@@ -1087,20 +1085,6 @@ class ProofStep(Record):
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "atom", atom)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.index, self.clause, self.rule, self.premises, self.atom) == (
-                other.index,
-                other.clause,
-                other.rule,
-                other.premises,
-                other.atom,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.clause, self.rule, self.premises, self.atom))
-
     def __str__(self) -> str:
         if self.rule == "res":
             i, j = self.premises
@@ -1119,14 +1103,6 @@ class Proof(Record):
     def __init__(self, conclusion: Clause, steps: tuple[ProofStep, ...]):
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.conclusion, self.steps) == (other.conclusion, other.steps)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.conclusion, self.steps))
 
     def to_text(self) -> str:
         return "\n".join(str(step) for step in self.steps)

@@ -82,19 +82,6 @@ class EntailmentVerdict(Record):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "countermodel", countermodel)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.holds, self.kind, self.witness, self.countermodel) == (
-                other.holds,
-                other.kind,
-                other.witness,
-                other.countermodel,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.holds, self.kind, self.witness, self.countermodel))
-
 
 def entails_semantic(
     graph: Digraph,
@@ -167,19 +154,6 @@ class SubdiscourseReport(Record):
         object.__setattr__(self, "healthy_atoms", healthy_atoms)
         object.__setattr__(self, "theory", theory)
         object.__setattr__(self, "border", border)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.paradox_atoms, self.healthy_atoms, self.theory, self.border) == (
-                other.paradox_atoms,
-                other.healthy_atoms,
-                other.theory,
-                other.border,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.paradox_atoms, self.healthy_atoms, self.theory, self.border))
 
 
 def subdiscourse_report(

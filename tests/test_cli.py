@@ -659,6 +659,13 @@ def test_undecodable_input_exits_2(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: <stdin>") and "UTF-8" in err
 
 
+def test_closed_stdin_exits_2(capsys, monkeypatch):
+    # sys.stdin is None in a process started without file descriptor 0.
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "models", "-")
+    assert (code, out, err) == (2, "", "error: <stdin> is closed\n")
+
+
 def test_stdin_is_read_as_strict_utf8_whatever_the_io_encoding():
     # The bad byte sits in a comment, so only a strict decoding refuses
     # it, on stdin as from a file.

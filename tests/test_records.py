@@ -1,23 +1,28 @@
 """The package's frozen records against ``dataclasses`` twins.
 
-Each record is a plain slotted class that writes its own constructor,
-``==`` and hash. Its twin below is the ``@dataclass(frozen=True)`` it
-replaces, with the same fields, defaults and validation; the two must
-agree on construction, comparison, hash and repr.
+Each record is a plain slotted class that writes only its constructor;
+the ``Record`` base derives ``==``, hash and repr from ``__slots__``.
+Its twin below is the ``@dataclass(frozen=True)`` it replaces, with the
+same fields, defaults and validation; the two must agree on
+construction, comparison, hash and repr.
 """
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
 import pytest
 
+import kernelogic
 from kernelogic import clauses, graphs, io_text, kernels, oracle, resolution, semantics
 from kernelogic.clauses import Literal
 from kernelogic.graphs import _check_atom
+from kernelogic.records import Record
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,17 @@ CASES = {
 }
 
 RECORDS = pytest.mark.parametrize("record", list(CASES), ids=lambda cls: cls.__name__)
+
+
+def test_every_record_has_a_twin():
+    for module in pkgutil.iter_modules(kernelogic.__path__):
+        importlib.import_module(f"kernelogic.{module.name}")
+    assert set(Record.__subclasses__()) == set(CASES)
+
+
+@RECORDS
+def test_records_take_eq_and_hash_from_the_base(record):
+    assert "__eq__" not in vars(record) and "__hash__" not in vars(record)
 
 
 def outcome(fn, *args):

@@ -236,7 +236,7 @@ def test_closure_with_assumptions():
     unchanged = kl.closure_with_assumptions(t, Clause())
     assert set(unchanged.iter_masks()) == set(kl.saturate(t).iter_masks())
 
-    with pytest.raises(kl.ValidationError, match="outside the universe"):
+    with pytest.raises(kl.ValidationError, match="unknown atom 'zz'"):
         kl.closure_with_assumptions(t, clause("zz"))
 
 
