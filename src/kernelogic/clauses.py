@@ -108,8 +108,9 @@ def intern_clause(clause: Clause, universe: Universe) -> tuple[int, int]:
 def clause_of_masks(pos: int, neg: int, universe: Universe) -> Clause:
     """The clause of (positive, negative) atom bitmasks over ``universe``;
     the inverse of ``intern_clause``."""
-    lits = [Literal(a) for a in universe.sorted_atoms_of(pos)]
-    lits += [Literal(a, True) for a in universe.sorted_atoms_of(neg)]
+    pos_names, neg_names = universe.names_of((pos, neg))
+    lits = [Literal(a) for a in pos_names]
+    lits += [Literal(a, True) for a in neg_names]
     # The names come from the validated universe.
     return Clause._unchecked(lits)
 
@@ -172,10 +173,9 @@ def clausal_theory(graph: Digraph) -> ClausalTheory:
     the unit ``~x``.
     """
     built: list[Clause] = []
-    for x in graph.vertices:
-        succ = graph.successors(x)
-        built.append(Clause(Literal(y) for y in succ | {x}))
-        for y in sorted(succ):
+    for x, succ in zip(graph.vertices, graph.universe.names_of(graph._succ)):
+        built.append(Clause(Literal(y) for y in {x, *succ}))
+        for y in succ:
             built.append(Clause((Literal(x, True), Literal(y, True))))
     return ClausalTheory(frozenset(built), graph.vertices)
 

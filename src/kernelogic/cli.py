@@ -31,7 +31,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from itertools import starmap
+from typing import Iterator, Optional
 
 from .clauses import ClausalTheory, clausal_theory
 from .errors import KernelogicError, ParseError, ResourceLimitError, ValidationError
@@ -54,8 +55,12 @@ from .kernels import (
     check_cap,
     enumerate_kernels,
     enumerate_semikernels,
+    kernel_masks,
+    model_masks,
     model_side,
     models,
+    partition_names,
+    semikernel_masks,
 )
 
 # resolution, semantics and oracle are imported by the commands that
@@ -108,16 +113,22 @@ def _require_graph(graph: Optional[Digraph]) -> Digraph:
     return graph
 
 
+def _fmt_names(names) -> str:
+    """An atom set from its names in sorted order."""
+    return "{" + ",".join(names) + "}"
+
+
+def _fmt_model(true, false, paradox) -> str:
+    """A model from the sorted names of its true, false and unsettled atoms."""
+    return f"true={_fmt_names(true)} false={_fmt_names(false)} paradox={_fmt_names(paradox)}"
+
+
 def _fmt_set(atoms) -> str:
-    return "{" + ",".join(sorted(atoms)) + "}"
+    return _fmt_names(sorted(atoms))
 
 
 def _fmt_partition3(p) -> str:
-    return (
-        f"true={_fmt_set(p.true_set)} "
-        f"false={_fmt_set(p.false_set)} "
-        f"paradox={_fmt_set(p.paradox_set)}"
-    )
+    return _fmt_model(sorted(p.true_set), sorted(p.false_set), sorted(p.paradox_set))
 
 
 def _emit(args, command: str, result, render) -> None:
@@ -139,26 +150,39 @@ def _emit(args, command: str, result, render) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _set_lines(graph: Digraph, masks) -> Iterator[str]:
+    return map(_fmt_names, graph.universe.names_of(masks))
+
+
+def _model_lines(graph: Digraph, true_masks) -> Iterator[str]:
+    return starmap(_fmt_model, partition_names(graph, true_masks))
+
+
 # The graph listings: name -> (engine, name of its brute-force oracle in
-# ``kernelogic.oracle``, line format). check-random compares each engine
-# against its oracle in this order.
+# ``kernelogic.oracle``, (mask listing, line writer)). The text output is
+# written line by line from the engine's masks (a model's: its true set),
+# building no set; JSON is written from the engine's list. check-random
+# compares each engine against its oracle in this order.
 _LISTINGS = {
-    "kernels": (enumerate_kernels, "brute_kernels", _fmt_set),
-    "semikernels": (enumerate_semikernels, "brute_semikernels", _fmt_set),
-    "models": (models, "brute_models", _fmt_partition3),
+    "kernels": (enumerate_kernels, "brute_kernels", (kernel_masks, _set_lines)),
+    "semikernels": (enumerate_semikernels, "brute_semikernels", (semikernel_masks, _set_lines)),
+    "models": (models, "brute_models", (model_masks, _model_lines)),
 }
 
 
 def cmd_listing(args) -> int:
-    engine, brute, fmt = _LISTINGS[args.command]
+    engine, brute, (listing, lines) = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
     if args.oracle:
         from . import oracle
 
         found = getattr(oracle, brute)(graph)
+        masks = [graph.universe.mask_of(getattr(v, "true_set", v)) for v in found]
+    elif args.json:
+        found, masks = engine(graph, args.max_atoms), []
     else:
-        found = engine(graph, args.max_atoms)
-    _emit(args, args.command, found, lambda: map(fmt, found))
+        found, masks = None, listing(graph, args.max_atoms)
+    _emit(args, args.command, found, lambda: lines(graph, masks))
     return EXIT_YES
 
 

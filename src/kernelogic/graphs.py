@@ -40,8 +40,11 @@ def _check_atom(name: str) -> str:
 class Universe:
     """A fixed, lexicographically ordered set of atoms with bit positions.
 
-    ``mask_of``/``atoms_of`` translate between name sets and integer
-    bitmasks; bit ``i`` stands for ``names[i]``.
+    ``mask_of`` turns names into an integer bitmask; bit ``i`` stands for
+    ``names[i]``. ``names_of`` is the one conversion back: it splits each
+    mask into byte pieces and joins the names of each piece, looking each
+    piece up once per call. ``atoms_of`` and ``sorted_atoms_of`` convert
+    one mask through it; a listing converts all its masks in one call.
     """
 
     __slots__ = ("names", "full_mask", "_index")
@@ -80,11 +83,43 @@ class Universe:
             mask |= 1 << self.index(name)
         return mask
 
+    def names_of(self, masks: Iterable[int]) -> Iterator[tuple[str, ...]]:
+        """The names of each mask in turn, sorted.
+
+        A mask is cut into byte pieces, each kept in place (``mask & 255
+        << shift``), so that a piece's value says both which byte it is
+        and which bits it holds. The names of each piece are found once
+        per call and remembered only until the call ends, since the
+        masks of a listing share few distinct pieces. A new piece is
+        read bit by bit in line, since a generator per piece made
+        one-mask calls markedly slower.
+        """
+        names = self.names
+        memo: dict[int, tuple[str, ...]] = {}
+        for mask in masks:
+            found: tuple[str, ...] = ()
+            shift = 0
+            while mask:
+                piece = mask & 255 << shift
+                if piece:
+                    mask ^= piece
+                    part = memo.get(piece)
+                    if part is None:
+                        part, rest = (), piece
+                        while rest:
+                            low = rest & -rest
+                            part += (names[low.bit_length() - 1],)
+                            rest ^= low
+                        memo[piece] = part
+                    found += part
+                shift += 8
+            yield found
+
     def atoms_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.names[i] for i in bits(mask))
+        return frozenset(self.sorted_atoms_of(mask))
 
     def sorted_atoms_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in bits(mask))
+        return next(self.names_of((mask,)))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -231,7 +266,7 @@ def theory_to_graph(theory: GnfTheory) -> Digraph:
 
 def graph_to_theory(graph: Digraph) -> GnfTheory:
     """The theory of a graph; inverse of :func:`theory_to_graph`."""
-    return GnfTheory({v: graph.successors(v) for v in graph.vertices})
+    return GnfTheory(dict(zip(graph.vertices, graph.universe.names_of(graph._succ))))
 
 
 class Neighborhood(Record):
@@ -251,12 +286,8 @@ class Neighborhood(Record):
 
 def neighborhoods(graph: Digraph, atoms: Iterable[str]) -> Neighborhood:
     mask = graph.universe.mask_of(atoms)
-    u = graph.universe
-    return Neighborhood(
-        out=u.atoms_of(graph.out_mask(mask)),
-        in_=u.atoms_of(graph.in_mask(mask)),
-        in_closed=u.atoms_of(graph.in_closed_mask(mask)),
-    )
+    fields = (graph.out_mask(mask), graph.in_mask(mask), graph.in_closed_mask(mask))
+    return Neighborhood(*map(frozenset, graph.universe.names_of(fields)))
 
 
 def reachable(graph: Digraph, atoms: Iterable[str], direction: str = "forward") -> frozenset[str]:
@@ -328,7 +359,7 @@ def underlying_components(graph: Digraph) -> list[frozenset[str]]:
 
     Returned in deterministic order, by smallest member atom.
     """
-    return [graph.universe.atoms_of(comp) for comp in component_masks(graph)]
+    return list(map(frozenset, graph.universe.names_of(component_masks(graph))))
 
 
 def complete_loose_atoms(formulas: Mapping[str, Iterable[str]]) -> GnfTheory:

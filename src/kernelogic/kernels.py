@@ -25,6 +25,15 @@ domain is unique, so the kernels are the models when no atom is
 paradoxical, and there are none otherwise. Semikernels are walked
 again whenever they are listed, since only that listing reads them.
 
+Each listing is first a list of masks in subset rank, from one
+function per listing that the package alone uses (``kernel_masks``,
+``semikernel_masks``, and ``model_masks`` for the models' true sets).
+The public lists turn those masks into names in one
+``Universe.names_of`` pass, which looks up each byte piece of a mask
+once per call; a model's three fields go through the same pass
+(``partition_names``). The command line writes each text line from a
+mask's names as they come, building neither the sets nor their list.
+
 Direct resolution is sound and complete for this semantics, so the
 models also answer the closure's questions (``ModelSide``, which
 computes its paradox mask once): the atoms every model leaves unsettled
@@ -140,17 +149,31 @@ def partition_of(graph: Digraph, atoms: Iterable[str]) -> Partition3:
     True atoms are the set itself, false atoms its predecessors, and
     everything else is unsettled.
     """
+    atoms = frozenset(atoms)
     mask = graph.universe.mask_of(atoms)
     if not _is_independent(graph, mask):
-        raise ValidationError(f"set {sorted(frozenset(atoms))} is not independent")
+        raise ValidationError(f"set {sorted(atoms)} is not independent")
     return _partition_from_mask(graph, mask)
 
 
 def _partition_from_mask(graph: Digraph, mask: int) -> Partition3:
-    u = graph.universe
-    false_mask = graph.in_mask(mask)
-    rest = u.full_mask & ~(mask | false_mask)
-    return Partition3(u.atoms_of(mask), u.atoms_of(false_mask), u.atoms_of(rest))
+    return Partition3(*map(frozenset, next(partition_names(graph, (mask,)))))
+
+
+def partition_names(graph: Digraph, masks: Iterable[int]) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """The sorted true, false and unsettled atoms of the partition of
+    each independent set in ``masks``, all converted in one pass."""
+    full = graph.universe.full_mask
+
+    def fields() -> Iterator[int]:
+        for mask in masks:
+            false_mask = graph.in_mask(mask)
+            yield mask
+            yield false_mask
+            yield full & ~(mask | false_mask)
+
+    names = graph.universe.names_of(fields())
+    return zip(names, names, names)
 
 
 def check_cap(atoms: int, max_atoms: int) -> None:
@@ -193,24 +216,40 @@ def _product(per_component: Iterable[Sequence[int]]) -> list[int]:
     return sorted(combined)
 
 
-def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
-    """All kernels, ordered by subset rank over the sorted vertices: the
-    models when they settle every atom, and none otherwise."""
+def kernel_masks(graph: Digraph, max_atoms: int) -> list[int]:
+    """The kernels' masks by subset rank: the models when they settle
+    every atom, and none otherwise."""
     check_cap(len(graph.vertices), max_atoms)
     side = _model_side(graph)
     if side.paradox_mask:
         return []
-    return [graph.universe.atoms_of(m) for m in _product(ms for ms, _ in side.components)]
+    return _product(ms for ms, _ in side.components)
+
+
+def semikernel_masks(graph: Digraph, max_atoms: int) -> list[int]:
+    """The semikernels' masks by subset rank, the empty set first."""
+    check_cap(len(graph.vertices), max_atoms)
+    full = graph.universe.full_mask
+    return _product(
+        [p & full for p in _semikernels(graph, comp)] for comp in component_masks(graph)
+    )
+
+
+def model_masks(graph: Digraph, max_atoms: int) -> list[int]:
+    """The masks of the models' true sets by subset rank."""
+    check_cap(len(graph.vertices), max_atoms)
+    return _product(ms for ms, _ in _model_side(graph).components)
+
+
+def enumerate_kernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
+    """All kernels, ordered by subset rank over the sorted vertices: the
+    models when they settle every atom, and none otherwise."""
+    return list(map(frozenset, graph.universe.names_of(kernel_masks(graph, max_atoms))))
 
 
 def enumerate_semikernels(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[frozenset[str]]:
     """All semikernels, including the empty set, ordered by subset rank."""
-    check_cap(len(graph.vertices), max_atoms)
-    u = graph.universe
-    per_component = (
-        [p & u.full_mask for p in _semikernels(graph, comp)] for comp in component_masks(graph)
-    )
-    return [u.atoms_of(m) for m in _product(per_component)]
+    return list(map(frozenset, graph.universe.names_of(semikernel_masks(graph, max_atoms))))
 
 
 def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition3]:
@@ -223,10 +262,9 @@ def models(graph: Digraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[Partition
     The list is never empty and is ordered by subset rank of the true
     atoms; ties with an equal domain are all kept.
     """
-    check_cap(len(graph.vertices), max_atoms)
     return [
-        _partition_from_mask(graph, m)
-        for m in _product(ms for ms, _ in _model_side(graph).components)
+        Partition3(frozenset(t), frozenset(f), frozenset(p))
+        for t, f, p in partition_names(graph, model_masks(graph, max_atoms))
     ]
 
 

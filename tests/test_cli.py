@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import cli
@@ -16,6 +19,7 @@ from kernelogic.cli import main
 from kernelogic.io_text import (
     CLAUSE_SET,
     EDGE_LIST,
+    format_graph,
     format_theory,
     parse_clause,
     parse_document,
@@ -24,6 +28,7 @@ from kernelogic.io_text import (
 )
 
 from test_io import DELTA_TEXT
+from test_kernels import component_unions, small_graphs
 
 LEWIS_TEXT = "a\n~a\nb ~b\n"
 
@@ -1100,3 +1105,82 @@ def test_leftover_arguments_are_still_refused(capsys, lewis_file, argv, left):
     code, out, err = run(capsys, *(a.format(f=lewis_file) for a in argv))
     assert code == 2 and out == ""
     assert err.endswith(f"error: unrecognized arguments: {left.format(f=lewis_file)}\n")
+
+
+# Each listing's engine, brute-force oracle and line format over the
+# public lists: how the listing commands wrote their output before they
+# wrote text lines from masks.
+LISTING_TWINS = {
+    "kernels": (kl.enumerate_kernels, kl.brute_kernels, cli._fmt_set),
+    "semikernels": (kl.enumerate_semikernels, kl.brute_semikernels, cli._fmt_set),
+    "models": (kl.models, kl.brute_models, cli._fmt_partition3),
+}
+
+
+def run_quietly(*argv):
+    """``main`` with its output captured, for use under hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_listings_match_the_lists(path, graph):
+    for command, (engine, brute, fmt) in LISTING_TWINS.items():
+        for flags, found in (([], engine(graph)), (["--oracle"], brute(graph))):
+            text = "".join(fmt(v) + "\n" for v in found)
+            assert run_quietly(command, path, *flags) == (0, text, ""), (command, flags)
+            doc = to_json(found, command) + "\n"
+            assert run_quietly(command, path, *flags, "--json") == (0, doc, ""), (command, flags)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_DATA.iterdir()))
+def test_listings_print_the_demos_as_the_lists_do(name):
+    path = str(DEMO_DATA / name)
+    graph = parse_document((DEMO_DATA / name).read_text()).payload
+    if isinstance(graph, kl.Digraph):
+        assert_listings_match_the_lists(path, graph)
+    elif isinstance(graph, kl.GnfTheory):
+        assert_listings_match_the_lists(path, kl.theory_to_graph(graph))
+    else:
+        for command in LISTING_TWINS:
+            for flags in ([], ["--oracle"], ["--json"]):
+                code, out, err = run_quietly(command, path, *flags)
+                assert (code, out) == (2, "") and "bare clause set" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+def test_listings_print_graphs_as_the_lists_do(tmp_path_factory, graph):
+    path = tmp_path_factory.mktemp("listing") / "graph.edges"
+    path.write_text(format_graph(graph))
+    assert_listings_match_the_lists(str(path), graph)
+
+
+OUT_STAR_SCRIPT = """
+import os, subprocess, sys
+child = subprocess.Popen(
+    [sys.executable, "-m", "kernelogic", "semikernels", "-"],
+    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+)
+child.stdin.write("".join(f"hub -> l{i:02d}\\n" for i in range(1, 20)).encode())
+child.stdin.close()
+lines = sum(chunk.count(b"\\n") for chunk in iter(lambda: child.stdout.read(1 << 16), b""))
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), lines, usage.ru_maxrss)
+"""
+
+
+def test_semikernels_of_the_out_star_print_without_the_sets():
+    # 2**19 semikernels: the list of their frozensets alone took the
+    # process past 400 MB. A fresh helper spawns the command, so that
+    # the command's ru_maxrss starts from the helper's small high-water
+    # mark and not from this test process's.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_STAR_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, lines, maxrss_kb = map(int, proc.stdout.split())
+    assert (code, lines) == (0, 524_288)
+    assert maxrss_kb < 150 * 1024

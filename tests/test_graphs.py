@@ -1,10 +1,13 @@
 """Graphs, GNF theories, and the operators between them."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelogic as kl
+from kernelogic import graphs
 
 ATOMS = ["a", "a'", "b", "c", "d", "e", "f_1"]
 
@@ -66,6 +69,24 @@ def test_roundtrip_both_ways(g):
     t = kl.graph_to_theory(g)
     assert kl.theory_to_graph(t) == g
     assert kl.graph_to_theory(kl.theory_to_graph(t)) == t
+
+
+def test_names_of_matches_a_per_bit_conversion():
+    # The byte-piece conversion against the plain per-bit one, across
+    # byte boundaries and on universes of up to nine bytes.
+    for n in (0, 1, 7, 8, 9, 16, 17, 24, 70):
+        u = kl.Universe(f"a{i}" for i in range(n))
+        masks = [0, u.full_mask]
+        for boundary in range(8, n, 8):
+            masks += [1 << (boundary - 1), 1 << boundary, 3 << (boundary - 1)]
+        rng = random.Random(n)
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(60)]
+        masks += [rng.getrandbits(n) for _ in range(60)]
+        naive = [tuple(u.names[i] for i in graphs.bits(m)) for m in masks]
+        assert list(u.names_of(masks)) == naive
+        assert list(u.names_of(iter(masks + masks))) == naive + naive
+        assert [u.sorted_atoms_of(m) for m in masks] == naive
+        assert [u.atoms_of(m) for m in masks] == [frozenset(names) for names in naive]
 
 
 def test_neighborhoods_examples(our_graph):

@@ -62,6 +62,11 @@ def test_partition_of(our_graph, f1_graph):
     )
     with pytest.raises(kl.ValidationError, match="not independent"):
         kl.partition_of(our_graph, {"a", "a'"})
+    # A one-shot iterable is read once and named in full.
+    chain = kl.Digraph(["a", "b"], [("a", "b")])
+    with pytest.raises(kl.ValidationError, match=r"set \['a', 'b'\] is not independent"):
+        kl.partition_of(chain, iter(["a", "b"]))
+    assert kl.partition_of(chain, iter(["b"])) == kl.partition_of(chain, ["b"])
 
 
 def test_enumerate_kernels(our_graph, loop_chain_graph):
