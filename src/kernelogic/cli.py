@@ -21,9 +21,9 @@ parsers (``io_text``, ``graphs``, ``clauses``) and ``kernels``, which
 answer the listings and the model route. ``subdiscourse`` and both
 ``entails`` flags add ``semantics``; the closure route adds
 ``resolution``, ``semantics`` and numpy; ``check-random`` and
-``--oracle`` add ``oracle``. The light route loads neither
-``dataclasses`` (the records are plain slotted classes) nor, without
-``--json``, ``json``.
+``--oracle`` add ``oracle``. No call loads ``dataclasses`` (the
+records are plain slotted classes) or ``json`` (``io_text`` writes
+JSON itself).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import starmap
 from typing import Iterator, Optional
 
 from .clauses import ClausalTheory, clausal_theory
@@ -41,10 +40,10 @@ from .io_text import (
     CLAUSE_SET,
     EDGE_LIST,
     GNF_THEORY,
+    json_chunks,
     parse_clause,
     parse_document,
     sorted_clause_strings,
-    to_json,
 )
 from .kernels import (
     DEFAULT_MAX_ATOMS,
@@ -132,7 +131,8 @@ def _fmt_partition3(p) -> str:
 
 
 def _emit(args, command: str, result, render) -> None:
-    """Print ``result`` as JSON, or else the lines ``render()`` returns.
+    """Print ``result`` as JSON, written piece by piece as it is formed,
+    or else the lines ``render()`` returns.
 
     A reader that closes the pipe early (``| head``) drops the rest of
     the output: stdout then points at the null device, so that neither
@@ -141,7 +141,8 @@ def _emit(args, command: str, result, render) -> None:
     """
     try:
         if args.json:
-            print(to_json(result, command))
+            sys.stdout.writelines(json_chunks(result, command))
+            print()
         else:
             for line in render():
                 print(line)
@@ -150,39 +151,50 @@ def _emit(args, command: str, result, render) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _set_lines(graph: Digraph, masks) -> Iterator[str]:
-    return map(_fmt_names, graph.universe.names_of(masks))
+def _set_items(graph: Digraph, masks) -> Iterator[tuple[str, ...]]:
+    """Each set's sorted names: its JSON array."""
+    return graph.universe.names_of(masks)
 
 
-def _model_lines(graph: Digraph, true_masks) -> Iterator[str]:
-    return starmap(_fmt_model, partition_names(graph, true_masks))
+def _model_items(graph: Digraph, true_masks) -> Iterator[dict]:
+    """Each model's JSON object: the sorted names of its three parts."""
+    for true, false, paradox in partition_names(graph, true_masks):
+        yield {"true": true, "false": false, "paradox": paradox}
+
+
+def _model_line(model: dict) -> str:
+    return _fmt_model(model["true"], model["false"], model["paradox"])
 
 
 # The graph listings: name -> (engine, name of its brute-force oracle in
-# ``kernelogic.oracle``, (mask listing, line writer)). The text output is
-# written line by line from the engine's masks (a model's: its true set),
-# building no set; JSON is written from the engine's list. check-random
+# ``kernelogic.oracle``, (mask listing, item writer, line writer)). Text
+# lines and JSON array items are both written one at a time from the
+# engine's masks (a model's: its true set), building no set. check-random
 # compares each engine against its oracle in this order.
 _LISTINGS = {
-    "kernels": (enumerate_kernels, "brute_kernels", (kernel_masks, _set_lines)),
-    "semikernels": (enumerate_semikernels, "brute_semikernels", (semikernel_masks, _set_lines)),
-    "models": (models, "brute_models", (model_masks, _model_lines)),
+    "kernels": (enumerate_kernels, "brute_kernels", (kernel_masks, _set_items, _fmt_names)),
+    "semikernels": (
+        enumerate_semikernels,
+        "brute_semikernels",
+        (semikernel_masks, _set_items, _fmt_names),
+    ),
+    "models": (models, "brute_models", (model_masks, _model_items, _model_line)),
 }
 
 
 def cmd_listing(args) -> int:
-    engine, brute, (listing, lines) = _LISTINGS[args.command]
+    _, brute, (listing, items, line) = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
     if args.oracle:
         from . import oracle
 
+        # --json writes the oracle's own list; the text goes through masks.
         found = getattr(oracle, brute)(graph)
         masks = [graph.universe.mask_of(getattr(v, "true_set", v)) for v in found]
-    elif args.json:
-        found, masks = engine(graph, args.max_atoms), []
     else:
-        found, masks = None, listing(graph, args.max_atoms)
-    _emit(args, args.command, found, lambda: lines(graph, masks))
+        masks = listing(graph, args.max_atoms)
+        found = items(graph, masks)
+    _emit(args, args.command, found, lambda: map(line, items(graph, masks)))
     return EXIT_YES
 
 

@@ -537,7 +537,12 @@ class Closure:
             for j in range(lo, lo + len(group)):
                 index = index * 4 + codes[:, j]
             text += np.array(table, dtype=object)[index]
-        return [t[:-1] or "[]" for t in text.tolist()]
+        # Each text ends in a space, and only the empty clause, which
+        # sorts first, has none to drop.
+        texts = list(map(str.rstrip, text.tolist()))
+        if texts and not texts[0]:
+            texts[0] = "[]"
+        return texts
 
     @cached_property
     def derived(self) -> frozenset[Clause]:

@@ -165,9 +165,10 @@ def subdiscourse_report(
     healthy = frozenset(theory.universe) - bad
     border: frozenset[str] = frozenset()
     if graph is not None:
-        border = frozenset(
-            x for x in healthy if graph.successors(x) - healthy
-        )
+        # The healthy atoms with a successor outside the healthy ones.
+        names = graph.universe
+        kept = names.mask_of(healthy)
+        border = names.atoms_of(graph.in_mask(names.full_mask & ~kept) & kept)
     return SubdiscourseReport(
         paradox_atoms=bad,
         healthy_atoms=healthy,

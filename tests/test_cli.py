@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,12 @@ from kernelogic.io_text import (
     EDGE_LIST,
     format_graph,
     format_theory,
+    json_chunks,
     parse_clause,
     parse_document,
     sorted_clause_strings,
     to_json,
+    to_jsonable,
 )
 
 from test_io import DELTA_TEXT
@@ -509,6 +512,42 @@ def test_text_output_calls_load_no_dataclasses_inspect_or_json():
         [sys.executable, "-c", STDLIB_SCRIPT, str(DEMO_DATA / "delta.gnf")],
         capture_output=True,
         text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+# The same for --json calls, one fresh interpreter per call: the closure
+# route loads numpy, and numpy loads inspect.
+JSON_STDLIB_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from kernelogic import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) in (0, 1)
+print(" ".join(sorted({"dataclasses", "json"} & (set(sys.modules) - before))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paradox"],
+        ["models"],
+        ["closure"],
+        ["subdiscourse"],
+        ["entails", "~b c"],
+        ["entails", "~b c", "--semantic"],
+        ["prove", "c"],
+        ["min"],
+        ["check-random", "--count", "2"],
+    ],
+    ids=" ".join,
+)
+def test_json_output_calls_load_no_json(argv):
+    if argv[0] != "check-random":
+        argv = [*argv, str(DEMO_DATA / "delta.gnf")]
+    proc = subprocess.run(
+        [sys.executable, "-c", JSON_STDLIB_SCRIPT, *argv, "--json"], capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
@@ -1125,12 +1164,18 @@ def run_quietly(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def json_twin(result, command):
+    """The --json stdout of ``result`` as the json package writes it."""
+    document = {"schema": 1, "command": command, "result": to_jsonable(result)}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def assert_listings_match_the_lists(path, graph):
     for command, (engine, brute, fmt) in LISTING_TWINS.items():
         for flags, found in (([], engine(graph)), (["--oracle"], brute(graph))):
             text = "".join(fmt(v) + "\n" for v in found)
             assert run_quietly(command, path, *flags) == (0, text, ""), (command, flags)
-            doc = to_json(found, command) + "\n"
+            doc = json_twin(found, command)
             assert run_quietly(command, path, *flags, "--json") == (0, doc, ""), (command, flags)
 
 
@@ -1157,30 +1202,132 @@ def test_listings_print_graphs_as_the_lists_do(tmp_path_factory, graph):
     assert_listings_match_the_lists(str(path), graph)
 
 
+# Runs ``kernelogic semikernels - <flags>`` on the 20-atom out-star and
+# prints its exit code, stdout lines, stdout sha256 and own ru_maxrss.
 OUT_STAR_SCRIPT = """
-import os, subprocess, sys
+import hashlib, os, subprocess, sys
 child = subprocess.Popen(
-    [sys.executable, "-m", "kernelogic", "semikernels", "-"],
+    [sys.executable, "-m", "kernelogic", "semikernels", "-", *sys.argv[1:]],
     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
 )
 child.stdin.write("".join(f"hub -> l{i:02d}\\n" for i in range(1, 20)).encode())
 child.stdin.close()
-lines = sum(chunk.count(b"\\n") for chunk in iter(lambda: child.stdout.read(1 << 16), b""))
+lines, digest = 0, hashlib.sha256()
+for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+    lines += chunk.count(b"\\n")
+    digest.update(chunk)
 _, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), lines, usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), lines, digest.hexdigest(), usage.ru_maxrss)
 """
+
+# The out-star's listings as the list-building CLI printed them.
+OUT_STAR_SHA256 = {
+    "text": "a5fb762ffbbba2942568601bc5096e9b21bc6fb4274e700bef76daaa79a976fb",
+    "--json": "34a02b437ed634338c4f5f04664f164a2a5aa278d3b056c9a938bc9599541458",
+}
+
+
+def run_out_star(*flags):
+    """Exit code, stdout lines, stdout sha256 and own ru_maxrss in kB of
+    ``semikernels`` on the out-star. A fresh helper spawns the command,
+    so that the command's ru_maxrss starts from the helper's small
+    high-water mark and not from this test process's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_STAR_SCRIPT, *flags], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, lines, sha, maxrss_kb = proc.stdout.split()
+    return int(code), int(lines), sha, int(maxrss_kb)
 
 
 def test_semikernels_of_the_out_star_print_without_the_sets():
     # 2**19 semikernels: the list of their frozensets alone took the
-    # process past 400 MB. A fresh helper spawns the command, so that
-    # the command's ru_maxrss starts from the helper's small high-water
-    # mark and not from this test process's.
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-c", OUT_STAR_SCRIPT], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, lines, maxrss_kb = map(int, proc.stdout.split())
-    assert (code, lines) == (0, 524_288)
+    # process past 400 MB.
+    code, lines, sha, maxrss_kb = run_out_star()
+    assert (code, lines, sha) == (0, 524_288, OUT_STAR_SHA256["text"])
     assert maxrss_kb < 150 * 1024
+
+
+def test_semikernels_of_the_out_star_write_json_without_the_sets():
+    # Built as one document from the list, the JSON took the process
+    # past 900 MB.
+    code, lines, sha, maxrss_kb = run_out_star("--json")
+    assert (code, lines, sha) == (0, 6_029_317, OUT_STAR_SHA256["--json"])
+    assert maxrss_kb < 150 * 1024
+
+
+def test_a_reader_closing_the_pipe_in_the_middle_of_json_keeps_the_exit_code():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kernelogic", "semikernels", "-", "--json"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdin.write("".join(f"hub -> l{i:02d}\n" for i in range(1, 20)).encode())
+    proc.stdin.close()
+    head = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head == [b"{\n", b'  "command": "semikernels",\n', b'  "result": [\n', b"    [],\n", b"    [\n"]
+    assert proc.wait() == 0 and err == b""
+
+
+def run_json_recorded(*argv):
+    """``run_quietly`` with ``--json``, and the results the command gave
+    the JSON writer; an iterator is listed and then written as before."""
+    seen = []
+
+    def record(result, command):
+        if hasattr(result, "__next__"):
+            result = list(result)
+            seen.append((result, command))
+            return json_chunks(iter(result), command)
+        seen.append((result, command))
+        return json_chunks(result, command)
+
+    with mock.patch.object(cli, "json_chunks", record):
+        return (*run_quietly(*argv, "--json"), seen)
+
+
+def assert_json_output_is_json_dumps(path, goal, width):
+    """Every command's --json stdout on ``path``, with and without
+    --oracle, is json.dumps of its result made JSON-ready."""
+    calls = [[command] for command in ("models", "kernels", "semikernels", "paradox")]
+    calls += [["subdiscourse"], ["min"], ["relevant", goal], ["entails", goal]]
+    calls.append(["entails", goal, "--semantic"])
+    if width <= 10:
+        calls.append(["entails", goal, "--classical"])
+    if width <= 7:  # a wider closure may take seconds, or pass the cap
+        calls += [["closure"], ["min", "--max-atoms", "0"], ["prove", goal]]
+        calls.append(["prove", goal, "--weakening", "awbw"])
+    for argv in calls:
+        for flags in ([], ["--oracle"]):
+            code, out, err, seen = run_json_recorded(argv[0], *argv[1:], path, *flags)
+            if code in (0, 1):
+                [(result, command)] = seen
+                assert (command, out, err) == (argv[0], json_twin(result, command), ""), argv
+            else:  # bare clause sets have no models: refused before any output
+                assert (code, out, seen) == (2, "", []) and "bare clause set" in err, argv
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_DATA.iterdir()))
+def test_json_output_of_the_demos_is_json_dumps(name):
+    path = DEMO_DATA / name
+    _, theory = load_demo(path)
+    assert_json_output_is_json_dumps(str(path), DEMO_GOALS[name], len(theory.universe))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+def test_json_output_of_graphs_is_json_dumps(tmp_path_factory, graph):
+    path = tmp_path_factory.mktemp("json") / "graph.edges"
+    path.write_text(format_graph(graph))
+    goal = f"{graph.vertices[0]} ~{graph.vertices[-1]}"
+    assert_json_output_is_json_dumps(str(path), goal, len(graph))
+
+
+def test_check_random_json_is_json_dumps():
+    code, out, err, [(result, command)] = run_json_recorded("check-random", "--count", "3")
+    assert (code, command, out, err) == (0, "check-random", json_twin(result, command), "")

@@ -264,3 +264,53 @@ def test_to_json_closure_and_report(our_cth, our_graph, our_closure):
     assert doc["result"]["paradox"] == ["c", "d", "e"]
     assert doc["result"]["border"] == ["b"]
     assert "~b" in doc["result"]["theory"]
+
+
+# JSON values for the writer's twin: strings that need escaping (quotes,
+# backslashes, control characters, DEL, non-ASCII, a lone surrogate) and
+# strings that need none, as atom names and clause texts never do.
+ESCAPED = st.text(st.sampled_from('a"\\\x00\x1f\n\t\x7f\x80é \U0001f600\ud800 ~'), max_size=6)
+PLAIN = st.text(st.sampled_from("ab_'~[] 0"), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), ESCAPED, PLAIN, st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(PLAIN, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.one_of(PLAIN, ESCAPED), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(io._chunks(value)) == expected
+    if isinstance(value, (list, tuple)):  # an iterator streams as its array
+        assert "".join(io._chunks(iter(value))) == expected
+    assert io.to_json(value, "c") == json.dumps(
+        {"schema": 1, "command": "c", "result": value}, indent=2, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [b"a"], {"a": object()}], ids=repr)
+def test_the_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        "".join(io._chunks(value))
+
+
+def test_unordered_sets_order_by_their_json_text():
+    # Clauses do not order among themselves: the set's elements are
+    # written in the order of their JSON text, as json.dumps writes it.
+    found = clauses("b", "~a", "a ~b", "[]")
+    assert io.to_jsonable(found) == sorted((str(c) for c in found), key=json.dumps)
+    mixed = frozenset({kl.Partition2(frozenset("a"), frozenset()), clause("a")})
+    assert io.to_jsonable(mixed) == sorted(
+        ["a", {"true": ["a"], "false": []}], key=json.dumps
+    )

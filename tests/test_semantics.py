@@ -4,13 +4,18 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import Clause, Literal, Partition3
 from kernelogic.graphs import bits, component_masks
+from kernelogic.kernels import DEFAULT_MAX_ATOMS, model_side
 from kernelogic.oracle import splitmix64
+from kernelogic.semantics import subdiscourse_report
 
 from conftest import clause, clauses, entails_by_listing
+from test_kernels import component_unions, small_graphs
 from test_resolution import rand_clause, rand_graphs, rand_theory
 
 OUR_MODEL = Partition3(
@@ -202,6 +207,19 @@ def test_min_two_part_characterization():
             expected.add(clause(x))
             expected.add(clause(f"~{x}"))
         assert set(kl.min_clauses(t, closure=closure)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()), st.data())
+def test_the_border_matches_the_per_atom_scan(graph, data):
+    # The border is found on masks; its twin asks each healthy atom for
+    # its successors outside the healthy ones, as the report did before.
+    theory = kl.clausal_theory(graph)
+    drawn = data.draw(st.frozensets(st.sampled_from(graph.vertices)))
+    for bad in (model_side(graph, DEFAULT_MAX_ATOMS).paradox_atoms(), drawn):
+        healthy = frozenset(theory.universe) - bad
+        border = frozenset(x for x in healthy if graph.successors(x) - healthy)
+        assert subdiscourse_report(theory, graph, bad).border == border
 
 
 def test_relevance_symmetry():
