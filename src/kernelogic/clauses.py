@@ -38,13 +38,13 @@ class Clause(Record):
             literals = frozenset(literals)
         for lit in literals:
             _check_atom(lit.atom)
-        object.__setattr__(self, "literals", literals)
+        super().__init__(literals)
 
     @classmethod
     def _unchecked(cls, literals: Iterable[Literal]) -> "Clause":
         """A clause of literals whose atoms are already known valid."""
         clause = object.__new__(cls)
-        object.__setattr__(clause, "literals", frozenset(literals))
+        Record.__init__(clause, frozenset(literals))
         return clause
 
     @property
@@ -146,8 +146,7 @@ class ClausalTheory(Record):
             names = tuple(sorted(occurring))
         for name in names:
             _check_atom(name)
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "universe", names)
+        super().__init__(clauses, names)
 
     def atoms(self) -> tuple[str, ...]:
         return self.universe

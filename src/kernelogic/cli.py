@@ -327,6 +327,7 @@ def cmd_check_random(args) -> int:
 
     if args.count:  # refused before the n² edge coins of a graph are drawn
         check_cap(args.n, args.max_atoms)
+        oracle.check_brute_cap(args.n)
     mismatches = []
     rows = []
     for i in range(args.count):

@@ -279,9 +279,7 @@ class Neighborhood(Record):
     __slots__ = ("out", "in_", "in_closed")
 
     def __init__(self, out: frozenset[str], in_: frozenset[str], in_closed: frozenset[str]):
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "in_", in_)
-        object.__setattr__(self, "in_closed", in_closed)
+        super().__init__(out, in_, in_closed)
 
 
 def neighborhoods(graph: Digraph, atoms: Iterable[str]) -> Neighborhood:

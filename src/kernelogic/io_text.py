@@ -34,8 +34,7 @@ class InputDocument(Record):
     __slots__ = ("kind", "payload")
 
     def __init__(self, kind: str, payload: Union[GnfTheory, Digraph, ClausalTheory]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
+        super().__init__(kind, payload)
 
 
 def _content_lines(text: str):

@@ -80,9 +80,7 @@ class Partition3(Record):
     def __init__(
         self, true_set: frozenset[str], false_set: frozenset[str], paradox_set: frozenset[str]
     ):
-        object.__setattr__(self, "true_set", true_set)
-        object.__setattr__(self, "false_set", false_set)
-        object.__setattr__(self, "paradox_set", paradox_set)
+        super().__init__(true_set, false_set, paradox_set)
 
     def atoms(self) -> frozenset[str]:
         return self.true_set | self.false_set | self.paradox_set
@@ -106,11 +104,7 @@ class SubsetReport(Record):
     def __init__(
         self, independent: bool, kernel: bool, semikernel: bool, inverse_closed: bool, psk: bool
     ):
-        object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "semikernel", semikernel)
-        object.__setattr__(self, "inverse_closed", inverse_closed)
-        object.__setattr__(self, "psk", psk)
+        super().__init__(independent, kernel, semikernel, inverse_closed, psk)
 
 
 def _is_independent(graph: Digraph, mask: int) -> bool:
@@ -220,10 +214,7 @@ def kernel_masks(graph: Digraph, max_atoms: int) -> list[int]:
     """The kernels' masks by subset rank: the models when they settle
     every atom, and none otherwise."""
     check_cap(len(graph.vertices), max_atoms)
-    side = _model_side(graph)
-    if side.paradox_mask:
-        return []
-    return _product(ms for ms, _ in side.components)
+    return [] if _model_side(graph).paradox_mask else model_masks(graph, max_atoms)
 
 
 def semikernel_masks(graph: Digraph, max_atoms: int) -> list[int]:

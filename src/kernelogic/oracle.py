@@ -35,9 +35,7 @@ class RandomGraphSpec(Record):
     __slots__ = ("n", "edge_prob", "seed")
 
     def __init__(self, n: int, edge_prob: float, seed: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_prob", edge_prob)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(n, edge_prob, seed)
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -69,8 +67,9 @@ def random_digraph(spec: RandomGraphSpec) -> Digraph:
     return Digraph(names, edges)
 
 
-def _check_size(graph: Digraph) -> None:
-    if len(graph.vertices) > BRUTE_MAX_ATOMS:
+def check_brute_cap(atoms: int) -> None:
+    """Refuse a graph of ``atoms`` atoms to the brute-force listings."""
+    if atoms > BRUTE_MAX_ATOMS:
         raise ResourceLimitError(
             f"brute-force path is capped at {BRUTE_MAX_ATOMS} atoms"
         )
@@ -84,7 +83,7 @@ def _subsets(graph: Digraph) -> Iterator[frozenset[str]]:
 
 def brute_semikernels(graph: Digraph) -> list[frozenset[str]]:
     """All semikernels by testing every subset against the definition."""
-    _check_size(graph)
+    check_brute_cap(len(graph.vertices))
     found = []
     for s in _subsets(graph):
         out = {y for (x, y) in graph.edges if x in s}
@@ -96,7 +95,7 @@ def brute_semikernels(graph: Digraph) -> list[frozenset[str]]:
 
 def brute_kernels(graph: Digraph) -> list[frozenset[str]]:
     """All kernels: independent subsets absorbing their complement."""
-    _check_size(graph)
+    check_brute_cap(len(graph.vertices))
     found = []
     rest_needs_edge = set(graph.vertices)
     for s in _subsets(graph):
@@ -110,7 +109,7 @@ def brute_kernels(graph: Digraph) -> list[frozenset[str]]:
 
 def brute_models(graph: Digraph) -> list[Partition3]:
     """All models: inverse-closed semikernels with maximal settled domain."""
-    _check_size(graph)
+    check_brute_cap(len(graph.vertices))
     closed = []
     for s in brute_semikernels(graph):
         into = {x for (x, y) in graph.edges if y in s}

@@ -1,21 +1,26 @@
 """The shared base of the package's frozen records.
 
 A record is a plain class whose ``__slots__`` name its fields in order.
-Each record writes only its ``__init__``; this base derives the rest
-from ``__slots__`` once, through ``_values``, the tuple of a record's
-fields. ``==`` holds only between objects of one class
-(``NotImplemented`` otherwise, so a record never equals a tuple), and
-the hash is that of ``_values``. The base refuses assignment and
-deletion, prints ``Name(field=value, ...)``, and pickles and copies a
-record by calling its constructor again. It defines no ordering, so
-sorting records raises ``TypeError``.
+Its ``__init__`` is its signature, its validation and one call to
+``Record.__init__``, which alone stores field values. The base refuses
+assignment and deletion, and derives the rest from ``__slots__`` once,
+through ``_values``, the tuple of a record's fields. ``==`` holds only
+between objects of one class (``NotImplemented`` otherwise, so a
+record never equals a tuple), and the hash is that of ``_values``. It
+prints ``Name(field=value, ...)``, and pickles and copies a record by
+calling its constructor again. It defines no ordering, so sorting
+records raises ``TypeError``.
 
-The derived ``==`` and hash cost 100-300 ns more per call than methods
-written out per class. Under cProfile, 5 s of perfbench's
-components-wide workload (seed 7), the one that hashes records most,
-made 13,136 record hashes and 5,316 comparisons, nearly all of
-``Clause``: 33 ms in all, against 15 ms for the written-out methods.
-paradox-dense made under 1,000 hashes, and kernel-sparse none.
+Storing through the base costs 0.5-0.7 us more per record than one
+``object.__setattr__`` per field in each constructor: ``Partition3``
+takes 1.35 against 0.64 us, ``Clause._unchecked`` 1.09 against
+0.62 us (best of 7 runs of 200,000, CPython 3.11, a shared 2-CPU Linux
+VM). The derived ``==`` and hash cost 100-300 ns more per call than
+methods written out per class: 33 against 15 ms for the 13,136 hashes
+and 5,316 comparisons, nearly all of ``Clause``, that 5 s of
+perfbench's components-wide workload (seed 7) made under cProfile.
+That workload hashes records most; paradox-dense made under 1,000
+hashes, and kernel-sparse none.
 """
 
 from operator import attrgetter
@@ -30,6 +35,10 @@ class Record:
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple.
         cls._values = property(get if len(names) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -53,8 +53,9 @@ component too wide for lattice arrays runs the same rounds semi-naively
 over a dict of clauses: a round resolves only the pairs holding a clause
 new in the round before, once their count fits the budget. Either way a
 component keeps each clause's origin and round in one entry order
-(seeds, then each round by cell), and one parent search over strictly
-earlier entries rebuilds proofs, the same on both paths.
+(seeds, then each round by cell), and one parent search rebuilds
+proofs, the same on both paths: it reads each pivot's parents off one
+list of earlier entries inside a resolvent plus at most one literal.
 
 The minimal derived clauses, those with no derived nonempty proper
 subclause, come from the same arrays: the zeta transform of a
@@ -208,10 +209,10 @@ def _subcells(cell: int) -> np.ndarray:
 # A component's closure is a part, returned straight by its saturator.
 # Both kinds of part answer the same questions, in the component's cells
 # ``pos | neg << n``: ``entry``, ``items``, ``subclauses`` (nonempty
-# ones), ``codes``, ``minimal``, and ``sides`` for ``_parent_step``,
-# plus ``count`` and ``resolves``. Only ``Closure`` and ``_components``
-# speak universe masks, and the component's ``_AtomMap`` is their only
-# bridge to its cells.
+# ones), ``codes``, ``minimal``, and ``candidates`` (``_parent_step``'s
+# one list of possible parents), plus ``count`` and ``resolves``. Only
+# ``Closure`` and ``_components`` speak universe masks, and the
+# component's ``_AtomMap`` is their only bridge to its cells.
 
 
 class _LatticePart:
@@ -247,15 +248,20 @@ class _LatticePart:
             return (_INPUT if self._seed_pos[cell] < self.inputs else _AXIOM), 0
         return _RESOLVENT, rnd
 
+    def _in_entry_order(self, cells: np.ndarray) -> np.ndarray:
+        """The derived ``cells``, sorted into entry order."""
+        rounds = self.rounds[cells]
+        key = rounds.astype("int64") << (2 * self.n) | cells
+        seeds = rounds == 0
+        key[seeds] = [self._seed_pos[c] for c in cells[seeds].tolist()]
+        return cells[key.argsort(kind="stable")]
+
     def items(self):
-        import numpy as np
-        for k, cell in enumerate(self.seeds):
-            yield cell, (_INPUT if k < self.inputs else _AXIOM, 0)
-        later = self._derived_cells()
-        later = later[self.rounds[later] > 0]
-        later = later[np.argsort(self.rounds[later], kind="stable")]
-        for cell, rnd in zip(later.tolist(), self.rounds[later].tolist()):
-            yield cell, (_RESOLVENT, rnd)
+        cells = self._in_entry_order(self._derived_cells())
+        # Entry order puts the seeds first, and inputs first among them.
+        kinds = [_INPUT] * self.inputs + [_AXIOM] * (len(self.seeds) - self.inputs)
+        kinds += [_RESOLVENT] * (len(cells) - len(kinds))
+        return zip(cells.tolist(), zip(kinds, self.rounds[cells].tolist()))
 
     def subclauses(self, cell: int) -> "list[int]":
         subs = _subcells(cell)[1:]
@@ -275,23 +281,12 @@ class _LatticePart:
         z = _subset_transform(derived.astype(np.int32), 2 * self.n, 1)
         return np.flatnonzero(derived & (z == 1 + derived[0])).tolist()
 
-    def sides(self, cell: int, rnd: int):
-        for i in range(self.n):
-            pbit, nbit = 1 << i, 1 << (self.n + i)
-            yield self._earlier(cell & ~pbit, pbit, rnd), self._earlier(cell & ~nbit, nbit, rnd)
-
-    def _earlier(self, inside: int, bit: int, rnd: int) -> "list[int]":
-        """The cells holding ``bit`` within ``inside | bit`` derived before
-        round ``rnd``, in entry order."""
+    def candidates(self, cell: int, rnd: int) -> "list[int]":
         import numpy as np
-        cells = _subcells(inside) | bit
-        rounds = self.rounds[cells]
-        keep = rounds < rnd
-        cells, rounds = cells[keep], rounds[keep]
-        key = rounds.astype(np.int64) << (2 * self.n) | cells
-        seeds = rounds == 0
-        key[seeds] = [self._seed_pos[c] for c in cells[seeds].tolist()]
-        return cells[np.argsort(key, kind="stable")].tolist()
+        # The subcells of ``cell`` and of ``cell`` plus one outside literal, in one gather.
+        extra = [0] + [1 << b for b in range(2 * self.n) if not cell >> b & 1]
+        cells = (_subcells(cell) | np.array(extra)[:, None]).ravel()
+        return self._in_entry_order(cells[self.rounds[cells] < rnd]).tolist()
 
 
 class _PairwisePart:
@@ -326,21 +321,15 @@ class _PairwisePart:
                 minimal.append(cell)
         return minimal
 
-    def sides(self, cell: int, rnd: int):
-        # One pass over the entries before round ``rnd``, which come
-        # first. A candidate lies inside the clause plus its pivot: a
-        # subclause serves each of its literals, else the one outside.
-        found: list[list[int]] = [[] for _ in range(2 * self.n)]
-        outside = ~cell
+    def candidates(self, cell: int, rnd: int) -> "list[int]":
+        # One pass over the entries before round ``rnd``, which come first.
+        found = []
         for c, (_, r) in self.entries.items():
             if r >= rnd:
                 break
-            extra = c & outside
-            if extra & (extra - 1):
-                continue
-            for b in bits(extra or c):
-                found[b].append(c)
-        return zip(found[: self.n], found[self.n :])
+            if not (extra := c & ~cell) & (extra - 1):
+                found.append(c)
+        return found
 
 
 def _parent_step(part, cell: int, rnd: int) -> tuple:
@@ -348,13 +337,18 @@ def _parent_step(part, cell: int, rnd: int) -> tuple:
     at ``cell`` of ``part``, first seen in round ``rnd``.
 
     Parents come from strictly earlier rounds, which keeps proofs
-    acyclic. Per pivot, the part lists its earlier candidates holding
-    either pivot literal in entry order (``sides``); a positive parent
-    whose direct partner was derived earlier wins, else the first pair.
+    acyclic. Of the part's earlier cells inside the clause plus at most
+    one literal, in entry order (``candidates``), each may be a parent
+    on the literal it adds, else on each of its own; a pivot filters
+    them when the search reaches it. Per pivot, a positive parent whose
+    direct partner was derived earlier wins, else the first pair.
     """
     n = part.n
-    for i, (pos_side, neg_side) in enumerate(part.sides(cell, rnd)):
+    cands = part.candidates(cell, rnd)
+    for i in range(n):
         pbit, nbit = 1 << i, 1 << (n + i)
+        pos_side = [c for c in cands if c & pbit and not c & ~cell & ~pbit]
+        neg_side = [c for c in cands if c & nbit and not c & ~cell & ~nbit]
         for c in pos_side:
             if cell & nbit and not c & nbit:
                 # A negated pivot in the result can only survive
@@ -1020,19 +1014,20 @@ def provable_weakened(
     atoms alone; that blocks deriving arbitrary clauses from a
     contradiction and coincides with paraconsistent entailment.
     """
-    if mode not in WEAKENING_MODES:
-        raise ValidationError(f"unknown weakening mode {mode!r}")
     closure = _closure_for(theory, closure, max_clauses)
     pos, neg = closure.clause_masks(clause)
+    premises = _weakening_premises(closure, pos, neg, mode)
     if closure._entry((pos, neg)) is not None:
         return True
     if mode == "awbw" and (pos | neg) and not (pos | neg) & ~closure.paradox_mask:
         return True
-    return any(_weakening_premises(closure, pos, neg, mode))
+    return any(premises)
 
 
 def _weakening_premises(closure: Closure, pos: int, neg: int, mode: str):
     """The derived subclauses of ``(pos, neg)`` that ``mode`` weakens from."""
+    if mode not in WEAKENING_MODES:
+        raise ValidationError(f"unknown weakening mode {mode!r}")
     if mode == "none":
         return iter(())
     found = closure.subclauses(pos, neg)
@@ -1084,11 +1079,7 @@ class ProofStep(Record):
         premises: Optional[tuple[int, int]] = None,
         atom: Optional[str] = None,
     ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "atom", atom)
+        super().__init__(index, clause, rule, premises, atom)
 
     def __str__(self) -> str:
         if self.rule == "res":
@@ -1106,8 +1097,7 @@ class Proof(Record):
     __slots__ = ("conclusion", "steps")
 
     def __init__(self, conclusion: Clause, steps: tuple[ProofStep, ...]):
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(conclusion, steps)
 
     def to_text(self) -> str:
         return "\n".join(str(step) for step in self.steps)

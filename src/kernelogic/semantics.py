@@ -77,10 +77,7 @@ class EntailmentVerdict(Record):
         witness: Optional[Clause] = None,
         countermodel: Optional[Partition3] = None,
     ):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "countermodel", countermodel)
+        super().__init__(holds, kind, witness, countermodel)
 
 
 def entails_semantic(
@@ -150,10 +147,7 @@ class SubdiscourseReport(Record):
         theory: ClausalTheory,
         border: frozenset[str],
     ):
-        object.__setattr__(self, "paradox_atoms", paradox_atoms)
-        object.__setattr__(self, "healthy_atoms", healthy_atoms)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "border", border)
+        super().__init__(paradox_atoms, healthy_atoms, theory, border)
 
 
 def subdiscourse_report(

@@ -866,13 +866,26 @@ def test_every_command_exits_by_the_contract_at_extreme_caps(capsys, flag, value
 
 
 def test_check_random_refuses_a_wide_graph_before_drawing_it(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "check-random", "--n", "3000", "--p", "0", "--count", "1")
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (3, "")
-    assert err == "error: graph has 3000 atoms, enumeration cap is 20\n"
-    code, out, _ = run(capsys, "check-random", "--n", "3000", "--count", "0")
-    assert code == 0 and out == "0 graphs checked, 0 mismatches\n"
+    # Every drawn graph goes to the brute-force oracle, whose cap holds
+    # even where --max-atoms lets the engine go wider.
+    def draw(spec):
+        raise AssertionError("drew a graph that is refused")
+
+    oracle_cap = "brute-force path is capped at 16 atoms"
+    cases = [
+        (("--n", "3000", "--p", "0"), "graph has 3000 atoms, enumeration cap is 20"),
+        (("--n", "17"), oracle_cap),
+        (("--n", "40", "--p", "0.05", "--max-atoms", "100"), oracle_cap),
+        (("--n", "60", "--p", "0.03", "--max-atoms", "100"), oracle_cap),
+    ]
+    with mock.patch("kernelogic.oracle.random_digraph", draw):
+        for argv, message in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check-random", *argv, "--count", "1")
+            assert time.perf_counter() - start < 1
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+            code, out, _ = run(capsys, "check-random", *argv, "--count", "0")
+            assert code == 0 and out == "0 graphs checked, 0 mismatches\n"
 
 
 # The a* and c* atoms are one 9-atom component; b sorts inside it, so

@@ -1,10 +1,12 @@
 """The package's frozen records against ``dataclasses`` twins.
 
-Each record is a plain slotted class that writes only its constructor;
-the ``Record`` base derives ``==``, hash and repr from ``__slots__``.
-Its twin below is the ``@dataclass(frozen=True)`` it replaces, with the
-same fields, defaults and validation; the two must agree on
-construction, comparison, hash and repr.
+Each record is a plain slotted class whose constructor is its
+signature, its validation and one call to ``Record.__init__``, which
+stores the values into ``__slots__`` in order; the base derives ``==``,
+hash and repr from ``__slots__``. Its twin below is the
+``@dataclass(frozen=True)`` it replaces, with the same fields, defaults
+and validation; the two must agree on construction, comparison, hash
+and repr.
 """
 
 import copy

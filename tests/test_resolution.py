@@ -1,16 +1,20 @@
 """Saturation, the consistent subtheory, entailment, weakening, proofs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernelogic as kl
 from kernelogic import Clause, Literal, cli, resolution
 from kernelogic.clauses import intern_clause
+from kernelogic.graphs import component_masks
 from kernelogic.oracle import splitmix64
 
 from conftest import clause, clauses
+from test_kernels import component_unions, small_graphs
 
 
 def rand_graphs(count, sizes=(3, 4, 5, 6), probs=(0.15, 0.3, 0.5), base=2029):
@@ -211,6 +215,16 @@ def test_provable_weakened_lewis():
     assert kl.provable_weakened(lewis, clause("a"), "none")
     with pytest.raises(kl.ValidationError, match="weakening"):
         kl.provable_weakened(lewis, clause("b"), "dw")
+
+
+def test_an_unknown_weakening_mode_is_refused_by_both_weakening_questions():
+    theory = kl.ClausalTheory(clauses("a", "~a", "b"))
+    closure = kl.saturate(theory)
+    for goal in (clause("a b"), clause("a")):
+        with pytest.raises(kl.ValidationError, match="^unknown weakening mode 'bogus'$"):
+            kl.provable_weakened(theory, goal, "bogus", closure=closure)
+        with pytest.raises(kl.ValidationError, match="^unknown weakening mode 'bogus'$"):
+            resolution.weakening_witness(closure, goal, "bogus")
 
 
 def test_weakening_modes_agree_when_consistent():
@@ -901,6 +915,65 @@ def test_proof_of_searches_each_resolvent_once(monkeypatch, our_cth):
             proof = kl.proof_of(closure, goal)
             resolved = [closure.clause_masks(s.clause) for s in proof.steps if s.rule == "res"]
             assert sorted(searched) == sorted(resolved) and len(set(searched)) == len(searched)
+
+
+def pivot_twin(items, n, cell, rnd):
+    """Per literal bit b, the entries of a part before round ``rnd`` that
+    hold b and lie inside ``cell | b``, in entry order: the parents on b
+    that the parent search may pick. ``items`` is ``part.items()`` as
+    an array of cells and one of rounds."""
+    cells, rounds = items
+    earlier = cells[rounds < rnd]
+    return [
+        earlier[(earlier >> b & 1 == 1) & (earlier & ~(cell | 1 << b) == 0)].tolist()
+        for b in range(2 * n)
+    ]
+
+
+def by_pivot(part, cell, rnd):
+    """``part.candidates(cell, rnd)`` per literal bit b, as ``_parent_step``
+    reads them: each adds at most one literal to the clause, and serves
+    the literal it adds, else each of its own."""
+    found = part.candidates(cell, rnd)
+    assert all((c & ~cell).bit_count() <= 1 for c in found)
+    return [
+        [c for c in found if c >> b & 1 and not c & ~(cell | 1 << b)] for b in range(2 * part.n)
+    ]
+
+
+def check_candidates(closure, kind, stride=1):
+    """Hold the candidates of every ``stride``-th resolvent of each part to
+    the twin; the number of resolvents checked."""
+    checked = 0
+    for _, part in closure._parts:
+        assert isinstance(part, kind)
+        entries = list(part.items())
+        # Python-int cells of a part past 31 atoms do not fit int64.
+        cells = np.array([c for c, _ in entries], dtype=np.int64 if part.n < 32 else object)
+        items = cells, np.array([r for _, (_, r) in entries])
+        resolvents = [(c, r) for c, (origin, r) in entries if origin == "resolvent"]
+        for cell, rnd in resolvents[::stride]:
+            assert by_pivot(part, cell, rnd) == pivot_twin(items, part.n, cell, rnd), (cell, rnd)
+            checked += 1
+    return checked
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+def test_parent_candidates_match_the_per_pivot_twin(graph):
+    # Lattice parts, then the same components forced onto pairwise parts.
+    assume(max(map(int.bit_count, component_masks(graph))) <= 5)
+    theory = kl.clausal_theory(graph)
+    check_candidates(kl.saturate(theory), resolution._LatticePart)
+    with mock.patch.object(resolution, "LATTICE_MAX_ATOMS", 0):
+        check_candidates(kl.saturate(theory), resolution._PairwisePart)
+
+
+@pytest.mark.parametrize("n, stride", [(13, 1), (40, 1)])
+def test_parent_candidates_of_chains_match_the_per_pivot_twin(n, stride):
+    atoms = [f"w{i:02d}" for i in range(n)]
+    t = kl.ClausalTheory(clauses("w00", *(f"~{x} {y}" for x, y in zip(atoms, atoms[1:]))))
+    assert check_candidates(kl.saturate(t), resolution._PairwisePart, stride) > 0
 
 
 def test_lattice_width_is_bounded_by_the_accumulator():

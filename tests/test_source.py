@@ -25,6 +25,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_the_record_base_writes_fields():
+    # A record's constructor hands its values to Record.__init__, the one
+    # place that stores them past the base's refusal of assignment.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert found == []
+
+
 def test_cli_imports_no_private_names():
     # The command line is built on what the other modules export.
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
@@ -91,7 +110,7 @@ def test_both_kinds_of_part_answer_the_same_questions():
 
     assert questions("_LatticePart") == questions("_PairwisePart")
     assert questions("_LatticePart") == {
-        "entry", "items", "subclauses", "codes", "minimal", "sides"
+        "entry", "items", "subclauses", "codes", "minimal", "candidates"
     }
     found = [
         path.name
