@@ -171,11 +171,12 @@ def clausal_theory(graph: Digraph) -> ClausalTheory:
     a loop vertex mentions it once and the negative clause of a loop is
     the unit ``~x``.
     """
+    # The names come from the graph's validated universe.
     built: list[Clause] = []
     for x, succ in zip(graph.vertices, graph.universe.names_of(graph._succ)):
-        built.append(Clause(Literal(y) for y in {x, *succ}))
+        built.append(Clause._unchecked(Literal(y) for y in {x, *succ}))
         for y in succ:
-            built.append(Clause((Literal(x, True), Literal(y, True))))
+            built.append(Clause._unchecked((Literal(x, True), Literal(y, True))))
     return ClausalTheory(frozenset(built), graph.vertices)
 
 
@@ -195,6 +196,6 @@ def remove_atoms(theory: ClausalTheory, atoms: Iterable[str]) -> ClausalTheory:
     for clause in theory.clauses:
         reduced = frozenset(l for l in clause.literals if l.atom not in drop)
         if reduced:
-            kept.add(Clause(reduced))
+            kept.add(Clause._unchecked(reduced))
     universe = tuple(a for a in theory.universe if a not in drop)
     return ClausalTheory(frozenset(kept), universe)

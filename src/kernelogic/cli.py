@@ -186,6 +186,7 @@ def cmd_listing(args) -> int:
     _, brute, (listing, items, line) = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
     if args.oracle:
+        check_cap(len(graph), args.max_atoms)
         from . import oracle
 
         # --json writes the oracle's own list; the text goes through masks.
@@ -252,20 +253,18 @@ def cmd_prove(args) -> int:
     goal = parse_clause(args.clause)
     closure = saturate(theory, args.max_clauses)
     yes = provable_weakened(theory, goal, args.weakening, closure=closure)
-    lines = []
-    if yes:
+
+    def lines():
+        if not yes:
+            return [f"not provable under weakening mode {args.weakening!r}"]
         if goal in closure:
-            lines = proof_of(closure, goal).to_text().splitlines()
-        else:
-            witness = weakening_witness(closure, goal, args.weakening)
-            if witness is None:
-                lines = [f"{goal} [weakening: all atoms provably paradoxical]"]
-            else:
-                lines = proof_of(closure, witness).to_text().splitlines()
-                lines.append(f"{goal} [weakening from {witness}]")
-    else:
-        lines = [f"not provable under weakening mode {args.weakening!r}"]
-    _emit(args, "prove", yes, lambda: lines)
+            return map(str, proof_of(closure, goal).steps)
+        witness = weakening_witness(closure, goal, args.weakening)
+        if witness is None:
+            return [f"{goal} [weakening: all atoms provably paradoxical]"]
+        return [*map(str, proof_of(closure, witness).steps), f"{goal} [weakening from {witness}]"]
+
+    _emit(args, "prove", yes, lines)
     return EXIT_YES if yes else EXIT_NO
 
 

@@ -98,8 +98,8 @@ from .records import Record
 from .semantics import SubdiscourseReport, subdiscourse_report
 
 # numpy is imported inside the functions that build or read clause
-# lattices, so that graph-only work (models, kernels, parsing) never
-# loads it.
+# lattices and in ``Closure.clause_texts``: graph-only work never loads
+# it, nor does any other answer from a closure with no lattice part.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -490,13 +490,6 @@ class Closure:
             for cell in part.minimal()
         )
 
-    def in_clause_order(self, masks) -> list[tuple[int, int]]:
-        """Clause masks sorted as their clauses sort under ``clause_sort_key``."""
-        masks = list(masks)
-        n = len(self._u)
-        order = _code_order(_cell_codes([p | q << n for p, q in masks], n))
-        return [masks[i] for i in order.tolist()]
-
     def clause_texts(self) -> list[str]:
         """The text of every derived clause, in ``clause_sort_key`` order.
 
@@ -829,27 +822,24 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     clause pairs per clause of the budget left.
     """
     u = Universe(theory.universe)
-    empty_input = Clause() in theory.clauses
-    has_empty, size = empty_input, int(empty_input)
+    nonempty = 0  # the nonempty clauses of the parts so far
     parts = []
     for atoms, seeds, inputs in _components(theory, u):
         n = len(atoms)
         saturator = _shared_lattice if n <= LATTICE_MAX_ATOMS else _saturate_pairwise
-        # The empty clause is shared: a component may derive it again
+        # The empty clause is shared, so a part may count it again
         # without growing the union.
-        budget = max_clauses - size + has_empty
         try:
-            part = saturator(n, seeds, inputs, budget)
+            part = saturator(n, seeds, inputs, max_clauses - nonempty)
         except _OverCap:
             raise ResourceLimitError(f"closure exceeded {max_clauses} clauses") from None
-        own_empty = part.entry(0) is not None
-        size += part.count - (has_empty and own_empty)
-        has_empty = has_empty or own_empty
+        nonempty += part.count - (part.entry(0) is not None)
         parts.append((atoms, part))
+    closure = Closure(u, parts, Clause() in theory.clauses)
     # As in each saturator, a closure that resolves nothing is not refused.
-    if size > max_clauses and any(part.resolves for _, part in parts):
+    if len(closure) > max_clauses and any(part.resolves for _, part in parts):
         raise ResourceLimitError(f"closure exceeded {max_clauses} clauses")
-    return Closure(u, parts, empty_input)
+    return closure
 
 
 def derives(closure: Closure, clause: Clause) -> bool:
@@ -864,13 +854,9 @@ def witness_subclause(closure: Closure, clause: Clause) -> Optional[Clause]:
     literal order); falls back to the empty clause when that is the only
     derivable subclause.
     """
-    ranked = closure.in_clause_order(closure.subclauses(*closure.clause_masks(clause)))
-    if not ranked:
-        return None
-    # The empty clause sorts first; it is the witness only when alone.
-    if ranked[0] == (0, 0) and len(ranked) > 1:
-        return closure.clause_of(ranked[1])
-    return closure.clause_of(ranked[0])
+    found = [closure.clause_of(m) for m in closure.subclauses(*closure.clause_masks(clause))]
+    nonempty = [c for c in found if not c.is_empty]
+    return min(nonempty or found, key=clause_sort_key, default=None)
 
 
 def paradoxical_atoms(closure: Closure) -> frozenset[str]:
@@ -1012,7 +998,9 @@ def provable_weakened(
     consequence together with its explosion. ``awbw`` takes one that
     keeps a healthy atom, and accepts a nonempty clause over paradoxical
     atoms alone; that blocks deriving arbitrary clauses from a
-    contradiction and coincides with paraconsistent entailment.
+    contradiction. It coincides with paraconsistent entailment except on
+    the empty clause of a theory with an input ``[]`` and no provably
+    paradoxical atom, which is derived, so provable, but not entailed.
     """
     closure = _closure_for(theory, closure, max_clauses)
     pos, neg = closure.clause_masks(clause)
@@ -1042,8 +1030,7 @@ def weakening_witness(closure: Closure, clause: Clause, mode: str) -> Optional[C
     weaken ``clause`` from; None when there is none (a clause provable
     under ``awbw`` then has only provably paradoxical atoms)."""
     premises = _weakening_premises(closure, *closure.clause_masks(clause), mode)
-    ranked = closure.in_clause_order(premises)
-    return closure.clause_of(ranked[0]) if ranked else None
+    return min(map(closure.clause_of, premises), key=clause_sort_key, default=None)
 
 
 def closure_with_assumptions(

@@ -324,6 +324,32 @@ def test_resource_caps(capsys, delta_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["kernels", "semikernels", "models"])
+def test_oracle_listings_keep_the_enumeration_cap(capsys, monkeypatch, delta_file, command):
+    # The cap refuses the graph before the brute-force scan starts, as
+    # on the engine path.
+    def scanned(graph):
+        raise AssertionError("the brute-force scan ran past --max-atoms")
+
+    monkeypatch.setattr(f"kernelogic.oracle.brute_{command}", scanned)
+    assert run(capsys, command, delta_file, "--max-atoms", "3", "--oracle") == (
+        3,
+        "",
+        "error: graph has 6 atoms, enumeration cap is 3\n",
+    )
+
+
+def test_prove_json_writes_the_verdict_without_a_proof(capsys, monkeypatch, lewis_file):
+    def unwritten(*args):
+        raise AssertionError("--json writes no proof text")
+
+    monkeypatch.setattr("kernelogic.resolution.proof_of", unwritten)
+    monkeypatch.setattr("kernelogic.resolution.weakening_witness", unwritten)
+    for goal, mode, yes in [("a", "none", True), ("b", "cw", True), ("b", "awbw", False)]:
+        code, out, err = run(capsys, "prove", goal, lewis_file, "--weakening", mode, "--json")
+        assert (code, json.loads(out)["result"], err) == (int(not yes), yes, "")
+
+
 def test_wide_paradox_exits_3_promptly(capsys, tmp_path):
     # A connected 12-atom component runs pairwise rounds, whose count
     # of resolved pairs is capped along with the clauses.
@@ -469,10 +495,28 @@ def test_graph_commands_do_not_import_numpy():
         (["closure", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
         (["prove", "c", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
         (["paradox", "lewis.clauses"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
+        # A 14-atom chain is one component too wide for a lattice: its
+        # closure, witness and proof need no numpy.
+        (
+            ["prove", "x05 x07", "chain.clauses", "--weakening", "cw"],
+            {"kernelogic.resolution", "kernelogic.semantics"},
+        ),
+        (
+            ["prove", "x05 x07", "chain.clauses", "--weakening", "awbw"],
+            {"kernelogic.resolution", "kernelogic.semantics"},
+        ),
     ],
 )
-def test_the_closure_and_the_oracle_load_only_where_they_run(argv, engines):
-    argv = [str(DEMO_DATA / arg) if arg.endswith((".gnf", ".clauses")) else arg for arg in argv]
+def test_the_closure_and_the_oracle_load_only_where_they_run(tmp_path, argv, engines):
+    # chain.clauses is x00, ~x00 x01, ..., ~x12 x13.
+    chain = tmp_path / "chain.clauses"
+    chain.write_text("x00\n" + "".join(f"~x{i:02d} x{i + 1:02d}\n" for i in range(13)))
+    argv = [
+        str(chain if arg == chain.name else DEMO_DATA / arg)
+        if arg.endswith((".gnf", ".clauses"))
+        else arg
+        for arg in argv
+    ]
     _, [(code, _, loaded)] = run_routes(argv)
     assert (code, loaded) == (0, engines)
 

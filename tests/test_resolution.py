@@ -824,12 +824,27 @@ def naive_listing(closure):
     return [str(c) for c in sorted(closure.derived, key=kl.clause_sort_key)]
 
 
+def least_in_clause_order(found):
+    return min(found, key=kl.clause_sort_key, default=None)
+
+
 def check_listing(closure):
     expected = naive_listing(closure)
     assert closure.clause_texts() == expected
-    shuffled = list(closure.iter_masks())[::-1]
-    ranked = closure.in_clause_order(shuffled)
-    assert [str(closure.clause_of(m)) for m in ranked] == expected
+    # Witness twins: the least derived subclause of the goal that each
+    # ranking accepts. The goals are the unions of clauses next to each
+    # other in clause order, and the empty clause.
+    derived = sorted(closure.derived, key=kl.clause_sort_key)
+    bad = kl.paradoxical_atoms(closure)
+    goals = [c.union(d) for c, d in zip(derived, derived[1:] + derived[:1])] + [Clause()]
+    for goal in goals:
+        below = [c for c in derived if c.issubset(goal)]
+        nonempty = [c for c in below if not c.is_empty]
+        assert kl.witness_subclause(closure, goal) == least_in_clause_order(nonempty or below)
+        accepted = {"none": [], "cw": below, "awbw": [c for c in below if c.atoms() - bad]}
+        for mode, premises in accepted.items():
+            witness = resolution.weakening_witness(closure, goal, mode)
+            assert witness == least_in_clause_order(premises), (goal, mode)
 
 
 @given(component_theories(), st.integers(0, 2))
