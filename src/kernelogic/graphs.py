@@ -43,8 +43,9 @@ class Universe:
     ``mask_of`` turns names into an integer bitmask; bit ``i`` stands for
     ``names[i]``. ``names_of`` is the one conversion back: it splits each
     mask into byte pieces and joins the names of each piece, looking each
-    piece up once per call. ``atoms_of`` and ``sorted_atoms_of`` convert
-    one mask through it; a listing converts all its masks in one call.
+    piece up once per call, so a listing converts all its masks in one
+    call. ``atoms_of`` and ``sorted_atoms_of`` read one mask bit by bit,
+    which costs less than a memo that one mask never reuses.
     """
 
     __slots__ = ("names", "full_mask", "_index")
@@ -119,7 +120,12 @@ class Universe:
         return frozenset(self.sorted_atoms_of(mask))
 
     def sorted_atoms_of(self, mask: int) -> tuple[str, ...]:
-        return next(self.names_of((mask,)))
+        names, found = self.names, []
+        while mask:
+            low = mask & -mask
+            found.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(found)
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cache, cached_property
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Optional
 
 from .clauses import (
@@ -98,8 +99,8 @@ from .records import Record
 from .semantics import SubdiscourseReport, subdiscourse_report
 
 # numpy is imported inside the functions that build or read clause
-# lattices and in ``Closure.clause_texts``: graph-only work never loads
-# it, nor does any other answer from a closure with no lattice part.
+# lattices: graph-only work never loads it, nor does any answer from a
+# closure with no lattice part, its listing included.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -209,10 +210,12 @@ def _subcells(cell: int) -> np.ndarray:
 # A component's closure is a part, returned straight by its saturator.
 # Both kinds of part answer the same questions, in the component's cells
 # ``pos | neg << n``: ``entry``, ``items``, ``subclauses`` (nonempty
-# ones), ``codes``, ``minimal``, and ``candidates`` (``_parent_step``'s
-# one list of possible parents), plus ``count`` and ``resolves``. Only
-# ``Closure`` and ``_components`` speak universe masks, and the
-# component's ``_AtomMap`` is their only bridge to its cells.
+# ones), ``ordered`` (the nonempty ones in ``clause_sort_key`` order,
+# with the runs of one size and lowest atom), ``minimal``, and
+# ``candidates`` (``_parent_step``'s one list of possible parents), plus
+# ``count`` and ``resolves``. Only ``Closure`` and ``_components`` speak
+# universe masks, and the component's ``_AtomMap`` is their only bridge
+# to its cells.
 
 
 class _LatticePart:
@@ -236,10 +239,6 @@ class _LatticePart:
         self.count = int(np.count_nonzero(rounds != _NOT_DERIVED))
         self.resolves = self.count > len(seeds)
 
-    def _derived_cells(self) -> np.ndarray:
-        import numpy as np
-        return np.flatnonzero(self.rounds != _NOT_DERIVED)
-
     def entry(self, cell: int) -> Optional[tuple[str, int]]:
         rnd = int(self.rounds[cell])
         if rnd == _NOT_DERIVED:
@@ -257,7 +256,8 @@ class _LatticePart:
         return cells[key.argsort(kind="stable")]
 
     def items(self):
-        cells = self._in_entry_order(self._derived_cells())
+        import numpy as np
+        cells = self._in_entry_order(np.flatnonzero(self.rounds != _NOT_DERIVED))
         # Entry order puts the seeds first, and inputs first among them.
         kinds = [_INPUT] * self.inputs + [_AXIOM] * (len(self.seeds) - self.inputs)
         kinds += [_RESOLVENT] * (len(cells) - len(kinds))
@@ -267,10 +267,10 @@ class _LatticePart:
         subs = _subcells(cell)[1:]
         return subs[self.rounds[subs] != _NOT_DERIVED].tolist()
 
-    def codes(self) -> np.ndarray:
-        """The literal codes (``_cell_codes``) of every derived nonempty clause."""
-        cells = self._derived_cells()
-        return _cell_codes(cells[cells != 0], self.n)
+    def ordered(self) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
+        import numpy as np
+        runs = [(s, k, c[self.rounds[c] != _NOT_DERIVED]) for s, k, c in _lattice_order(self.n)]
+        return np.concatenate([c for *_, c in runs]), [(s, k, len(c)) for s, k, c in runs]
 
     def minimal(self) -> "list[int]":
         import numpy as np
@@ -309,8 +309,11 @@ class _PairwisePart:
     def subclauses(self, cell: int):
         return (c for c in self.entries if c and not c & ~cell)
 
-    def codes(self) -> np.ndarray:
-        return _cell_codes([c for c in self.entries if c], self.n)
+    def ordered(self) -> "tuple[list[int], list[tuple[int, int, int]]]":
+        keyed = sorted((_literal_key(c, self.n), c) for c in self.entries if c)
+        # A clause's first literal is one of its lowest atom.
+        runs = groupby((size, lits[0] >> 1) for (size, lits), _ in keyed)
+        return [c for _, c in keyed], [(*key, len(list(run))) for key, run in runs]
 
     def minimal(self) -> "list[int]":
         minimal: list[int] = []
@@ -494,41 +497,23 @@ class Closure:
         """The text of every derived clause, in ``clause_sort_key`` order.
 
         Equal to ``[str(c) for c in sorted(self.derived, key=clause_sort_key)]``
-        without building a single Clause: each text is joined from
-        per-atom pieces, looked up for four atoms at a time.
+        without building a Clause: each part hands over its derived
+        cells in that order, in runs of one size and lowest atom
+        (``ordered``), a lattice part from the order of its whole lattice
+        (``_lattice_order``) and a pairwise part by a Python sort. Of two
+        clauses of one size the one with the lower lowest atom comes
+        first, and each atom belongs to one part, so the runs of all
+        parts merge by one sort on size and lowest atom.
         """
-        import numpy as np
-        names = self.universe
-        # The empty clause has no literal: code 3 for every atom.
-        blocks = [np.full((int(self._empty is not None), len(names)), 3, dtype=np.uint8)]
+        streams, runs = [], []
         for amap, part in self._parts:
-            local = part.codes()
-            block = np.full((len(local), len(names)), 3, dtype=np.uint8)
-            block[:, list(amap.atoms)] = local
-            blocks.append(block)
-        codes = np.concatenate(blocks)
-        codes = codes[_code_order(codes)]
-        text = np.full(len(codes), "", dtype=object)
-        for lo in range(0, len(names), 4):
-            group = names[lo : lo + 4]
-            # table[((c0 * 4 + c1) * 4 + c2) * 4 + c3] joins the pieces
-            # of codes c0..c3 of the group's atoms.
-            table = [""]
-            for a in reversed(group):
-                table = [
-                    piece + rest
-                    for piece in (f"{a} ~{a} ", f"{a} ", f"~{a} ", "")
-                    for rest in table
-                ]
-            index = np.zeros(len(codes), dtype=np.int64)
-            for j in range(lo, lo + len(group)):
-                index = index * 4 + codes[:, j]
-            text += np.array(table, dtype=object)[index]
-        # Each text ends in a space, and only the empty clause, which
-        # sorts first, has none to drop.
-        texts = list(map(str.rstrip, text.tolist()))
-        if texts and not texts[0]:
-            texts[0] = "[]"
+            cells, counts = part.ordered()
+            runs += [(size, amap.atoms[low], len(streams), count) for size, low, count in counts]
+            names = [self.universe[g] for g in amap.atoms]
+            streams.append(iter(_cell_texts(cells, part.n, names)))
+        texts = ["[]"] if self._empty is not None else []
+        for *_, k, count in sorted(runs):
+            texts += islice(streams[k], count)
         return texts
 
     @cached_property
@@ -570,36 +555,91 @@ class Closure:
         return amap.masks(left), amap.masks(right), amap.atoms[i]
 
 
-def _cell_codes(cells: "np.ndarray | list[int]", n: int) -> np.ndarray:
-    """One literal code per clause and atom, for clause cells over ``n`` atoms.
+def _lattice_order(n: int) -> "list[tuple[int, int, np.ndarray]]":
+    """Every nonempty cell of an ``n``-atom lattice in ``clause_sort_key``
+    order, in runs ``(size, lowest atom, cells)``.
 
-    ``cells`` is an int64 array of lattice cells, whose bytes are read
-    in place, or a list of Python ints of any width. The code is 0 for
-    both ``x ~x``, 1 for ``x``, 2 for ``~x`` and 3 for neither.
+    Of two clauses of one size, the one holding a literal of the lowest
+    atom where they differ comes first, ``x`` before ``~x``. So the
+    cells of size ``s`` over atoms ``k..`` are both literals of ``k``
+    with ``s - 2`` of atoms ``k+1..``, then ``x_k`` with ``s - 1``, then
+    ``~x_k`` with ``s - 1`` (the run of lowest atom ``k``), then the
+    cells of size ``s`` over atoms ``k+1..``.
     """
     import numpy as np
-    if isinstance(cells, np.ndarray):
-        raw = np.ascontiguousarray(cells, dtype="<i8").view(np.uint8).reshape(-1, 8)
-    else:
-        width = 2 * n // 8 + 1
-        raw = b"".join([cell.to_bytes(width, "little") for cell in cells])
-        raw = np.frombuffer(raw, np.uint8).reshape(-1, width)
-    lits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
-    return 3 - 2 * lits[:, :n] - lits[:, n:]
+    none = np.zeros(0, dtype=np.int64)
+    tails = [np.zeros(1, dtype=np.int64)]  # tails[s]: size s over atoms k..
+    runs = []
+    for k in reversed(range(n)):
+        pos, neg = 1 << k, 1 << (n + k)
+        tail = [none, none, *tails, none, none]  # tail[s + 2] is tails[s]
+        heads = [
+            np.concatenate((tail[s] | (pos | neg), tail[s + 1] | pos, tail[s + 1] | neg))
+            for s in range(len(tails) + 2)
+        ]
+        runs += [(s, k, head) for s, head in enumerate(heads) if s]
+        if k:
+            tails = [np.concatenate((head, tail[s + 2])) for s, head in enumerate(heads)]
+    return sorted(runs, key=lambda run: run[:2])
 
 
-def _code_order(codes: np.ndarray) -> np.ndarray:
-    """The ``clause_sort_key`` order of clauses given by their literal codes.
+def _literal_key(cell: int, n: int) -> "tuple[int, list[int]]":
+    """``clause_sort_key`` of the clause at ``cell`` over ``n`` atoms: its
+    size, then its literals in order, ``x_j`` as ``2j`` and ``~x_j`` as
+    ``2j + 1``."""
+    lits = [2 * j for j in bits(cell & ~(-1 << n))] + [2 * j + 1 for j in bits(cell >> n)]
+    return len(lits), sorted(lits)
 
-    Universe names are sorted, so literals order by atom index with the
-    positive one first, and of two clauses of one size the lowest atom
-    where they differ decides. Sorting by size, then by the codes of
-    atoms 0, 1, ... is therefore the key's order, for any number of
-    atoms.
-    """
+
+def _group_table(names: "list[str]") -> "list[str]":
+    """The texts of the clauses over up to four atoms ``names``, at
+    ``pos | neg << 4`` for the bits of their positive and negative
+    literals; entry ``code | 256`` adds a space to a nonempty text, for
+    a clause with a literal of a later atom."""
+    found = [(0, "")]
+    for j, a in reversed(list(enumerate(names))):
+        found = [
+            (code | c, f"{piece} {text}" if piece and text else piece or text)
+            for code, piece in ((0, ""), (1 << j, a), (16 << j, f"~{a}"), (17 << j, f"{a} ~{a}"))
+            for c, text in found
+        ]
+    table = [""] * 512
+    for code, text in found:
+        table[code], table[code | 256] = text, text and text + " "
+    return table
+
+
+def _cell_codes(cells, n: int, lo: int):
+    """The ``_group_table`` entry of atoms ``lo`` to ``lo + 3`` of each
+    cell over ``n`` atoms, for one Python int or an int64 array."""
+    group = ~(-1 << min(4, n - lo))
+    later = ~(-1 << n) & (-1 << (lo + 4))
+    later |= later << n
+    return (cells >> lo & group) | (cells >> (n + lo) & group) << 4 | ((cells & later) != 0) << 8
+
+
+# Lattice cells are read this many at a time: the partial texts of one
+# block are freed before the next block's are made, so that a listing's
+# peak stays near the size of its texts.
+_TEXT_BLOCK = 1 << 16
+
+
+def _cell_texts(cells, n: int, names: "list[str]") -> "list[str]":
+    """The text of each clause cell over ``n`` atoms ``names``: a list of
+    Python ints is read without numpy, an int64 array by blocks."""
+    tables = [(lo, _group_table(names[lo : lo + 4])) for lo in range(0, n, 4)]
+    if isinstance(cells, list):
+        return ["".join([table[_cell_codes(c, n, lo)] for lo, table in tables]) for c in cells]
     import numpy as np
-    size = (codes < 3).sum(axis=1) + (codes == 0).sum(axis=1)
-    return np.lexsort((*codes[:, ::-1].T, size))
+    tables = [(lo, np.array(table, dtype=object)) for lo, table in tables]
+    texts = []
+    for start in range(0, len(cells), _TEXT_BLOCK):
+        block = cells[start : start + _TEXT_BLOCK]
+        text = tables[0][1][_cell_codes(block, n, 0)]
+        for lo, table in tables[1:]:
+            text += table[_cell_codes(block, n, lo)]
+        texts += text.tolist()
+    return texts
 
 
 # A pass along cell bit ``b`` meets its cells in contiguous runs of

@@ -496,13 +496,18 @@ def test_graph_commands_do_not_import_numpy():
         (["prove", "c", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
         (["paradox", "lewis.clauses"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
         # A 14-atom chain is one component too wide for a lattice: its
-        # closure, witness and proof need no numpy.
+        # closure, witness, proof and listing need no numpy.
         (
             ["prove", "x05 x07", "chain.clauses", "--weakening", "cw"],
             {"kernelogic.resolution", "kernelogic.semantics"},
         ),
         (
             ["prove", "x05 x07", "chain.clauses", "--weakening", "awbw"],
+            {"kernelogic.resolution", "kernelogic.semantics"},
+        ),
+        (["closure", "chain.clauses"], {"kernelogic.resolution", "kernelogic.semantics"}),
+        (
+            ["closure", "chain.clauses", "--json"],
             {"kernelogic.resolution", "kernelogic.semantics"},
         ),
     ],

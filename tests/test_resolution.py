@@ -598,30 +598,88 @@ def test_a_forty_atom_chain_answers_from_cells_past_64_bits():
     check_listing(closure)
     assert kl.min_clauses(t, closure=closure) == frozenset(clause(a) for a in atoms)
     check_replay(kl.proof_of(closure, clause("w39")), t)
-    # Literal codes of Python-int cells, against one bit at a time.
+    # Text-table codes of Python-int cells, against one bit at a time.
     cells = sorted(part.entries)
-    codes = resolution._cell_codes(cells, n)
-    assert codes.tolist() == [
-        [3 - 2 * (c >> j & 1) - (c >> (n + j) & 1) for j in range(n)] for c in cells
-    ]
+    for lo in range(0, n, 4):
+        codes = [resolution._cell_codes(c, n, lo) for c in cells]
+        assert codes == [group_codes_twin(c, n, lo) for c in cells]
+
+
+def group_codes_twin(cell, n, lo):
+    """``_cell_codes`` bit by bit: the literals of atoms ``lo`` to
+    ``lo + 3``, positive ones in bits 0-3 and negative ones in bits 4-7,
+    and bit 8 set when a later atom has a literal."""
+    group = range(lo, min(lo + 4, n))
+    pos = sum((cell >> j & 1) << (j - lo) for j in group)
+    neg = sum((cell >> (n + j) & 1) << (j - lo) for j in group)
+    later = any(cell >> j & 1 or cell >> (n + j) & 1 for j in range(lo + 4, n))
+    return pos | neg << 4 | later << 8
 
 
 @pytest.mark.parametrize("n", range(1, resolution.LATTICE_MAX_ATOMS + 1))
 def test_cell_codes_of_lattice_arrays_match_python_ints(n):
     # Lattice parts hand over int64 arrays of cells, pairwise parts
-    # lists of Python ints; both give one code per atom, bit by bit.
+    # lists of Python ints; both give one text-table code per group of
+    # four atoms, bit by bit.
     if n == 8:
         cells = np.arange(1 << 2 * n, dtype=np.int64)  # a full lattice
     else:
         stream = splitmix64(n)
         cells = np.array(sorted({next(stream) % (1 << 2 * n) for _ in range(300)}))
     for some in (cells, cells[::3]):
-        codes = resolution._cell_codes(some, n)
-        assert codes.shape == (len(some), n)
-        assert codes.tolist() == resolution._cell_codes(some.tolist(), n).tolist()
-        assert codes.tolist() == [
-            [3 - 2 * (c >> j & 1) - (c >> (n + j) & 1) for j in range(n)] for c in some.tolist()
-        ]
+        for lo in range(0, n, 4):
+            codes = resolution._cell_codes(some, n, lo)
+            assert codes.shape == some.shape
+            assert codes.tolist() == [resolution._cell_codes(c, n, lo) for c in some.tolist()]
+            assert codes.tolist() == [group_codes_twin(c, n, lo) for c in some.tolist()]
+
+
+def literal_codes(cells, n):
+    """One literal code per lattice cell and atom: 0 for both ``x ~x``,
+    1 for ``x``, 2 for ``~x`` and 3 for neither."""
+    raw = np.ascontiguousarray(cells, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    lits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
+    return 3 - 2 * lits[:, :n] - lits[:, n:]
+
+
+def lexsort_order(cells, n):
+    """The twin of ``_lattice_order``: ``cells`` sorted by size, then by
+    the literal codes of atoms 0, 1, ..., which is ``clause_sort_key``
+    order since literals order by atom, the positive one first."""
+    codes = literal_codes(cells, n)
+    size = (codes < 3).sum(axis=1) + (codes == 0).sum(axis=1)
+    return cells[np.lexsort((*codes[:, ::-1].T, size))]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lattice_order_is_the_lexsort_order(n):
+    blocks = resolution._lattice_order(n)
+    order = np.concatenate([cells for *_, cells in blocks])
+    assert order.tolist() == lexsort_order(np.arange(1, 4**n), n).tolist()
+    # Each block holds the cells of its size and lowest atom, and the
+    # blocks come by size, then lowest atom.
+    assert [(s, k) for s, k, _ in blocks] == sorted({(s, k) for s, k, _ in blocks})
+    for size, low, cells in blocks:
+        masks = [c & ~(-1 << n) | c >> n for c in cells.tolist()]
+        assert {c.bit_count() for c in cells.tolist()} == {size}
+        assert {(m & -m).bit_length() - 1 for m in masks} == {low}
+
+
+def test_a_full_lattice_lists_in_clause_order():
+    # Every cell of an 8-atom lattice derived: the axioms in round 0 and
+    # every other cell, [] included, in round 1.
+    n = 8
+    u = kl.Universe(f"a{i}" for i in range(n))
+    seeds = tuple(1 << i | 1 << (n + i) for i in range(n))
+    rounds = np.ones(4**n, dtype=np.uint8)
+    rounds[list(seeds)] = 0
+    closure = kl.Closure(u, [(tuple(range(n)), resolution._LatticePart(n, rounds, seeds, 0))])
+    assert len(closure) == 4**n
+    texts = closure.clause_texts()
+    assert texts == naive_listing(closure)
+    assert texts[:3] == ["[]", "a0", "~a0"] and texts[-1] == " ".join(
+        f"a{i} ~a{i}" for i in range(n)
+    )
 
 
 def test_wide_rounds_are_refused_by_their_pair_count():
@@ -872,6 +930,51 @@ def test_clause_texts_match_sorted_clauses_on_a_wide_universe(lits):
     # machine word.
     t = kl.ClausalTheory(frozenset(Clause(c) for c in lits), WIDE_ATOMS)
     check_listing(kl.saturate(t))
+
+
+LEAVES = [f"d{i:02d}" for i in range(1, 12)]
+
+
+@pytest.mark.parametrize(
+    "texts, universe, paths, expected",
+    [
+        # Parts {a, c} and {b, d} interleave in the universe.
+        (
+            ("a ~c", "~b d", "c"),
+            (),
+            ["_LatticePart"] * 2,
+            ["a", "c", "a ~a", "a ~c", "b ~b", "~b d", "c ~c", "d ~d"],
+        ),
+        (
+            ("a ~c", "~b d", "c", "[]"),
+            (),
+            ["_LatticePart"] * 2,
+            ["[]", "a", "c", "a ~a", "a ~c", "b ~b", "~b d", "c ~c", "d ~d"],
+        ),
+        # Loose atoms before, between and after the clause atoms.
+        (
+            ("b ~d", "~b"),
+            ("a", "b", "c", "d", "e"),
+            ["_LatticePart"] * 4,
+            ["~b", "~d", "a ~a", "b ~b", "b ~d", "c ~c", "d ~d", "e ~e"],
+        ),
+        # A lattice part {a, c} beside a 12-atom pairwise star on b: the
+        # units of both merge by their atoms.
+        (
+            ("a", "~a c", "~b", *(f"b {d}" for d in LEAVES)),
+            (),
+            ["_LatticePart", "_PairwisePart"],
+            ["a", "~b", "c", *LEAVES, "a ~a", "~a c", "b ~b"]
+            + [f"b {d}" for d in LEAVES]
+            + ["c ~c"]
+            + [f"{d} ~{d}" for d in LEAVES],
+        ),
+    ],
+)
+def test_pinned_listings_merge_their_parts(texts, universe, paths, expected):
+    closure = kl.saturate(kl.ClausalTheory(clauses(*texts), universe))
+    assert [type(part).__name__ for _, part in closure._parts] == paths
+    assert closure.clause_texts() == naive_listing(closure) == expected
 
 
 def test_witness_subclause_is_least_in_clause_order(our_cth, our_closure):

@@ -110,7 +110,7 @@ def test_both_kinds_of_part_answer_the_same_questions():
 
     assert questions("_LatticePart") == questions("_PairwisePart")
     assert questions("_LatticePart") == {
-        "entry", "items", "subclauses", "codes", "minimal", "candidates"
+        "entry", "items", "subclauses", "ordered", "minimal", "candidates"
     }
     found = [
         path.name
