@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
-from .graphs import Digraph, Universe, _check_atom
+from .graphs import Digraph, Universe, _check_atoms
 from .records import Record
 
 
@@ -36,8 +36,7 @@ class Clause(Record):
     def __init__(self, literals: Iterable[Literal] = frozenset()):
         if not isinstance(literals, frozenset):
             literals = frozenset(literals)
-        for lit in literals:
-            _check_atom(lit.atom)
+        _check_atoms(lit.atom for lit in literals)
         super().__init__(literals)
 
     @classmethod
@@ -99,8 +98,7 @@ def intern_clause(clause: Clause, universe: Universe) -> tuple[int, int]:
             else:
                 pos |= bit
     except ValidationError:
-        for atom in sorted(clause.atoms()):
-            universe.index(atom)
+        universe.mask_of(clause.atoms())  # refuses the least unknown atom
         raise
     return pos, neg
 
@@ -144,8 +142,7 @@ class ClausalTheory(Record):
                 )
         else:
             names = tuple(sorted(occurring))
-        for name in names:
-            _check_atom(name)
+        _check_atoms(names)
         super().__init__(clauses, names)
 
     def atoms(self) -> tuple[str, ...]:

@@ -53,12 +53,9 @@ from .kernels import (
     WEAKENING_MODES,
     ModelSide,
     check_cap,
-    enumerate_kernels,
-    enumerate_semikernels,
     kernel_masks,
     model_masks,
     model_side,
-    models,
     partition_names,
     semikernel_masks,
 )
@@ -175,36 +172,35 @@ def _model_line(model: dict) -> str:
     return _fmt_model(model["true"], model["false"], model["paradox"])
 
 
-# The graph listings: name -> (engine, name of its brute-force oracle in
-# ``kernelogic.oracle``, (mask listing, item writer, line writer)). Text
-# lines and JSON array items are both written one at a time from the
-# engine's masks (a model's: its true set), building no set. check-random
-# compares each engine against its oracle in this order.
+# The graph listings: name -> (mask listing, name of its brute-force
+# oracle in ``kernelogic.oracle``, item writer, line writer). Text lines
+# and JSON items are written one at a time from masks (a model's: its
+# true set), the engine's or the oracle's, building no set. check-random
+# compares each listing's masks with its oracle's in this order.
 _LISTINGS = {
-    "kernels": (enumerate_kernels, "brute_kernels", (kernel_masks, _set_items, _fmt_names)),
-    "semikernels": (
-        enumerate_semikernels,
-        "brute_semikernels",
-        (semikernel_masks, _set_items, _fmt_names),
-    ),
-    "models": (models, "brute_models", (model_masks, _model_items, _model_line)),
+    "kernels": (kernel_masks, "brute_kernels", _set_items, _fmt_names),
+    "semikernels": (semikernel_masks, "brute_semikernels", _set_items, _fmt_names),
+    "models": (model_masks, "brute_models", _model_items, _model_line),
 }
 
 
+def _oracle_masks(graph: Digraph, brute: str) -> list[int]:
+    """The masks of ``oracle.<brute>(graph)``, in its order (a model's: its true set)."""
+    from . import oracle
+
+    found = getattr(oracle, brute)(graph)
+    return [graph.universe.mask_of(getattr(v, "true_set", v)) for v in found]
+
+
 def cmd_listing(args) -> int:
-    _, brute, (listing, items, line) = _LISTINGS[args.command]
+    listing, brute, items, line = _LISTINGS[args.command]
     graph = _require_graph(_load(args)[0])
     if args.oracle:
         check_cap(len(graph), args.max_atoms)
-        from . import oracle
-
-        # --json writes the oracle's own list; the text goes through masks.
-        found = getattr(oracle, brute)(graph)
-        masks = [graph.universe.mask_of(getattr(v, "true_set", v)) for v in found]
+        masks = _oracle_masks(graph, brute)
     else:
         masks = listing(graph, args.max_atoms)
-        found = items(graph, masks)
-    _emit(args, args.command, found, lambda: map(line, items(graph, masks)))
+    _emit(args, args.command, items(graph, masks), lambda: map(line, items(graph, masks)))
     return EXIT_YES
 
 
@@ -336,22 +332,18 @@ def cmd_check_random(args) -> int:
     if args.count:  # refused before the n² edge coins of a graph are drawn
         check_cap(args.n, args.max_atoms)
         oracle.check_brute_cap(args.n)
-    mismatches = []
-    rows = []
+    mismatches, rows = [], []
     for i in range(args.count):
         spec = oracle.RandomGraphSpec(n=args.n, edge_prob=args.p, seed=args.seed + i)
         graph = oracle.random_digraph(spec)
         found, bad = {}, []
-        for name, (engine, brute, _) in _LISTINGS.items():
-            found[name] = engine(graph, args.max_atoms)
-            if found[name] != getattr(oracle, brute)(graph):
+        for name, (listing, brute, _, _) in _LISTINGS.items():
+            found[name] = listing(graph, args.max_atoms)
+            if found[name] != _oracle_masks(graph, brute):
                 bad.append(name)
-        classical_engine = sorted(tuple(sorted(k)) for k in found["kernels"])
-        classical_oracle = sorted(
-            tuple(sorted(a for a, v in row.items() if v))
-            for row in oracle.truth_table_models(clausal_theory(graph))
-        )
-        if classical_engine != classical_oracle:
+        truth = oracle.truth_table_models(clausal_theory(graph))
+        classical = [graph.universe.mask_of(a for a, v in row.items() if v) for row in truth]
+        if sorted(classical) != found["kernels"]:
             bad.append("classical-models")
         status = "ok" if not bad else "MISMATCH " + ",".join(bad)
         sizes = " ".join(f"{name}={len(found[name])}" for name in _LISTINGS)

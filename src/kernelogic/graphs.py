@@ -37,11 +37,18 @@ def _check_atom(name: str) -> str:
     return name
 
 
+def _check_atoms(names: Iterable[str]) -> None:
+    """Refuse the least invalid name of ``names``, whatever their order."""
+    if bad := [name for name in names if not is_valid_atom(name)]:
+        _check_atom(min(bad, key=str))
+
+
 class Universe:
     """A fixed, lexicographically ordered set of atoms with bit positions.
 
     ``mask_of`` turns names into an integer bitmask; bit ``i`` stands for
-    ``names[i]``. ``names_of`` is the one conversion back: it splits each
+    ``names[i]``; of several unknown names it refuses the least, whatever
+    their order. ``names_of`` is the one conversion back: it splits each
     mask into byte pieces and joins the names of each piece, looking each
     piece up once per call, so a listing converts all its masks in one
     call. ``atoms_of`` and ``sorted_atoms_of`` read one mask bit by bit,
@@ -52,8 +59,7 @@ class Universe:
 
     def __init__(self, names: Iterable[str]):
         self.names: tuple[str, ...] = tuple(sorted(set(names)))
-        for name in self.names:
-            _check_atom(name)
+        _check_atoms(self.names)
         self._index = {name: i for i, name in enumerate(self.names)}
         self.full_mask = (1 << len(self.names)) - 1
 
@@ -79,9 +85,13 @@ class Universe:
             raise ValidationError(f"unknown atom {name!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
+        index, mask = self._index, 0
+        try:
+            for name in names:
+                mask |= 1 << index[name]
+        except KeyError:
+            # A collection is read again; an iterator goes on past ``name``.
+            self.index(min([name, *(n for n in names if n not in index)], key=str))
         return mask
 
     def names_of(self, masks: Iterable[int]) -> Iterator[tuple[str, ...]]:
@@ -153,12 +163,15 @@ class Digraph:
         succ = [0] * n
         pred = [0] * n
         edge_set = set()
-        for src, dst in edges:
-            i = self.universe.index(src)
-            j = self.universe.index(dst)
-            succ[i] |= 1 << j
-            pred[j] |= 1 << i
-            edge_set.add((src, dst))
+        index = self.universe._index
+        try:
+            for src, dst in edges:
+                i, j = index[src], index[dst]
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
+                edge_set.add((src, dst))
+        except KeyError:
+            self.universe.mask_of([src, dst, *(a for edge in edges for a in edge)])  # raises
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
         self._succ = succ
         self._pred = pred
@@ -225,10 +238,8 @@ class GnfTheory:
         table: dict[str, frozenset[str]] = {}
         for atom in sorted(formulas):
             _check_atom(atom)
-            rhs = frozenset(formulas[atom])
-            for other in rhs:
-                _check_atom(other)
-            table[atom] = rhs
+            table[atom] = frozenset(formulas[atom])
+            _check_atoms(table[atom])
         for atom, rhs in table.items():
             for other in sorted(rhs):
                 if other not in table:
@@ -320,8 +331,7 @@ def is_inverse_closed(graph: Digraph, atoms: Iterable[str]) -> bool:
 def induced_subgraph(graph: Digraph, atoms: Iterable[str]) -> Digraph:
     """The subgraph on ``atoms`` keeping exactly the edges inside it."""
     keep = frozenset(atoms)
-    for atom in keep:
-        graph.universe.index(atom)
+    graph.universe.mask_of(keep)  # refuses an unknown atom
     edges = [(s, d) for (s, d) in graph.edges if s in keep and d in keep]
     return Digraph(keep, edges)
 
@@ -377,8 +387,8 @@ def complete_loose_atoms(formulas: Mapping[str, Iterable[str]]) -> GnfTheory:
     table: dict[str, frozenset[str]] = {}
     for atom in sorted(formulas):
         _check_atom(atom)
-        rhs = frozenset(_check_atom(a) for a in formulas[atom])
-        table[atom] = rhs
+        table[atom] = frozenset(formulas[atom])
+        _check_atoms(table[atom])
     taken = set(table)
     for rhs in table.values():
         taken |= rhs

@@ -205,7 +205,7 @@ def format_graph(graph: Digraph) -> str:
 
 
 def format_clause_set(theory: ClausalTheory) -> str:
-    return "\n".join(str(c) for c in sorted(theory.clauses, key=clause_sort_key)) + "\n"
+    return "\n".join(sorted_clause_strings(theory.clauses)) + "\n"
 
 
 def sorted_clause_strings(clauses) -> list[str]:

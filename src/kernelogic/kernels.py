@@ -31,8 +31,9 @@ function per listing that the package alone uses (``kernel_masks``,
 The public lists turn those masks into names in one
 ``Universe.names_of`` pass, which looks up each byte piece of a mask
 once per call; a model's three fields go through the same pass
-(``partition_names``). The command line writes each text line from a
-mask's names as they come, building neither the sets nor their list.
+(``partition_names``). The command line writes each text line and JSON
+item from a mask's names as they come, the brute-force oracle's too
+(``--oracle``), building neither the sets nor their list.
 
 Direct resolution is sound and complete for this semantics, so the
 models also answer the closure's questions (``ModelSide``, which
@@ -214,7 +215,8 @@ def kernel_masks(graph: Digraph, max_atoms: int) -> list[int]:
     """The kernels' masks by subset rank: the models when they settle
     every atom, and none otherwise."""
     check_cap(len(graph.vertices), max_atoms)
-    return [] if _model_side(graph).paradox_mask else model_masks(graph, max_atoms)
+    side = _model_side(graph)
+    return [] if side.paradox_mask else _product(ms for ms, _ in side.components)
 
 
 def semikernel_masks(graph: Digraph, max_atoms: int) -> list[int]:
@@ -479,9 +481,7 @@ def sk_union(graph: Digraph, s: Iterable[str], t: Iterable[str]) -> frozenset[st
 
 def _require_partition(graph: Digraph, p: Partition3, name: str) -> tuple[int, int, int]:
     u = graph.universe
-    t = u.mask_of(p.true_set)
-    f = u.mask_of(p.false_set)
-    d = u.mask_of(p.paradox_set)
+    t, f, d = map(u.mask_of, (p.true_set, p.false_set, p.paradox_set))
     if t & f or t & d or f & d or (t | f | d) != u.full_mask:
         raise ValidationError(f"{name} is not a partition of the graph's atoms")
     return t, f, d

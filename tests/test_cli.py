@@ -683,21 +683,37 @@ def test_check_random(capsys):
     assert doc["result"]["ok"] is True
 
 
-def test_check_random_reports_a_mismatch(capsys, monkeypatch):
-    _, oracle, fmt = cli._LISTINGS["kernels"]
-    monkeypatch.setitem(cli._LISTINGS, "kernels", (lambda graph, cap: [], oracle, fmt))
+def assert_check_random_reports(capsys, name):
+    """check-random, with --json and without, exits 1 and names ``name``
+    in every mismatch it reports."""
     argv = ["check-random", "--n", "4", "--p", "0.3", "--seed", "5", "--count", "6"]
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1
     doc = json.loads(out)["result"]
     assert doc["ok"] is False and doc["mismatches"]
-    assert all("kernels" in m["mismatched"] for m in doc["mismatches"])
+    assert all(name in m["mismatched"] for m in doc["mismatches"])
 
     code, out, _ = run(capsys, *argv)
     assert code == 1
     rows = out.splitlines()
-    assert any("MISMATCH kernels" in row for row in rows[:-1])
+    assert any(f"MISMATCH {name}" in row for row in rows[:-1])
     assert rows[-1] == f"6 graphs checked, {len(doc['mismatches'])} mismatches"
+
+
+@pytest.mark.parametrize("name", ["kernels", "semikernels", "models"])
+def test_check_random_reports_a_mismatch(capsys, monkeypatch, name):
+    _, oracle, items, line = cli._LISTINGS[name]
+    monkeypatch.setitem(cli._LISTINGS, name, (lambda graph, cap: [], oracle, items, line))
+    assert_check_random_reports(capsys, name)
+
+
+def test_check_random_reports_a_classical_mismatch(capsys, monkeypatch):
+    # A truth table missing its first row disagrees with the kernels.
+    tables = kl.truth_table_models
+    monkeypatch.setattr(
+        "kernelogic.oracle.truth_table_models", lambda theory: tables(theory)[1:]
+    )
+    assert_check_random_reports(capsys, "classical-models")
 
 
 def test_gnf_defining_vertex_first_parses(capsys, tmp_path):

@@ -1,6 +1,9 @@
 """Graphs, GNF theories, and the operators between them."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -234,3 +237,48 @@ def test_atom_name_validation():
 def test_digraph_rejects_foreign_edges():
     with pytest.raises(kl.ValidationError, match="unknown atom"):
         kl.Digraph(["a"], [("a", "b")])
+
+
+# Calls handed several bad atoms, as sets, and the one error each
+# gives: of several unknown or invalid atoms, always the least.
+BAD_ATOM_CALLS = {
+    "kl.classify_subset(g, PQRS)": "unknown atom 'p'",
+    "kl.partition_of(g, PQRS)": "unknown atom 'p'",
+    "kl.neighborhoods(g, PQRS)": "unknown atom 'p'",
+    "kl.reachable(g, PQRS)": "unknown atom 'p'",
+    "kl.is_inverse_closed(g, PQRS)": "unknown atom 'p'",
+    "kl.sk_union(g, PQRS, {'a'})": "unknown atom 'p'",
+    "kl.sk_intersect_reach(g, PQRS, PQRS)": "unknown atom 'p'",
+    "kl.extend_partition(g, true_part(PQRS), true_part(()))": "unknown atom 'p'",
+    "kl.induced_subgraph(g, PQRS)": "unknown atom 'p'",
+    "kl.Digraph(['a'], {('a', 's'), ('r', 'a'), ('q', 'a'), ('a', 'p')})": "unknown atom 'p'",
+    "kl.Clause(kl.Literal(a) for a in BAD)": "invalid atom name 'p q'",
+    "kl.GnfTheory({'a': BAD})": "invalid atom name 'p q'",
+    "kl.complete_loose_atoms({'a': BAD})": "invalid atom name 'p q'",
+}
+
+BAD_ATOM_SCRIPT = """
+import kernelogic as kl
+g = kl.Digraph(['a', 'b'], [('a', 'b')])
+PQRS = {'p', 'q', 'r', 's'}
+BAD = {'p q', 'r s', 't u', 'v w'}
+def true_part(atoms):
+    return kl.Partition3(frozenset(atoms), frozenset(), frozenset())
+for call in CALLS:
+    try:
+        eval(call)
+    except kl.ValidationError as exc:
+        print(exc)
+"""
+
+
+def test_bad_atom_errors_do_not_depend_on_the_hash_seed():
+    script = f"CALLS = {list(BAD_ATOM_CALLS)!r}\n{BAD_ATOM_SCRIPT}"
+    expected = "".join(f"{message}\n" for message in BAD_ATOM_CALLS.values())
+    for seed in ("1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected, seed
