@@ -20,10 +20,10 @@ A call loads only the modules its route runs. Every command loads the
 parsers (``io_text``, ``graphs``, ``clauses``) and ``kernels``, which
 answer the listings and the model route. ``subdiscourse`` and both
 ``entails`` flags add ``semantics``; the closure route adds
-``resolution`` and ``semantics``, and numpy where a component gets a
-clause lattice; ``check-random`` and ``--oracle`` add ``oracle``. No
-call loads ``dataclasses`` (the records are plain slotted classes) or
-``json`` (``io_text`` writes JSON itself).
+``resolution`` and ``semantics``, and numpy where a component of 4 to
+11 atoms gets a clause lattice; ``check-random`` and ``--oracle`` add
+``oracle``. No call loads ``dataclasses`` (the records are plain
+slotted classes) or ``json`` (``io_text`` writes JSON itself).
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ units, which never join components: while the base closure is alive,
 hold the denied clause's atoms.
 
 Closures of paradoxical theories tend to fill large parts of the clause
-lattice, which makes clause-pair scanning hopeless. A component of at
-most ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
+lattice, which makes clause-pair scanning hopeless. A component of 4
+to ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
 full lattice of its clauses, encoded as bit indices. One round takes a
 single zeta transform of the derived clauses; for every pivot atom the
 transforms of the clauses holding the positive and the negative pivot
@@ -49,13 +49,16 @@ the bit at a time, each a long run. The component's closure is then one
 byte per lattice cell, the round in which that clause was derived
 (a reserved value marks clauses never derived; a closure needing that
 many rounds is refused), plus the order of its round-0 clauses. A
-component too wide for lattice arrays runs the same rounds semi-naively
-over a dict of clauses: a round resolves only the pairs holding a clause
-new in the round before, once their count fits the budget. Either way a
-component keeps each clause's origin and round in one entry order
-(seeds, then each round by cell), and one parent search rebuilds
-proofs, the same on both paths: it reads each pivot's parents off one
-list of earlier entries inside a resolvent plus at most one literal.
+component too wide for lattice arrays, or too small to repay loading
+numpy (at most 3 atoms), runs the same rounds semi-naively over a dict
+of clauses: a round resolves only the pairs holding a clause new in the
+round before, on a wide component once their count fits the budget.
+Both paths refuse a component when a round adds a clause past its
+budget. Either way a component keeps each clause's origin and round in
+one entry order (seeds, then each round by cell), and one parent search
+rebuilds proofs, the same on both paths: it reads each pivot's parents
+off one list of earlier entries inside a resolvent plus at most one
+literal.
 
 The minimal derived clauses, those with no derived nonempty proper
 subclause, come from the same arrays: the zeta transform of a
@@ -751,7 +754,8 @@ def _saturate_lattice(
 def _saturate_pairwise(
     n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
 ) -> _PairwisePart:
-    """The lattice's rounds, semi-naively over a dict of clause cells."""
+    """The lattice's rounds and refusals, semi-naively over a dict of
+    clause cells, plus a pair bound on components wider than a lattice."""
     entries = {c: (_INPUT if k < inputs else _AXIOM, 0) for k, c in enumerate(seeds)}
     # holding[b] lists the clauses holding literal bit b (x_i at i, ~x_i
     # at n + i) in entry order.
@@ -765,7 +769,7 @@ def _saturate_pairwise(
                 holding[b].append(c)
         # The rounds up to this one resolve every pair of known clauses once.
         pairs = sum(len(holding[i]) * len(holding[n + i]) for i in range(n))
-        if pairs > _PAIRS_PER_CLAUSE * max_clauses:
+        if n > LATTICE_MAX_ATOMS and pairs > _PAIRS_PER_CLAUSE * max_clauses:
             raise ResourceLimitError(
                 f"closure of a {n}-atom component would resolve more than "
                 f"{_PAIRS_PER_CLAUSE * max_clauses} clause pairs"
@@ -783,7 +787,7 @@ def _saturate_pairwise(
                 for c in left:
                     rest = c & ~pbit
                     found.update([r for d in right if (r := rest | d) not in entries])
-                    if len(entries) + len(found) > max_clauses:
+                    if found and len(entries) + len(found) > max_clauses:
                         raise _OverCap(f"closure exceeded {max_clauses} clauses")
         new = sorted(found)
         entries.update((c, (_RESOLVENT, rnd)) for c in new)
@@ -853,20 +857,23 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
 
     Each connected component is saturated on its own, from its seeds
     in its own atom indices, straight into a part: on the clause
-    lattice up to ``LATTICE_MAX_ATOMS`` atoms, by semi-naive rounds over
-    clause pairs beyond. A lattice component that a live closure
-    already holds takes that closure's part. Raises
-    :class:`ResourceLimitError` once the whole closure, all components
-    together, would exceed ``max_clauses`` clauses, or a wide
-    component's rounds would resolve more than ``_PAIRS_PER_CLAUSE``
-    clause pairs per clause of the budget left.
+    lattice from 4 to ``LATTICE_MAX_ATOMS`` atoms, so numpy loads only
+    for such a component, and by semi-naive rounds over clause pairs
+    otherwise. A lattice component that a live closure already holds
+    takes that closure's part. Raises :class:`ResourceLimitError` once
+    the whole closure, all components together, would exceed
+    ``max_clauses`` clauses, unless it resolves nothing, or a component
+    wider than ``LATTICE_MAX_ATOMS`` would resolve more than
+    ``_PAIRS_PER_CLAUSE`` clause pairs per clause of the budget left.
     """
     u = Universe(theory.universe)
     nonempty = 0  # the nonempty clauses of the parts so far
     parts = []
     for atoms, seeds, inputs in _components(theory, u):
         n = len(atoms)
-        saturator = _shared_lattice if n <= LATTICE_MAX_ATOMS else _saturate_pairwise
+        # A component of at most 3 atoms has at most 64 cells, whose
+        # pairs cost less than loading numpy for its lattice.
+        saturator = _shared_lattice if 3 < n <= LATTICE_MAX_ATOMS else _saturate_pairwise
         # The empty clause is shared, so a part may count it again
         # without growing the union.
         try:

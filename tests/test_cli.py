@@ -494,7 +494,9 @@ def test_graph_commands_do_not_import_numpy():
         (["check-random", "--count", "2"], {"kernelogic.oracle"}),
         (["closure", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
         (["prove", "c", "delta.gnf"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
-        (["paradox", "lewis.clauses"], {"kernelogic.resolution", "kernelogic.semantics", "numpy"}),
+        # Every component of lewis.clauses has at most 3 atoms: it closes
+        # pairwise, with no numpy.
+        (["paradox", "lewis.clauses"], {"kernelogic.resolution", "kernelogic.semantics"}),
         # A 14-atom chain is one component too wide for a lattice: its
         # closure, witness, proof and listing need no numpy.
         (
@@ -524,6 +526,24 @@ def test_the_closure_and_the_oracle_load_only_where_they_run(tmp_path, argv, eng
     ]
     _, [(code, _, loaded)] = run_routes(argv)
     assert (code, loaded) == (0, engines)
+
+
+def test_closures_of_components_up_to_3_atoms_load_no_numpy():
+    # Every component of these demos has at most 3 atoms, so their
+    # closures, witnesses, proofs and listings are all pairwise.
+    _, calls = run_routes(
+        ["prove", "~f", str(DEMO_DATA / "f2.gnf")],
+        ["closure", str(DEMO_DATA / "f1.gnf"), "--json"],
+        ["entails", "b", str(DEMO_DATA / "lewis.clauses")],
+        ["prove", "b", str(DEMO_DATA / "loop_chain.edges"), "--weakening", "awbw"],
+    )
+    closure_route = {"kernelogic.resolution", "kernelogic.semantics"}
+    assert [(code, loaded) for code, _, loaded in calls] == [
+        (0, closure_route),
+        (0, closure_route),
+        (1, closure_route),
+        (0, closure_route),
+    ]
 
 
 def test_python_m_kernelogic_paradox_loads_no_engine():

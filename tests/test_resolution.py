@@ -1,5 +1,6 @@
 """Saturation, the consistent subtheory, entailment, weakening, proofs."""
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,8 @@ from kernelogic.oracle import splitmix64
 
 from conftest import clause, clauses
 from test_kernels import component_unions, small_graphs
+
+DEMO_DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
 def rand_graphs(count, sizes=(3, 4, 5, 6), probs=(0.15, 0.3, 0.5), base=2029):
@@ -80,6 +83,19 @@ def whole_closure(saturator, t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
     seeds = cells + [c for c in axioms if c not in cells]
     part = saturator(n, seeds, len(cells), max_clauses)
     return kl.Closure(u, [(tuple(range(n)), part)])
+
+
+def lattice_saturate(t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
+    """``saturate`` with every component of at most 3 atoms closed on its
+    clause lattice instead of pairwise; the other components take their
+    usual route."""
+    pairwise = resolution._saturate_pairwise
+
+    def route(n, *args):
+        return (resolution._saturate_lattice if n <= 3 else pairwise)(n, *args)
+
+    with mock.patch.object(resolution, "_saturate_pairwise", route):
+        return kl.saturate(t, max_clauses)
 
 
 def test_closure_units_of_our_graph(our_closure):
@@ -584,6 +600,15 @@ def test_wide_clause_cap_boundary():
         kl.saturate(t, max_clauses=103)
 
 
+@pytest.mark.parametrize("atoms", ["abc", "abcd", "abcdefghijkl"])
+def test_a_closure_of_its_seeds_alone_is_not_refused(atoms):
+    # One clause over every atom resolves nothing: its input and axioms
+    # pass the cap of 2, on a pairwise part of 3 atoms, a lattice of 4
+    # and a pairwise part of 12 alike.
+    t = kl.ClausalTheory(clauses(" ".join(atoms)))
+    assert len(kl.saturate(t, max_clauses=2)) == len(atoms) + 1
+
+
 def test_a_forty_atom_chain_answers_from_cells_past_64_bits():
     # w00 -> w01 -> ... -> w39 is one pairwise component whose cells
     # pos | neg << 40 run to bit 79, past one machine word.
@@ -854,6 +879,59 @@ def test_pairwise_path_matches_the_lattice_entry_for_entry(t):
         assert kl.proof_of(pairwise, c).to_text() == kl.proof_of(lattice, c).to_text()
 
 
+def listing_or_refusal(saturator, t, max_clauses):
+    try:
+        return saturator(t, max_clauses).clause_texts()
+    except kl.ResourceLimitError as exc:
+        return str(exc)
+
+
+def check_tiny_components(t):
+    """Hold ``saturate`` to ``lattice_saturate`` on ``t``: each part of at
+    most 3 atoms, the listing, the proofs of those parts' clauses and of
+    ``[]``, and the listing or refusal under every cap up to one past the
+    closure's size. The number of such parts."""
+    closure, twin = kl.saturate(t), lattice_saturate(t)
+    goals = [Clause()] if Clause() in twin else []
+    tiny = 0
+    for (amap, part), (_, lattice) in zip(closure._parts, twin._parts):
+        if part.n > 3:
+            continue
+        tiny += 1
+        assert isinstance(part, resolution._PairwisePart)
+        assert isinstance(lattice, resolution._LatticePart)
+        assert list(part.items()) == list(lattice.items())
+        cells, runs = lattice.ordered()
+        assert part.ordered() == (cells.tolist(), [run for run in runs if run[2]])
+        assert sorted(part.minimal()) == lattice.minimal()
+        goals += [closure.clause_of(amap.masks(cell)) for cell, _ in part.items() if cell]
+    assert closure.clause_texts() == twin.clause_texts()
+    for goal in goals:
+        assert kl.proof_of(closure, goal).to_text() == kl.proof_of(twin, goal).to_text()
+    for k in range(len(twin) + 2):
+        assert listing_or_refusal(kl.saturate, t, k) == listing_or_refusal(lattice_saturate, t, k)
+    return tiny
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+def test_tiny_components_close_pairwise_as_on_their_lattice(graph):
+    # Components of 4-5 atoms stay on their lattices beside the tiny ones.
+    assume(max(map(int.bit_count, component_masks(graph))) <= 5)
+    check_tiny_components(kl.clausal_theory(graph))
+
+
+@pytest.mark.parametrize(
+    "name, tiny",
+    [("delta.gnf", 0), ("f1.gnf", 1), ("f2.gnf", 1), ("lewis.clauses", 2), ("loop_chain.edges", 1)],
+)
+def test_tiny_components_of_the_demos_close_as_on_their_lattice(name, tiny):
+    # delta.gnf is one 6-atom component; the other demos have no wider one.
+    args = cli.build_parser().parse_args(["closure", str(DEMO_DATA / name)])
+    _, theory = cli._load(args)
+    assert check_tiny_components(theory) == tiny
+
+
 def test_saturate_matches_naive_twins_on_the_corpus(corpus):
     # The pair fixpoint of brute_closure takes seconds on a dense 5-atom
     # closure and about a minute on a 6-atom one, and the all-pairs
@@ -972,9 +1050,14 @@ LEAVES = [f"d{i:02d}" for i in range(1, 12)]
     ],
 )
 def test_pinned_listings_merge_their_parts(texts, universe, paths, expected):
-    closure = kl.saturate(kl.ClausalTheory(clauses(*texts), universe))
+    # ``paths`` are the parts with each component of at most 3 atoms on
+    # its lattice; saturate closes those components pairwise instead,
+    # and both closures list alike.
+    t = kl.ClausalTheory(clauses(*texts), universe)
+    closure = lattice_saturate(t)
     assert [type(part).__name__ for _, part in closure._parts] == paths
     assert closure.clause_texts() == naive_listing(closure) == expected
+    assert kl.saturate(t).clause_texts() == expected
 
 
 def test_witness_subclause_is_least_in_clause_order(our_cth, our_closure):
@@ -1082,7 +1165,7 @@ def test_parent_candidates_match_the_per_pivot_twin(graph):
     # Lattice parts, then the same components forced onto pairwise parts.
     assume(max(map(int.bit_count, component_masks(graph))) <= 5)
     theory = kl.clausal_theory(graph)
-    check_candidates(kl.saturate(theory), resolution._LatticePart)
+    check_candidates(lattice_saturate(theory), resolution._LatticePart)
     with mock.patch.object(resolution, "LATTICE_MAX_ATOMS", 0):
         check_candidates(kl.saturate(theory), resolution._PairwisePart)
 
@@ -1139,16 +1222,17 @@ def test_min_clauses_match_antichain_scan_on_the_corpus(corpus):
 
 CHAIN = [f"w{i:02d}" for i in range(13)]
 MIXED_TEXTS = (
-    ["w00", "~w12", "a", "~a", "b ~c", "~b c", "c d", "~d", "e ~f", "f"]
+    ["w00", "~w12", "a", "~a", "b ~c", "~b c", "c d", "~d", "d ~g", "e ~f", "f"]
     + [f"~{x} {y}" for x, y in zip(CHAIN, CHAIN[1:])]
 )
 
 
 @pytest.mark.parametrize("empty", [False, True])
 def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
-    # The 13-atom chain runs on the pairwise rounds; the other components
-    # run on their lattices. Each nonempty clause is proved in its own
-    # component exactly as when that component is saturated alone.
+    # The 13-atom chain and the components of at most 3 atoms run on the
+    # pairwise rounds; the 4-atom component {b, c, d, g} runs on its
+    # lattice. Each nonempty clause is proved in its own component
+    # exactly as when that component is saturated alone.
     t = kl.ClausalTheory(clauses(*MIXED_TEXTS, *(["[]"] if empty else [])))
     paths = []
     for name in ("_saturate_lattice", "_saturate_pairwise"):
@@ -1163,12 +1247,12 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
     # table every component is saturated here.
     resolution._live_parts.clear()
     closure = kl.saturate(t)
-    assert ("_saturate_pairwise", 13) in paths and ("_saturate_lattice", 1) in paths
+    assert ("_saturate_pairwise", 13) in paths and ("_saturate_lattice", 4) in paths
     monkeypatch.undo()
 
     assert kl.min_clauses(t, closure=closure) == antichain_min_clauses(closure)
     assert closure.clause_texts() == naive_listing(closure)
-    groups = [set(CHAIN), {"a"}, {"b", "c", "d"}, {"e", "f"}]
+    groups = [set(CHAIN), {"a"}, {"b", "c", "d", "g"}, {"e", "f"}]
     alone = {}
     for group in groups:
         part = frozenset(c for c in t.clauses if c.atoms() and c.atoms() <= group)
@@ -1503,7 +1587,7 @@ def cold(run):
 
 
 def test_lattice_parts_are_read_only():
-    closure = kl.saturate(kl.ClausalTheory(clauses("a", "~a b")))
+    closure = kl.saturate(kl.ClausalTheory(clauses("a", "~a b", "~b c", "~c d")))
     ((_, part),) = closure._parts
     assert isinstance(part.seeds, tuple)
     with pytest.raises(ValueError, match="read-only"):
@@ -1515,14 +1599,15 @@ def renamed(texts, suffix):
 
 
 TRIANGLE = ("a b c", "~a ~b", "~b ~c", "~a ~c")
+SQUARE = ("a b c d", "~a ~b", "~b ~c", "~c ~d", "~a ~d")
 
 
 def test_assumptions_resaturate_only_the_touched_components(monkeypatch):
-    # Four copies of one component, their atoms interleaved in the
+    # Four copies of one 4-atom component, their atoms interleaved in the
     # universe (a0 a1 a2 a3 b0 ...). The base closure saturates one copy
     # and shares its part with the other three; denying a clause over
     # copies 1 and 2 saturates those two again and shares the rest.
-    t = kl.ClausalTheory(clauses(*(c for k in range(4) for c in renamed(TRIANGLE, k))))
+    t = kl.ClausalTheory(clauses(*(c for k in range(4) for c in renamed(SQUARE, k))))
     widths = []
     real = resolution._saturate_lattice
 
@@ -1533,9 +1618,9 @@ def test_assumptions_resaturate_only_the_touched_components(monkeypatch):
     monkeypatch.setattr(resolution, "_saturate_lattice", spy)
     resolution._live_parts.clear()
     base = kl.saturate(t)
-    assert widths == [3]
+    assert widths == [4]
     assumed = kl.closure_with_assumptions(t, clause("a1 ~b2"))
-    assert widths == [3, 3, 3]
+    assert widths == [4, 4, 4]
     shared = [mine is theirs for (_, mine), (_, theirs) in zip(assumed._parts, base._parts)]
     assert shared == [True, False, False, True]
     monkeypatch.undo()
@@ -1592,6 +1677,8 @@ def test_assumptions_with_a_live_base_closure_match_the_cold_path(drawn):
         # Nothing resolves: no cap refuses such a closure.
         ("y ~z", "w"),
         ("[]", "x", "~x", "y", "~y"),
+        # A 4-atom component takes a lattice part, which can be shared.
+        SQUARE + ("x", "~x", "y ~z"),
     ],
 )
 def test_a_shared_part_is_refused_as_a_cold_one(tmp_path, capsys, texts):
