@@ -40,7 +40,9 @@ are differences of two of its cells, and their pointwise product is
 the pivot's union convolution in transform space. The products of all
 pivots are added up, and one Moebius inversion of the sum yields, for
 every clause, the number of resolvable pairs producing it: the
-clauses with a positive count are the round's resolvents. Rounds
+clauses with a nonzero count are the round's resolvents. Up to 10
+atoms a round counts in uint32, modulo 2**32, which is exact since no
+cell has that many pairs (at most ``n * 9**(n - 1)`` over n atoms). Rounds
 repeat until nothing new appears, or stop at once when every cell is
 derived, since a full lattice leaves nothing to find. A pass along one
 of the low cell bits meets its cells in short contiguous runs, so on
@@ -107,8 +109,9 @@ from .semantics import SubdiscourseReport, subdiscourse_report
 if TYPE_CHECKING:
     import numpy as np
 
-# The lattice round's accumulator for pair counts, and its largest
-# value, ``np.iinfo(_PAIR_COUNT).max``.
+# The lattice round's accumulator for pair counts past 10 atoms, and its
+# largest value, ``np.iinfo(_PAIR_COUNT).max``; up to 10 atoms a round
+# counts in uint32, exact because no cell has 2**32 pairs (``_pair_counts``).
 _PAIR_COUNT = "int64"
 _PAIR_COUNT_MAX = 2**63 - 1
 
@@ -679,14 +682,18 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
 
 def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     """The zeta transform of the resolvable pairs of derived clauses,
-    summed over the pivots of an ``n``-atom lattice."""
+    summed over the pivots of an ``n``-atom lattice. Up to 10 atoms it
+    counts modulo 2**32, exact once inverted: every step is a ring
+    operation, and the parents at one pivot split each other literal of
+    their resolvent three ways, so a cell has at most n * 9**(n - 1) pairs."""
     import numpy as np
+    dtype = np.uint32 if n * 9 ** (n - 1) < 2**32 else _PAIR_COUNT
     # zd[S] counts the derived clauses inside S. For the pivot bits p
     # and q of atom i, the zeta transform of the derived clauses holding
     # p, with p dropped, is zd[S | p] - zd[S & ~p]: it does not depend
     # on bit p of S, and likewise for q.
-    zd = _subset_transform(derived.astype(_PAIR_COUNT), 2 * n, 1)
-    pairs = np.zeros(derived.shape[0], dtype=_PAIR_COUNT)
+    zd = _subset_transform(derived.astype(dtype), 2 * n, 1)
+    pairs = np.zeros(derived.shape[0], dtype=dtype)
     for i in range(n):
         # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i); axis 4 is
         # the offset below bit i.
@@ -735,7 +742,7 @@ def _saturate_lattice(
         # Each pivot's union product counts resolvable pairs and is
         # never negative, so one inversion of the sum has the union of
         # their supports.
-        fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) > 0
+        fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) != 0
         fresh &= underived
         new = int(np.count_nonzero(fresh))
         if not new:

@@ -1429,17 +1429,42 @@ def plain_saturate_lattice(n, seeds, max_clauses, started):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.5, 1.0]))
 def test_lattice_transforms_match_their_plain_twins(n, seed, density):
     # Widths 1-9 lie on both sides of the size from which passes over
-    # short runs go by offsets; int32 is the dtype of minimal clauses.
+    # short runs go by offsets; int32 is the dtype of minimal clauses,
+    # uint32 that of pair counts up to 10 atoms.
     assert 4**1 < resolution._STRIDED_MIN_CELLS <= 4**9
     rng = np.random.default_rng(seed)
     values = rng.integers(-1000, 1000, 4**n)
-    for dtype in ("int32", "int64"):
+    for dtype in ("int32", "uint32", "int64"):
         for sign in (1, -1):
             got = resolution._subset_transform(values.astype(dtype), 2 * n, sign)
             want = plain_subset_transform(values.astype(dtype), 2 * n, sign)
             assert got.dtype == want.dtype and np.array_equal(got, want)
     derived = rng.random(4**n) < density
-    assert np.array_equal(resolution._pair_counts(derived, n), plain_pair_counts(derived, n))
+    got, want = resolution._pair_counts(derived, n), plain_pair_counts(derived, n)
+    # The zeta-space sums wrap modulo 2**32; the counts a round reads,
+    # once inverted, are exact.
+    assert got.dtype == np.uint32 and np.array_equal(got, want.astype(np.uint32))
+    inverted = resolution._subset_transform(got, 2 * n, -1).tolist()
+    assert inverted == plain_subset_transform(want, 2 * n, -1).tolist()
+
+
+def test_pair_counts_fit_uint32_up_to_10_atoms(monkeypatch):
+    # Pair counts only grow with the derived clauses, so the full
+    # lattice's counts bound those of every round: held to the int64 twin
+    # there, the uint32 counts are exact at every width up to 10. Their
+    # maximum is the top cell's n * 9**(n - 1), below 2**32 up to 10 atoms.
+    assert 10 * 9**9 < 2**32 <= 11 * 9**10
+    for n in range(1, 11):
+        full = np.ones(4**n, dtype=bool)
+        counts = resolution._subset_transform(resolution._pair_counts(full, n), 2 * n, -1)
+        assert counts.dtype == np.uint32
+        assert counts.tolist() == plain_subset_transform(plain_pair_counts(full, n), 2 * n, -1).tolist()
+        assert int(counts.max()) == int(counts[-1]) == n * 9 ** (n - 1)
+    # Past 10 atoms the round counts in int64. Only the dtype is checked,
+    # with the passes over the 4**11 cells stubbed out.
+    monkeypatch.setattr(resolution, "_subset_transform", lambda values, nbits, sign: values)
+    monkeypatch.setattr(resolution, "_add_pivot", lambda cells, total: None)
+    assert resolution._pair_counts(np.zeros(4**11, dtype=bool), 11).dtype == resolution._PAIR_COUNT
 
 
 def spy_pair_counts(monkeypatch):
@@ -1468,19 +1493,24 @@ def spy_pair_counts(monkeypatch):
         (kl.RandomGraphSpec(7, 0.35, 5), False),
         (kl.RandomGraphSpec(8, 0.35, 1), False),
         (kl.RandomGraphSpec(9, 0.35, 0), False),
+        # The widest lattices that count pairs in uint32, against the
+        # plain loop's int64; the consistent one closes to 1,047,552 clauses.
+        (kl.RandomGraphSpec(10, 0.3, 2), True),
+        (kl.RandomGraphSpec(10, 0.3, 1), False),
     ],
 )
 def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
     # Connected clause forms of random digraphs. A full lattice stops
     # after the round that fills it; any other closure after the first
-    # round that derives nothing, as the plain loop does.
+    # round that derives nothing, as the plain loop does. The cap lies
+    # above every n-atom closure.
     t = kl.clausal_theory(kl.random_digraph(spec))
     ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
     n = len(atoms)
     calls = spy_pair_counts(monkeypatch)
-    part = resolution._saturate_lattice(n, seeds, inputs, resolution.DEFAULT_MAX_CLAUSES)
+    part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
     started = []
-    twin = plain_saturate_lattice(n, seeds, resolution.DEFAULT_MAX_CLAUSES, started)
+    twin = plain_saturate_lattice(n, seeds, 4**n + 1, started)
     assert np.array_equal(part.rounds, twin)
     assert (part.count == 4**n) == full == (twin[0] != resolution._NOT_DERIVED)
     last = int(twin[twin != resolution._NOT_DERIVED].max())
