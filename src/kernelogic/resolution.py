@@ -42,25 +42,30 @@ pivots are added up, and one Moebius inversion of the sum yields, for
 every clause, the number of resolvable pairs producing it: the
 clauses with a nonzero count are the round's resolvents. Up to 10
 atoms a round counts in uint32, modulo 2**32, which is exact since no
-cell has that many pairs (at most ``n * 9**(n - 1)`` over n atoms). Rounds
-repeat until nothing new appears, or stop at once when every cell is
-derived, since a full lattice leaves nothing to find. A pass along one
-of the low cell bits meets its cells in short contiguous runs, so on
-lattices of 6 atoms or more it runs as strided slices, one offset below
-the bit at a time, each a long run. The component's closure is then one
-byte per lattice cell, the round in which that clause was derived
-(a reserved value marks clauses never derived; a closure needing that
-many rounds is refused), plus the order of its round-0 clauses. A
-component too wide for lattice arrays, or too small to repay loading
-numpy (at most 3 atoms), runs the same rounds semi-naively over a dict
-of clauses: a round resolves only the pairs holding a clause new in the
-round before, on a wide component once their count fits the budget.
-Both paths refuse a component when a round adds a clause past its
-budget. Either way a component keeps each clause's origin and round in
-one entry order (seeds, then each round by cell), and one parent search
-rebuilds proofs, the same on both paths: it reads each pivot's parents
-off one list of earlier entries inside a resolvent plus at most one
-literal.
+cell has that many pairs (at most ``n * 9**(n - 1)`` over n atoms). On
+lattices of 7 atoms or more the first rounds are sparse instead: while
+a round's semi-naive pairs, those holding a clause new in the round
+before, number at most two per cell, it ORs just those pairs' cells,
+which is exact since every pair of older clauses was resolved in the
+round before; from the first round with more pairs, every round is
+dense. Rounds repeat until nothing new appears, or stop at once when
+every cell is derived, since a full lattice leaves nothing to find. A
+pass along one of the low cell bits meets its cells in short contiguous
+runs, so on lattices of 6 atoms or more it runs as strided slices, one
+offset below the bit at a time, each a long run. The component's
+closure is then one byte per lattice cell, the round in which that
+clause was derived (a reserved value marks clauses never derived; a
+closure needing that many rounds is refused), plus the order of its
+round-0 clauses. A component too wide for lattice arrays, or too small
+to repay loading numpy (at most 3 atoms), runs the same rounds
+semi-naively over a dict of clauses: a round resolves only the pairs
+holding a clause new in the round before, on a wide component once
+their count fits the budget. Both paths refuse a component when a round
+adds a clause past its budget. Either way a component keeps each
+clause's origin and round in one entry order (seeds, then each round by
+cell), and one parent search rebuilds proofs, the same on both paths:
+it reads each pivot's parents off one list of earlier entries inside a
+resolvent plus at most one literal.
 
 The minimal derived clauses, those with no derived nonempty proper
 subclause, come from the same arrays: the zeta transform of a
@@ -724,37 +729,97 @@ def _add_pivot(cells: np.ndarray, total: np.ndarray) -> None:
             run += with_pos * (cells[:, 1, :, x, o] - cells[:, 0, :, x, o])[:, None, :]
 
 
+# A lattice of at least ``_SPARSE_MIN_CELLS`` cells runs a round over
+# its clause pairs while the round's semi-naive pairs number at most
+# ``_SPARSE_PAIRS_PER_CELL`` per cell; from the first round with more,
+# every round is dense. On smaller lattices a dense round costs less.
+_SPARSE_MIN_CELLS = 4**7
+_SPARSE_PAIRS_PER_CELL = 2
+
+
+def _semi_naive_pairs(old: np.ndarray, new: np.ndarray, n: int) -> int:
+    """The pairs a sparse round resolves: per pivot, the new clauses
+    holding it positively against every clause holding it negatively,
+    and the old positive ones against the new negative ones."""
+    import numpy as np
+    old_has, new_has = (
+        [int(np.count_nonzero(c & (1 << b))) for b in range(2 * n)] for c in (old, new)
+    )
+    return sum(
+        new_has[i] * (old_has[n + i] + new_has[n + i]) + old_has[i] * new_has[n + i]
+        for i in range(n)
+    )
+
+
+def _sparse_resolvents(old: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
+    """The cells of an ``n``-atom lattice that resolve from a pair of
+    the clause cells ``old`` and ``new`` holding at least one of ``new``,
+    as a boolean mask; one pivot and side's pairs at a time."""
+    import numpy as np
+    hit = np.zeros(1 << (2 * n), dtype=bool)
+    for i in range(n):
+        pbit, nbit = 1 << i, 1 << (n + i)
+        old_pos, new_pos = (c[(c & pbit) != 0] & ~pbit for c in (old, new))
+        old_neg, new_neg = (c[(c & nbit) != 0] & ~nbit for c in (old, new))
+        for left, right in ((new_pos, old_neg), (new_pos, new_neg), (old_pos, new_neg)):
+            hit[np.bitwise_or.outer(left, right)] = True
+    return hit
+
+
 def _saturate_lattice(
     n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
 ) -> _LatticePart:
     """The closure of an ``n``-atom component from its round-0 cells
-    ``seeds``, the first ``inputs`` of them input clauses."""
+    ``seeds``, the first ``inputs`` of them input clauses.
+
+    A round derives the resolvents of derived pairs that are not yet
+    derived. A pair of two clauses derived before the last round was
+    resolved in it, so only pairs holding a clause new in the last round
+    can give a fresh one. On a lattice of at least ``_SPARSE_MIN_CELLS``
+    cells, while those pairs number at most ``_SPARSE_PAIRS_PER_CELL``
+    per cell, a sparse round resolves just them, one OR of cells per
+    pair (``_sparse_resolvents``); from the first round with more, the
+    dense round counts the pairs of every cell, for good.
+    """
     import numpy as np
     _check_lattice_width(n)
     rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
-    rounds[np.array(seeds, dtype=np.int64)] = 0
+    # ``new`` holds the cells derived in the last round, at first the
+    # seeds (distinct by construction), and ``old`` the cells before;
+    # only sparse rounds read them, so a dense round drops them.
+    new = np.array(seeds, dtype=np.int64)
+    old = new[:0]
+    rounds[new] = 0
+    sparse = rounds.size >= _SPARSE_MIN_CELLS
     count = len(seeds)
     rnd = 0
     # A full lattice leaves no clause to derive: no empty round confirms it.
     while count < rounds.size:
         rnd += 1
+        sparse = sparse and _semi_naive_pairs(old, new, n) <= _SPARSE_PAIRS_PER_CELL * rounds.size
         underived = rounds == _NOT_DERIVED
-        # Each pivot's union product counts resolvable pairs and is
-        # never negative, so one inversion of the sum has the union of
-        # their supports.
-        fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) != 0
+        if sparse:
+            fresh = _sparse_resolvents(old, new, n)
+        else:
+            old = new = None
+            # Each pivot's union product counts resolvable pairs and is
+            # never negative, so one inversion of the sum has the union
+            # of their supports.
+            fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) != 0
         fresh &= underived
-        new = int(np.count_nonzero(fresh))
-        if not new:
+        found = int(np.count_nonzero(fresh))
+        if not found:
             break
         if rnd >= _NOT_DERIVED:
             raise ResourceLimitError(
                 f"closure needs more than {_NOT_DERIVED - 1} resolution rounds"
             )
-        count += new
+        count += found
         if count > max_clauses:
             raise _OverCap(f"closure exceeded {max_clauses} clauses")
         rounds[fresh] = rnd
+        if sparse:
+            old, new = np.concatenate((old, new)), np.flatnonzero(fresh)
     return _LatticePart(n, rounds, seeds, inputs)
 
 

@@ -1,5 +1,8 @@
 """Saturation, the consistent subtheory, entailment, weakening, proofs."""
 
+import bisect
+import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -1354,16 +1357,23 @@ def test_membership_in_interleaved_components():
 
 def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
     # Round numbers are one byte per cell; a closure needing the
-    # sentinel's round is refused instead of wrapping.
+    # sentinel's round is refused instead of wrapping, by either kind
+    # of round.
     t = kl.ClausalTheory(clauses("a", "~a b", "~b c", "~c d", "~d e", "~e"))
     last = max(rnd for _, (_, rnd) in whole_closure(resolution._saturate_lattice, t).entries())
     assert last >= 2
-    monkeypatch.setattr(resolution, "_NOT_DERIVED", last + 1)
-    assert rounds_by_clause(kl.saturate(t)) == layered_closure(t)
-    monkeypatch.setattr(resolution, "_NOT_DERIVED", last)
-    for run in (lambda: whole_closure(resolution._saturate_lattice, t), lambda: kl.saturate(t)):
-        with pytest.raises(kl.ResourceLimitError, match=f"more than {last - 1} resolution rounds"):
-            run()
+    calls = spy_rounds(monkeypatch)
+    for kind in ("dense", "sparse"):
+        force_rounds(monkeypatch, kind)
+        calls.clear()
+        monkeypatch.setattr(resolution, "_NOT_DERIVED", last + 1)
+        assert rounds_by_clause(kl.saturate(t)) == layered_closure(t)
+        monkeypatch.setattr(resolution, "_NOT_DERIVED", last)
+        refusal = f"more than {last - 1} resolution rounds"
+        for run in (lambda: whole_closure(resolution._saturate_lattice, t), lambda: kl.saturate(t)):
+            with pytest.raises(kl.ResourceLimitError, match=refusal):
+                run()
+        assert set(calls) == {kind}
 
 
 # ---------------------------------------------------------------------------
@@ -1467,17 +1477,49 @@ def test_pair_counts_fit_uint32_up_to_10_atoms(monkeypatch):
     assert resolution._pair_counts(np.zeros(4**11, dtype=bool), 11).dtype == resolution._PAIR_COUNT
 
 
-def spy_pair_counts(monkeypatch):
-    """Patch ``resolution._pair_counts`` to count its calls, one per round."""
+def spy_rounds(monkeypatch):
+    """Patch ``resolution``'s two kinds of lattice round to log each
+    round they run, ``"sparse"`` or ``"dense"``, one entry per round."""
     calls = []
-    real = resolution._pair_counts
+    sparse, dense = resolution._sparse_resolvents, resolution._pair_counts
 
-    def spy(derived, n):
-        calls.append(n)
-        return real(derived, n)
+    def spy_sparse(old, new, n):
+        calls.append("sparse")
+        return sparse(old, new, n)
 
-    monkeypatch.setattr(resolution, "_pair_counts", spy)
+    def spy_dense(derived, n):
+        calls.append("dense")
+        return dense(derived, n)
+
+    monkeypatch.setattr(resolution, "_sparse_resolvents", spy_sparse)
+    monkeypatch.setattr(resolution, "_pair_counts", spy_dense)
     return calls
+
+
+def force_rounds(monkeypatch, kind):
+    """Make every lattice round ``kind``, ``"sparse"`` or ``"dense"``."""
+    if kind == "sparse":
+        monkeypatch.setattr(resolution, "_SPARSE_MIN_CELLS", 1)
+        monkeypatch.setattr(resolution, "_SPARSE_PAIRS_PER_CELL", math.inf)
+    else:
+        monkeypatch.setattr(resolution, "_SPARSE_MIN_CELLS", math.inf)
+
+
+def plain_pairs(cells, n):
+    """The resolvable pairs among the clause ``cells`` of an ``n``-atom lattice."""
+    return sum(
+        int(np.count_nonzero(cells & 1 << i)) * int(np.count_nonzero(cells & 1 << (n + i)))
+        for i in range(n)
+    )
+
+
+def plain_round_pairs(rounds, rnd, n):
+    """The pairs round ``rnd`` resolves semi-naively in a closure with
+    these ``rounds``: those among the clauses derived before it, less
+    those among the clauses derived before the round before it."""
+    return plain_pairs(np.flatnonzero(rounds < rnd), n) - plain_pairs(
+        np.flatnonzero(rounds < rnd - 1), n
+    )
 
 
 @pytest.mark.parametrize(
@@ -1507,7 +1549,7 @@ def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
     t = kl.clausal_theory(kl.random_digraph(spec))
     ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
     n = len(atoms)
-    calls = spy_pair_counts(monkeypatch)
+    calls = spy_rounds(monkeypatch)
     part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
     started = []
     twin = plain_saturate_lattice(n, seeds, 4**n + 1, started)
@@ -1516,6 +1558,117 @@ def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
     last = int(twin[twin != resolution._NOT_DERIVED].max())
     assert len(started) == last + 1
     assert len(calls) == (last if full else last + 1)
+    # Sparse rounds come first, and only dense ones follow them: from
+    # 7 atoms the first rounds are sparse, below it none is.
+    sparse = calls.count("sparse")
+    assert calls == ["sparse"] * sparse + ["dense"] * (len(calls) - sparse)
+    assert (sparse > 0) == (n >= 7)
+    if n >= 7:
+        # The default path against dense rounds only, round for round.
+        ran = len(calls)
+        calls.clear()
+        force_rounds(monkeypatch, "dense")
+        dense = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+        assert np.array_equal(dense.rounds, part.rounds)
+        assert calls == ["dense"] * ran
+
+
+# A connected 7-atom clause set whose semi-naive pairs per lattice cell
+# are 0.0, 0.03, 0.81, 15.1, 5.1 and 0.04 in its six rounds: it leaves
+# sparse rounds in round 4 and stays dense in round 6, though that
+# round's pairs are few again.
+SWITCH_TEXTS = (
+    "a d ~g", "a ~c ~f", "a ~d f", "a ~e ~f", "b d", "c ~d ~g",
+    "g", "~a", "~a ~c", "~c ~e g", "~d e f",
+)
+
+
+def test_a_lattice_leaves_sparse_rounds_for_good(monkeypatch):
+    t = kl.ClausalTheory(clauses(*SWITCH_TEXTS))
+    ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
+    n = len(atoms)
+    assert 4**n == resolution._SPARSE_MIN_CELLS and resolution._SPARSE_PAIRS_PER_CELL == 2
+    calls = spy_rounds(monkeypatch)
+    part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+    twin = plain_saturate_lattice(n, seeds, 4**n + 1, [])
+    assert np.array_equal(part.rounds, twin)
+    pairs = [plain_round_pairs(twin, rnd, n) for rnd in range(1, 7)]
+    assert [k <= 2 * 4**n for k in pairs] == [True, True, True, False, False, True]
+    assert calls == ["sparse"] * 3 + ["dense"] * 3
+    # The switch counts the pairs from the cells of the round before and
+    # of those before it.
+    for rnd, want in enumerate(pairs, 1):
+        old, new = np.flatnonzero(twin < rnd - 1), np.flatnonzero(twin == rnd - 1)
+        assert resolution._semi_naive_pairs(old, new, n) == want
+
+
+def check_sparse_rounds(t, widths):
+    """Hold every component of ``t`` whose width is in ``widths``,
+    saturated by sparse rounds only, to the plain round loop. The number
+    of such components."""
+    checked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        force_rounds(mp, "sparse")
+        calls = spy_rounds(mp)
+        for atoms, seeds, inputs in resolution._components(t, kl.Universe(t.universe)):
+            n = len(atoms)
+            if n not in widths:
+                continue
+            calls.clear()
+            part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+            started = []
+            assert np.array_equal(part.rounds, plain_saturate_lattice(n, seeds, 4**n + 1, started))
+            assert calls == ["sparse"] * len(calls) and len(calls) >= len(started) - 1
+            checked += 1
+    return checked
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graphs(), component_unions()))
+def test_sparse_rounds_match_the_plain_round_loop(graph):
+    assume(any(4 <= n <= 5 for n in map(int.bit_count, component_masks(graph))))
+    assert check_sparse_rounds(kl.clausal_theory(graph), (4, 5))
+
+
+@pytest.mark.parametrize(
+    "name, parts",
+    [("delta.gnf", 1), ("f1.gnf", 1), ("f2.gnf", 1), ("lewis.clauses", 2), ("loop_chain.edges", 1)],
+)
+def test_sparse_rounds_of_the_demos_match_the_plain_round_loop(name, parts):
+    # Only delta.gnf has a lattice component (6 atoms), so the demos'
+    # 1-3-atom components are closed on their lattices too.
+    args = cli.build_parser().parse_args(["closure", str(DEMO_DATA / name)])
+    _, theory = cli._load(args)
+    assert check_sparse_rounds(theory, range(1, resolution.LATTICE_MAX_ATOMS + 1)) == parts
+
+
+def test_a_sparse_round_at_its_bound_peaks_below_a_dense_round(monkeypatch):
+    # Seeds over a 9-atom lattice, negative only in atoms 0 and 1, so
+    # that two pivots hold every pair, drawn until one more would pass
+    # the bound: round 1 runs sparse with its pairs at the bound. Both
+    # runs are refused after round 1, so each peak is one round's.
+    n, size = 9, 4**9
+    cells = np.random.default_rng(9).permutation(size)
+    cells = cells[cells >> (n + 2) == 0]
+    bound = resolution._SPARSE_PAIRS_PER_CELL * size
+    k = bisect.bisect_right(range(len(cells)), bound, key=lambda k: plain_pairs(cells[:k], n)) - 1
+    assert plain_pairs(cells[:k], n) <= bound < plain_pairs(cells[: k + 1], n)
+    seeds = tuple(cells[:k].tolist())
+    calls = spy_rounds(monkeypatch)
+    peaks = {}
+    for kind in ("sparse", "dense"):
+        if kind == "dense":
+            force_rounds(monkeypatch, "dense")
+        calls.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(kl.ResourceLimitError, match=f"exceeded {k} clauses"):
+                resolution._saturate_lattice(n, seeds, k, k)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [kind]
+    assert peaks["sparse"] <= peaks["dense"]
 
 
 # A connected 3-atom clause set whose closure fills the lattice in round 4.
@@ -1525,7 +1678,8 @@ FULL_TEXTS = ("a b c", "~a", "~b", "~c", "~a ~b", "~a ~c", "~b ~c")
 def test_a_full_lattice_is_refused_where_the_plain_loop_refuses_it(monkeypatch):
     # The stop at the full lattice skips only the round that would
     # derive nothing: the round sentinel and every clause cap accept
-    # and refuse the closure as the plain loop does, in the same round.
+    # and refuse the closure as the plain loop does, in the same round,
+    # whichever kind of round the lattice runs.
     t = kl.ClausalTheory(clauses(*FULL_TEXTS))
     ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
     n = len(atoms)
@@ -1534,9 +1688,9 @@ def test_a_full_lattice_is_refused_where_the_plain_loop_refuses_it(monkeypatch):
     assert sentinel not in twin
     last = int(twin.max())
     assert last == 4
-    calls = spy_pair_counts(monkeypatch)
+    calls = spy_rounds(monkeypatch)
 
-    def trial(sentinel, cap):
+    def trial(kind, sentinel, cap):
         """The rounds or refusal of both loops, and the rounds each started."""
         monkeypatch.setattr(resolution, "_NOT_DERIVED", sentinel)
         calls.clear()
@@ -1550,19 +1704,22 @@ def test_a_full_lattice_is_refused_where_the_plain_loop_refuses_it(monkeypatch):
                 outcomes.append(run().tolist())
             except kl.ResourceLimitError as exc:
                 outcomes.append(str(exc))
+        assert calls == [kind] * len(calls)
         return outcomes, len(calls), len(started)
 
-    (new, old), ran, twin_ran = trial(last + 1, 4**n)
-    assert new == old == twin.tolist() and (ran, twin_ran) == (last, last + 1)
-    (new, old), ran, twin_ran = trial(last, 4**n)
-    assert new == old == f"closure needs more than {last - 1} resolution rounds"
-    assert ran == twin_ran == last
-    for cap in range(len(seeds), 4**n):
-        (new, old), ran, twin_ran = trial(sentinel, cap)
-        assert new == f"closure exceeded {cap} clauses" == old
-        assert ran == twin_ran
-    # The last cap refused is one short of the full lattice, in its last round.
-    assert ran == last
+    for kind in ("dense", "sparse"):
+        force_rounds(monkeypatch, kind)
+        (new, old), ran, twin_ran = trial(kind, last + 1, 4**n)
+        assert new == old == twin.tolist() and (ran, twin_ran) == (last, last + 1)
+        (new, old), ran, twin_ran = trial(kind, last, 4**n)
+        assert new == old == f"closure needs more than {last - 1} resolution rounds"
+        assert ran == twin_ran == last
+        for cap in range(len(seeds), 4**n):
+            (new, old), ran, twin_ran = trial(kind, sentinel, cap)
+            assert new == f"closure exceeded {cap} clauses" == old
+            assert ran == twin_ran
+        # The last cap refused is one short of the full lattice, in its last round.
+        assert ran == last
 
 
 DELTA_PROOF_OF_A = """\
