@@ -67,7 +67,8 @@ DEFAULT_MAX_ATOMS = 20
 # loading the resolution engine that reads them.
 DEFAULT_MAX_CLAUSES = 1_000_000
 
-# Widest universe for which 4**n lattice arrays are still cheap.
+# Widest component that saturates on its clause lattice, whose arrays
+# hold 4**n cells: the lattice's only width rule.
 LATTICE_MAX_ATOMS = 11
 
 WEAKENING_MODES = ("none", "awbw", "cw")

@@ -40,12 +40,13 @@ are differences of two of its cells, and their pointwise product is
 the pivot's union convolution in transform space. The products of all
 pivots are added up, and one Moebius inversion of the sum yields, for
 every clause, the number of resolvable pairs producing it: the
-clauses with a nonzero count are the round's resolvents. Up to 10
-atoms a round counts in uint32, modulo 2**32, which is exact since no
-cell has that many pairs (at most ``n * 9**(n - 1)`` over n atoms). On
-lattices of 7 atoms or more the first rounds are sparse instead: while
-a round's semi-naive pairs, those holding a clause new in the round
-before, number at most two per cell, it ORs just those pairs' cells,
+clauses with a nonzero count are the round's resolvents. A round
+counts modulo the narrowest machine word that holds
+``n * 9**(n - 1)``, the most pairs a cell of an n-atom lattice has,
+which is exact: uint32 up to 10 atoms, uint64 at 11. On lattices of 7
+atoms or more the first rounds are sparse instead: while a round's
+semi-naive pairs, those holding a clause new in the round before,
+number at most two per cell, it ORs just those pairs' cells,
 which is exact since every pair of older clauses was resolved in the
 round before; from the first round with more pairs, every round is
 dense. Rounds repeat until nothing new appears, or stop at once when
@@ -113,32 +114,6 @@ from .semantics import SubdiscourseReport, subdiscourse_report
 # closure with no lattice part, its listing included.
 if TYPE_CHECKING:
     import numpy as np
-
-# The lattice round's accumulator for pair counts past 10 atoms, and its
-# largest value, ``np.iinfo(_PAIR_COUNT).max``; up to 10 atoms a round
-# counts in uint32, exact because no cell has 2**32 pairs (``_pair_counts``).
-_PAIR_COUNT = "int64"
-_PAIR_COUNT_MAX = 2**63 - 1
-
-
-def _check_lattice_width(n: int) -> None:
-    """Refuse lattice widths whose pair counts overflow the accumulator.
-
-    A clause holding a given pivot literal is one of at most 4**n / 2
-    clauses over n atoms, so the zeta transform of one pivot's side
-    counts at most that many and the pointwise product of two sides
-    reaches 16**n / 4. A round adds the products of all n pivots, up to
-    n * 16**n / 4; the Moebius inversion's partial values are partial
-    zeta sums of non-negative counts and never exceed that sum. int64
-    holds it up to n = 15.
-    """
-    if n * 16**n // 4 > _PAIR_COUNT_MAX:
-        raise ResourceLimitError(
-            f"a {n}-atom clause lattice overflows its {_PAIR_COUNT} pair counts"
-        )
-
-
-_check_lattice_width(LATTICE_MAX_ATOMS)
 
 _INPUT = "input"
 _AXIOM = "axiom"
@@ -687,12 +662,13 @@ def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
 
 def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     """The zeta transform of the resolvable pairs of derived clauses,
-    summed over the pivots of an ``n``-atom lattice. Up to 10 atoms it
-    counts modulo 2**32, exact once inverted: every step is a ring
-    operation, and the parents at one pivot split each other literal of
-    their resolvent three ways, so a cell has at most n * 9**(n - 1) pairs."""
+    summed over the pivots of an ``n``-atom lattice, modulo the
+    narrowest machine word that holds n * 9**(n - 1). That is exact once
+    inverted: every step is a ring operation, and the parents at one
+    pivot split each other literal of their resolvent three ways, so a
+    cell has at most n * 9**(n - 1) pairs."""
     import numpy as np
-    dtype = np.uint32 if n * 9 ** (n - 1) < 2**32 else _PAIR_COUNT
+    dtype = np.uint32 if n * 9 ** (n - 1) < 2**32 else np.uint64
     # zd[S] counts the derived clauses inside S. For the pivot bits p
     # and q of atom i, the zeta transform of the derived clauses holding
     # p, with p dropped, is zd[S | p] - zd[S & ~p]: it does not depend
@@ -782,7 +758,8 @@ def _saturate_lattice(
     dense round counts the pairs of every cell, for good.
     """
     import numpy as np
-    _check_lattice_width(n)
+    if n > LATTICE_MAX_ATOMS:
+        raise ResourceLimitError(f"a {n}-atom component is wider than the clause lattice")
     rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
     # ``new`` holds the cells derived in the last round, at first the
     # seeds (distinct by construction), and ``old`` the cells before;

@@ -3,12 +3,19 @@ acceptance-criterion reporter."""
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 import kernelogic as kl
+
+# The Python processes that tests start import this checkout's package,
+# as the tests themselves do through pytest's ``pythonpath``.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")

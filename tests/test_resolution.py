@@ -1180,15 +1180,18 @@ def test_parent_candidates_of_chains_match_the_per_pivot_twin(n, stride):
     assert check_candidates(kl.saturate(t), resolution._PairwisePart, stride) > 0
 
 
-def test_lattice_width_is_bounded_by_the_accumulator():
-    resolution._check_lattice_width(resolution.LATTICE_MAX_ATOMS)
-    resolution._check_lattice_width(15)
-    with pytest.raises(kl.ResourceLimitError, match="overflows"):
-        resolution._check_lattice_width(16)
-    # Refused before a single 4**16-cell array is allocated.
-    t = kl.ClausalTheory(frozenset(), tuple(f"y{i:02d}" for i in range(16)))
-    with pytest.raises(kl.ResourceLimitError, match="overflows"):
-        whole_closure(resolution._saturate_lattice, t, 10)
+@pytest.mark.parametrize("n", [12, 16])
+def test_lattice_width_is_bounded_by_lattice_max_atoms(n):
+    # Refused before a single 4**n-cell array is allocated.
+    assert n > resolution.LATTICE_MAX_ATOMS
+    t = kl.ClausalTheory(frozenset(), tuple(f"y{i:02d}" for i in range(n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(kl.ResourceLimitError, match="wider than"):
+            whole_closure(resolution._saturate_lattice, t, 10)
+        assert tracemalloc.get_traced_memory()[1] < 4**n
+    finally:
+        tracemalloc.stop()
 
 
 def antichain_min_clauses(closure):
@@ -1268,12 +1271,6 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
             assert proof.to_text() == kl.proof_of(alone[group], c).to_text(), str(c)
     expected = "1. [] [input]" if empty else "1. a [input]\n2. ~a [input]\n3. [] [res 1 2 on a]"
     assert kl.proof_of(closure, Clause()).to_text() == expected
-
-
-def test_pair_count_bound_is_the_accumulators_largest_value():
-    import numpy as np
-
-    assert resolution._PAIR_COUNT_MAX == np.iinfo(resolution._PAIR_COUNT).max
 
 
 @st.composite
@@ -1440,11 +1437,11 @@ def plain_saturate_lattice(n, seeds, max_clauses, started):
 def test_lattice_transforms_match_their_plain_twins(n, seed, density):
     # Widths 1-9 lie on both sides of the size from which passes over
     # short runs go by offsets; int32 is the dtype of minimal clauses,
-    # uint32 that of pair counts up to 10 atoms.
+    # uint32 and uint64 those of pair counts.
     assert 4**1 < resolution._STRIDED_MIN_CELLS <= 4**9
     rng = np.random.default_rng(seed)
     values = rng.integers(-1000, 1000, 4**n)
-    for dtype in ("int32", "uint32", "int64"):
+    for dtype in ("int32", "uint32", "int64", "uint64"):
         for sign in (1, -1):
             got = resolution._subset_transform(values.astype(dtype), 2 * n, sign)
             want = plain_subset_transform(values.astype(dtype), 2 * n, sign)
@@ -1458,23 +1455,22 @@ def test_lattice_transforms_match_their_plain_twins(n, seed, density):
     assert inverted == plain_subset_transform(want, 2 * n, -1).tolist()
 
 
-def test_pair_counts_fit_uint32_up_to_10_atoms(monkeypatch):
+def test_pair_counts_fit_the_narrowest_word_at_every_width():
     # Pair counts only grow with the derived clauses, so the full
     # lattice's counts bound those of every round: held to the int64 twin
-    # there, the uint32 counts are exact at every width up to 10. Their
-    # maximum is the top cell's n * 9**(n - 1), below 2**32 up to 10 atoms.
+    # there, the counts are exact at every lattice width. Their maximum
+    # is the top cell's n * 9**(n - 1): below 2**32 up to 10 atoms, and
+    # below 2**64 up to 19, past the widest lattice.
     assert 10 * 9**9 < 2**32 <= 11 * 9**10
-    for n in range(1, 11):
+    widest = resolution.LATTICE_MAX_ATOMS
+    assert widest * 9 ** (widest - 1) < 2**64
+    for n in range(1, widest + 1):
         full = np.ones(4**n, dtype=bool)
         counts = resolution._subset_transform(resolution._pair_counts(full, n), 2 * n, -1)
-        assert counts.dtype == np.uint32
-        assert counts.tolist() == plain_subset_transform(plain_pair_counts(full, n), 2 * n, -1).tolist()
+        assert counts.dtype == (np.uint32 if n <= 10 else np.uint64)
+        want = plain_subset_transform(plain_pair_counts(full, n), 2 * n, -1)
+        assert np.array_equal(counts.astype(np.int64), want)
         assert int(counts.max()) == int(counts[-1]) == n * 9 ** (n - 1)
-    # Past 10 atoms the round counts in int64. Only the dtype is checked,
-    # with the passes over the 4**11 cells stubbed out.
-    monkeypatch.setattr(resolution, "_subset_transform", lambda values, nbits, sign: values)
-    monkeypatch.setattr(resolution, "_add_pivot", lambda cells, total: None)
-    assert resolution._pair_counts(np.zeros(4**11, dtype=bool), 11).dtype == resolution._PAIR_COUNT
 
 
 def spy_rounds(monkeypatch):
