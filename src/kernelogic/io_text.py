@@ -7,6 +7,15 @@ isolated vertices. A clause set is one clause per line: whitespace
 separated literals with ``~`` marking negation, and ``[]`` on its own
 line for the empty clause. ``#`` starts a comment everywhere. Parsing
 and serialization round-trip for all three kinds.
+
+JSON output is the bytes of ``json.dumps(envelope, indent=2,
+sort_keys=True)``, written in one pass without the json package over
+what the package emits: plain strings (printable ASCII with no ``"``
+or backslash, which json writes as they stand), ints, bools, None,
+arrays (lists, tuples, iterators), objects with plain keys, and the
+package's own values, each turned into one of those as the writer
+reaches it. Floats, strings that json would escape and sets of
+non-strings raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Iterator, Optional, Union
 from .clauses import ClausalTheory, Clause, Literal, clause_sort_key
 from .errors import ParseError
 from .graphs import Digraph, GnfTheory, complete_loose_atoms, is_valid_atom
-from .kernels import Partition2, Partition3
+from .kernels import Partition3
 from .records import Record
 
 SCHEMA_VERSION = 1
@@ -181,10 +190,6 @@ def parse_document(
     return InputDocument(kind=kind, payload=payload)
 
 
-def format_clause(clause: Clause) -> str:
-    return str(clause)
-
-
 def format_theory(theory: GnfTheory) -> str:
     lines = []
     for atom in theory.atoms():
@@ -220,111 +225,69 @@ def _instance_of(value, module: str, name: str) -> bool:
     return loaded is not None and isinstance(value, getattr(loaded, name))
 
 
-def to_jsonable(value):
-    """Convert package values into JSON-ready structures.
+# The JSON writer (see the module docstring for its domain). ``_chunks``
+# walks a value once, and ``_node`` converts each package value one level
+# as the walk reaches it. Its refusals are unreachable from the CLI: atom
+# names match ``[A-Za-z0-9_']+``, and every text the package writes is
+# built from them and fixed labels.
 
-    Atom sets become sorted arrays; partitions become objects with
-    ``true``/``false`` (and ``paradox``) keys; clauses become their text
-    form.
-    """
-    if isinstance(value, Partition3):
+_AS_IS = frozenset({str, int, bool, type(None), list, tuple, dict})
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` is printable ASCII with no ``"`` or backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _string(text) -> str:
+    """``text`` in quotes, as json writes a plain string; anything else
+    raises TypeError."""
+    if type(text) is str and _plain(text):
+        return '"' + text + '"'
+    raise TypeError(f"{text!r} is not JSON serializable as a plain string")
+
+
+def _node(value):
+    """``value`` one level into the writer's domain. A package value
+    becomes the object, array or string it is written as, a set the
+    array of its elements in the order of their JSON text (for atom
+    names, their own order); a str, int, bool, None, list, tuple, dict
+    or iterator returns as it is."""
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if kind is Partition3:
+        # Atom names: a plain sort gives the set order, without a key.
         return {
             "true": sorted(value.true_set),
             "false": sorted(value.false_set),
             "paradox": sorted(value.paradox_set),
         }
-    if isinstance(value, Partition2):
-        return {"true": sorted(value.true_set), "false": sorted(value.false_set)}
-    if isinstance(value, Clause):
+    if kind is Clause:
         return str(value)
+    if kind is frozenset or kind is set:
+        return sorted(map(_node, value), key=_string)
     if _instance_of(value, "resolution", "Closure"):
         return value.clause_texts()
     if _instance_of(value, "semantics", "SubdiscourseReport"):
         return {
-            "paradox": sorted(value.paradox_atoms),
-            "healthy": sorted(value.healthy_atoms),
-            "border": sorted(value.border),
+            "paradox": value.paradox_atoms,
+            "healthy": value.healthy_atoms,
+            "border": value.border,
             "theory": sorted_clause_strings(value.theory.clauses),
         }
     if _instance_of(value, "semantics", "EntailmentVerdict"):
-        via: dict = {"kind": value.kind}
-        if value.witness is not None:
-            via["witness"] = str(value.witness)
-        if value.countermodel is not None:
-            via["countermodel"] = to_jsonable(value.countermodel)
-        return {"holds": value.holds, "via": via}
-    if isinstance(value, (frozenset, set)):
-        # Elements that order among themselves (atom names) keep that
-        # order; the others (clauses, partitions) order by their JSON
-        # text. Either way each element is converted, a lone one too.
-        try:
-            ordered = sorted(value)
-        except TypeError:
-            items = [to_jsonable(v) for v in value]
-            if all(isinstance(v, str) for v in items):
-                return sorted(items, key=_string)
-            import json
-
-            return sorted(items, key=json.dumps)
-        return [to_jsonable(v) for v in ordered]
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    return value
-
-
-# The JSON writer. It writes what ``json.dumps(value, indent=2,
-# sort_keys=True)`` writes, in pieces, without the json package: given an
-# indent, json encodes in pure Python. On the 64,802 clause texts of an
-# 8-atom closure json took 26.6 ms and this writer 10.2 ms (shared 2-CPU
-# Linux VM), most of it in one isprintable() over their join.
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text`` is printable ASCII with no ``"`` or backslash:
-    json writes it in quotes as it stands. Atom names and clause texts
-    always are."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _string(text: str) -> str:
-    """``text`` quoted and escaped as json's ``encode_basestring_ascii`` does."""
-    if _plain(text):
-        return '"' + text + '"'
-    try:
-        from _json import encode_basestring_ascii
-    except ImportError:  # an interpreter without json's C accelerator
-        from json.encoder import encode_basestring_ascii
-    return encode_basestring_ascii(text)
-
-
-def _scalar(value) -> Optional[str]:
-    """The JSON text of a string, number, bool or None; None for an
-    object or an array (a dict, list, tuple or iterator)."""
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, (dict, list, tuple)) or hasattr(value, "__next__"):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        via = {"kind": value.kind, "witness": value.witness, "countermodel": value.countermodel}
+        return {"holds": value.holds, "via": {k: v for k, v in via.items() if v is not None}}
+    if hasattr(value, "__next__"):
+        return value
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _plain_strings(value) -> bool:
     """Whether ``value`` is a nonempty list or tuple of plain strings."""
-    if not (isinstance(value, (list, tuple)) and value and isinstance(value[0], str)):
+    if not (type(value) in (list, tuple) and value and type(value[0]) is str):
         return False
     try:
         return _plain("".join(value))
@@ -333,14 +296,11 @@ def _plain_strings(value) -> bool:
 
 
 def _chunks(value, indent: str = "\n") -> Iterator[str]:
-    """The JSON text of ``value`` one piece at a time; ``indent`` starts
-    the line of its closing bracket. An iterator is written as the array
-    of its items as they come, so that a listing streams. Keys must be
-    strings."""
-    text = _scalar(value)
-    if text is not None:
-        yield text
-        return
+    """The JSON text of the array or object ``value`` one piece at a
+    time; ``indent`` starts the line of its closing bracket. Each item
+    goes through ``_node`` as it is reached, and a scalar is written in
+    line. An iterator is written as the array of its items as they
+    come, so that a listing streams."""
     inner = indent + "  "
     if _plain_strings(value):
         # One join writes the array: closures and atom sets.
@@ -348,7 +308,7 @@ def _chunks(value, indent: str = "\n") -> Iterator[str]:
         yield ('",' + inner + '"').join(value)
         yield '"' + indent + "]"
         return
-    if isinstance(value, dict):
+    if type(value) is dict:
         items = ((_string(k) + ": ", v) for k, v in sorted(value.items()))
         brackets = "{}"
     else:
@@ -356,12 +316,17 @@ def _chunks(value, indent: str = "\n") -> Iterator[str]:
         brackets = "[]"
     sep = brackets[0] + inner
     for prefix, item in items:
-        text = _scalar(item)
-        if text is None:
+        item = _node(item)
+        kind = type(item)
+        if kind is str:
+            yield sep + prefix + _string(item)
+        elif kind is int:
+            yield sep + prefix + repr(item)
+        elif kind is bool or item is None:
+            yield sep + prefix + _LITERALS[item]
+        else:
             yield sep + prefix
             yield from _chunks(item, inner)
-        else:
-            yield sep + prefix + text
         sep = "," + inner
     yield brackets if sep[0] != "," else indent + brackets[1]
 
@@ -369,10 +334,10 @@ def _chunks(value, indent: str = "\n") -> Iterator[str]:
 def json_chunks(result, command: str = "result") -> Iterator[str]:
     """The versioned envelope of a command result, one piece at a time:
     together the bytes of ``json.dumps(envelope, indent=2,
-    sort_keys=True)``. A result given as an iterator of JSON-ready items
-    is written as their array while it is consumed."""
-    document = {"schema": SCHEMA_VERSION, "command": command, "result": to_jsonable(result)}
-    return _chunks(document)
+    sort_keys=True)`` with the package's values written as ``_node``
+    converts them. A result given as an iterator is written as the
+    array of its items while it is consumed."""
+    return _chunks({"schema": SCHEMA_VERSION, "command": command, "result": result})
 
 
 def to_json(result, command: str = "result") -> str:

@@ -43,7 +43,7 @@ every clause, the number of resolvable pairs producing it: the
 clauses with a nonzero count are the round's resolvents. A round
 counts modulo the narrowest machine word that holds
 ``n * 9**(n - 1)``, the most pairs a cell of an n-atom lattice has,
-which is exact: uint32 up to 10 atoms, uint64 at 11. On lattices of 7
+which is exact: uint32 up to 10 atoms, uint64 at 11. On lattices of 6
 atoms or more the first rounds are sparse instead: while a round's
 semi-naive pairs, those holding a clause new in the round before,
 number at most two per cell, it ORs just those pairs' cells,
@@ -634,6 +634,8 @@ def _cell_texts(cells, n: int, names: "list[str]") -> "list[str]":
 # ``_STRIDED_MIN_CELLS`` cells such a pass therefore takes the offsets
 # below bit ``b`` one at a time, each an in-place strided slice of one
 # long run; on smaller lattices the extra slices cost more than they save.
+# The same size is the one rule for large lattices: from it on, the
+# first rounds are sparse too (``_saturate_lattice``).
 _MIN_RUN = 8
 _STRIDED_MIN_CELLS = 4**6
 
@@ -705,11 +707,10 @@ def _add_pivot(cells: np.ndarray, total: np.ndarray) -> None:
             run += with_pos * (cells[:, 1, :, x, o] - cells[:, 0, :, x, o])[:, None, :]
 
 
-# A lattice of at least ``_SPARSE_MIN_CELLS`` cells runs a round over
+# A lattice of at least ``_STRIDED_MIN_CELLS`` cells runs a round over
 # its clause pairs while the round's semi-naive pairs number at most
 # ``_SPARSE_PAIRS_PER_CELL`` per cell; from the first round with more,
 # every round is dense. On smaller lattices a dense round costs less.
-_SPARSE_MIN_CELLS = 4**7
 _SPARSE_PAIRS_PER_CELL = 2
 
 
@@ -751,7 +752,7 @@ def _saturate_lattice(
     A round derives the resolvents of derived pairs that are not yet
     derived. A pair of two clauses derived before the last round was
     resolved in it, so only pairs holding a clause new in the last round
-    can give a fresh one. On a lattice of at least ``_SPARSE_MIN_CELLS``
+    can give a fresh one. On a lattice of at least ``_STRIDED_MIN_CELLS``
     cells, while those pairs number at most ``_SPARSE_PAIRS_PER_CELL``
     per cell, a sparse round resolves just them, one OR of cells per
     pair (``_sparse_resolvents``); from the first round with more, the
@@ -767,7 +768,7 @@ def _saturate_lattice(
     new = np.array(seeds, dtype=np.int64)
     old = new[:0]
     rounds[new] = 0
-    sparse = rounds.size >= _SPARSE_MIN_CELLS
+    sparse = rounds.size >= _STRIDED_MIN_CELLS
     count = len(seeds)
     rnd = 0
     # A full lattice leaves no clause to derive: no empty round confirms it.

@@ -1493,12 +1493,14 @@ def spy_rounds(monkeypatch):
 
 
 def force_rounds(monkeypatch, kind):
-    """Make every lattice round ``kind``, ``"sparse"`` or ``"dense"``."""
+    """Make every lattice round ``kind``, ``"sparse"`` or ``"dense"``.
+    Sparse rounds below 6 atoms need the large-lattice size lowered,
+    which also makes every transform pass go by offsets, exact either way."""
     if kind == "sparse":
-        monkeypatch.setattr(resolution, "_SPARSE_MIN_CELLS", 1)
+        monkeypatch.setattr(resolution, "_STRIDED_MIN_CELLS", 1)
         monkeypatch.setattr(resolution, "_SPARSE_PAIRS_PER_CELL", math.inf)
     else:
-        monkeypatch.setattr(resolution, "_SPARSE_MIN_CELLS", math.inf)
+        monkeypatch.setattr(resolution, "_SPARSE_PAIRS_PER_CELL", -1)
 
 
 def plain_pairs(cells, n):
@@ -1555,11 +1557,11 @@ def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
     assert len(started) == last + 1
     assert len(calls) == (last if full else last + 1)
     # Sparse rounds come first, and only dense ones follow them: from
-    # 7 atoms the first rounds are sparse, below it none is.
+    # 6 atoms the first rounds are sparse, below it none is.
     sparse = calls.count("sparse")
     assert calls == ["sparse"] * sparse + ["dense"] * (len(calls) - sparse)
-    assert (sparse > 0) == (n >= 7)
-    if n >= 7:
+    assert (sparse > 0) == (n >= 6)
+    if n >= 6:
         # The default path against dense rounds only, round for round.
         ran = len(calls)
         calls.clear()
@@ -1583,7 +1585,7 @@ def test_a_lattice_leaves_sparse_rounds_for_good(monkeypatch):
     t = kl.ClausalTheory(clauses(*SWITCH_TEXTS))
     ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
     n = len(atoms)
-    assert 4**n == resolution._SPARSE_MIN_CELLS and resolution._SPARSE_PAIRS_PER_CELL == 2
+    assert 4**n > resolution._STRIDED_MIN_CELLS and resolution._SPARSE_PAIRS_PER_CELL == 2
     calls = spy_rounds(monkeypatch)
     part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
     twin = plain_saturate_lattice(n, seeds, 4**n + 1, [])

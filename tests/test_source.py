@@ -136,8 +136,7 @@ def test_public_names_resolve_lazily_to_their_definitions():
 
 
 # The modules every CLI call loads, and the engines they must not load
-# when they are imported: those load where a command runs them. json
-# loads only where JSON is written.
+# when they are imported: those load where a command runs them.
 LIGHT_MODULES = (
     "__init__", "cli", "io_text", "kernels", "graphs", "clauses", "records", "errors"
 )
@@ -169,20 +168,21 @@ def parsed(name):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def load_time_imports_of(modules, banned):
-    """Where ``modules`` import a module named in ``banned`` at load time."""
+def imports_of(modules, banned, places=("load",)):
+    """Where ``modules`` import a module named in ``banned``, in one of
+    ``places`` (at load time by default)."""
     return [
         f"{name}.py:{node.lineno}:{target}"
         for name in modules
         for node, targets, place in imports(parsed(name))
-        if place == "load"
+        if place in places
         for target in targets
         if banned & set(target.split("."))
     ]
 
 
 def test_light_modules_import_no_engine_at_load_time():
-    assert load_time_imports_of(LIGHT_MODULES, ENGINES | {"json"}) == []
+    assert imports_of(LIGHT_MODULES, ENGINES) == []
 
 
 def test_no_module_imports_dataclasses_at_load_time():
@@ -190,14 +190,21 @@ def test_no_module_imports_dataclasses_at_load_time():
     # each decorated class execs generated code: the records are plain
     # slotted classes instead.
     modules = [path.stem for path in sorted(PACKAGE.glob("*.py"))]
-    assert load_time_imports_of(modules, {"dataclasses"}) == []
+    assert imports_of(modules, {"dataclasses"}) == []
+
+
+def test_no_module_imports_json():
+    # io_text writes JSON itself, so no call loads json, whatever route
+    # it takes: not when a module loads, nor inside a function.
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py"))]
+    assert imports_of(modules, {"json", "_json"}, ("load", "call", "typing")) == []
 
 
 def test_only_the_cli_imports_package_modules_inside_functions():
     # The CLI imports each engine in the commands that run it. Every
     # other module imports the package modules it needs when it loads,
-    # so the package's imports run one way; numpy and json may still
-    # load where they are used.
+    # so the package's imports run one way; numpy may still load where
+    # it is used.
     modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"]
     found = [
         f"{name}.py:{node.lineno}"
