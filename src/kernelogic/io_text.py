@@ -269,7 +269,12 @@ def _node(value):
     if kind is frozenset or kind is set:
         return sorted(map(_node, value), key=_string)
     if _instance_of(value, "resolution", "Closure"):
-        return value.clause_texts()
+        texts = value.clause_texts()
+        # A clause text is built from universe names, " ", "~" and "[]"
+        # alone, so plain names make every text plain.
+        if texts and all(map(_plain, value.universe)):
+            return _PlainTexts(texts)
+        return texts
     if _instance_of(value, "semantics", "SubdiscourseReport"):
         return {
             "paradox": value.paradox_atoms,
@@ -283,6 +288,10 @@ def _node(value):
     if hasattr(value, "__next__"):
         return value
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+class _PlainTexts(list):
+    """A nonempty list of strings already known to be plain."""
 
 
 def _plain_strings(value) -> bool:
@@ -302,7 +311,7 @@ def _chunks(value, indent: str = "\n") -> Iterator[str]:
     line. An iterator is written as the array of its items as they
     come, so that a listing streams."""
     inner = indent + "  "
-    if _plain_strings(value):
+    if type(value) is _PlainTexts or _plain_strings(value):
         # One join writes the array: closures and atom sets.
         yield "[" + inner + '"'
         yield ('",' + inner + '"').join(value)

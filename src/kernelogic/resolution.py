@@ -30,6 +30,13 @@ units, which never join components: while the base closure is alive,
 ``closure_with_assumptions`` saturates again only the components that
 hold the denied clause's atoms.
 
+A round costs the same few dozen numpy calls whatever the lattice's
+size, so on lattices of 4 and 5 atoms (256 and 1,024 cells) the calls,
+not the cells, are the cost. Saturation therefore runs the small
+lattice components that no live closure holds together, one call per
+width, each component a row of one round array; the rows share every
+transform, and each row stops or is refused where it would be alone.
+
 Closures of paradoxical theories tend to fill large parts of the clause
 lattice, which makes clause-pair scanning hopeless. A component of 4
 to ``LATTICE_MAX_ATOMS`` atoms therefore runs as a fixpoint over the
@@ -253,9 +260,14 @@ class _LatticePart:
         subs = _subcells(cell)[1:]
         return subs[self.rounds[subs] != _NOT_DERIVED].tolist()
 
-    def ordered(self) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
+    def ordered(self, lattice_order=None) -> "tuple[np.ndarray, list[tuple[int, int, int]]]":
+        """``lattice_order`` stands in for ``_lattice_order``, such as a
+        caller's cache of it."""
         import numpy as np
-        runs = [(s, k, c[self.rounds[c] != _NOT_DERIVED]) for s, k, c in _lattice_order(self.n)]
+        runs = [
+            (s, k, c[self.rounds[c] != _NOT_DERIVED])
+            for s, k, c in (lattice_order or _lattice_order)(self.n)
+        ]
         return np.concatenate([c for *_, c in runs]), [(s, k, len(c)) for s, k, c in runs]
 
     def minimal(self) -> "list[int]":
@@ -295,7 +307,7 @@ class _PairwisePart:
     def subclauses(self, cell: int):
         return (c for c in self.entries if c and not c & ~cell)
 
-    def ordered(self) -> "tuple[list[int], list[tuple[int, int, int]]]":
+    def ordered(self, lattice_order=None) -> "tuple[list[int], list[tuple[int, int, int]]]":
         keyed = sorted((_literal_key(c, self.n), c) for c in self.entries if c)
         # A clause's first literal is one of its lowest atom.
         runs = groupby((size, lits[0] >> 1) for (size, lits), _ in keyed)
@@ -486,14 +498,16 @@ class Closure:
         without building a Clause: each part hands over its derived
         cells in that order, in runs of one size and lowest atom
         (``ordered``), a lattice part from the order of its whole lattice
-        (``_lattice_order``) and a pairwise part by a Python sort. Of two
-        clauses of one size the one with the lower lowest atom comes
-        first, and each atom belongs to one part, so the runs of all
-        parts merge by one sort on size and lowest atom.
+        (``_lattice_order``, built once per width here) and a pairwise
+        part by a Python sort. Of two clauses of one size the one with
+        the lower lowest atom comes first, and each atom belongs to one
+        part, so the runs of all parts merge by one sort on size and
+        lowest atom.
         """
+        lattice_order = cache(_lattice_order)
         streams, runs = [], []
         for amap, part in self._parts:
-            cells, counts = part.ordered()
+            cells, counts = part.ordered(lattice_order)
             runs += [(size, amap.atoms[low], len(streams), count) for size, low, count in counts]
             names = [self.universe[g] for g in amap.atoms]
             streams.append(iter(_cell_texts(cells, part.n, names)))
@@ -646,56 +660,58 @@ def _short_runs(run: int, size: int) -> bool:
 
 
 def _subset_transform(values: np.ndarray, nbits: int, sign: int) -> np.ndarray:
-    """Zeta (``sign`` 1) or Moebius (``sign`` -1) transform, in place.
+    """Zeta (``sign`` 1) or Moebius (``sign`` -1) transform, in place, of
+    each block of ``2**nbits`` consecutive cells of ``values``.
 
     The zeta transform sums each cell over the subsets of its index;
     the Moebius transform inverts it.
     """
     import numpy as np
     step = np.add if sign > 0 else np.subtract
-    size = values.shape[0]
     for b in range(nbits):
         # Axis 1 is bit b; axis 2 is the offset below it.
-        pair = values.reshape(size >> (b + 1), 2, 1 << b)
-        for o in range(1 << b) if _short_runs(1 << b, size) else (slice(None),):
+        pair = values.reshape(-1, 2, 1 << b)
+        for o in range(1 << b) if _short_runs(1 << b, 1 << nbits) else (slice(None),):
             step(pair[:, 1, o], pair[:, 0, o], out=pair[:, 1, o])
     return values
 
 
 def _pair_counts(derived: np.ndarray, n: int) -> np.ndarray:
     """The zeta transform of the resolvable pairs of derived clauses,
-    summed over the pivots of an ``n``-atom lattice, modulo the
-    narrowest machine word that holds n * 9**(n - 1). That is exact once
-    inverted: every step is a ring operation, and the parents at one
-    pivot split each other literal of their resolvent three ways, so a
-    cell has at most n * 9**(n - 1) pairs."""
+    summed over the pivots, of each ``n``-atom lattice in ``derived``
+    (one, or one per row), modulo the narrowest machine word that holds
+    n * 9**(n - 1). That is exact once inverted: every step is a ring
+    operation, and the parents at one pivot split each other literal of
+    their resolvent three ways, so a cell has at most n * 9**(n - 1)
+    pairs."""
     import numpy as np
     dtype = np.uint32 if n * 9 ** (n - 1) < 2**32 else np.uint64
+    m = derived.size >> (2 * n)
     # zd[S] counts the derived clauses inside S. For the pivot bits p
     # and q of atom i, the zeta transform of the derived clauses holding
     # p, with p dropped, is zd[S | p] - zd[S & ~p]: it does not depend
     # on bit p of S, and likewise for q.
     zd = _subset_transform(derived.astype(dtype), 2 * n, 1)
-    pairs = np.zeros(derived.shape[0], dtype=dtype)
+    pairs = np.zeros(derived.shape, dtype=dtype)
     for i in range(n):
         # Axes 1 and 3 are the bits n + i (~x_i) and i (x_i); axis 4 is
         # the offset below bit i.
-        cells = zd.reshape(1 << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
-        _add_pivot(cells, pairs.reshape(cells.shape))
+        cells = zd.reshape(m << (n - i - 1), 2, 1 << (n - 1), 2, 1 << i)
+        _add_pivot(cells, pairs.reshape(cells.shape), _short_runs(1 << i, 1 << (2 * n)))
     return pairs
 
 
-def _add_pivot(cells: np.ndarray, total: np.ndarray) -> None:
+def _add_pivot(cells: np.ndarray, total: np.ndarray, short: bool) -> None:
     """Add one pivot's union product, read off the zeta transform
     ``cells`` as shaped in ``_pair_counts``, to ``total``.
 
-    Over short runs it takes one offset and one value of the positive
+    Over ``short`` runs it takes one offset and one value of the positive
     pivot bit at a time, so that every operand runs along the bits
     between the pivot's two. The temporaries go on return, before the
     next pivot allocates its own, which keeps the peak memory of wide
     lattices down.
     """
-    if not _short_runs(cells.shape[4], cells.size):
+    if not short:
         with_pos = cells[:, :, :, 1, :] - cells[:, :, :, 0, :]
         with_neg = cells[:, 1, :, :, :] - cells[:, 0, :, :, :]
         total += with_pos[:, :, :, None, :] * with_neg[:, None, :, :, :]
@@ -744,40 +760,52 @@ def _sparse_resolvents(old: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
 
 
 def _saturate_lattice(
-    n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
-) -> _LatticePart:
-    """The closure of an ``n``-atom component from its round-0 cells
-    ``seeds``, the first ``inputs`` of them input clauses.
+    n: int, rows: "list[tuple[tuple[int, ...], int]]", max_clauses: int
+) -> "list[_LatticePart | ResourceLimitError]":
+    """The closures of ``n``-atom components, each from its round-0 cells
+    ``seeds``, the first ``inputs`` of them input clauses, given as rows
+    ``(seeds, inputs)``: per row its part, or the error that refuses it.
 
+    The rows are saturated together, as the rows of one round array, and
+    a row stops where it would stop alone: when a round derives nothing,
+    or refused once it passes ``max_clauses`` clauses or the round limit.
     A round derives the resolvents of derived pairs that are not yet
     derived. A pair of two clauses derived before the last round was
     resolved in it, so only pairs holding a clause new in the last round
-    can give a fresh one. On a lattice of at least ``_STRIDED_MIN_CELLS``
-    cells, while those pairs number at most ``_SPARSE_PAIRS_PER_CELL``
-    per cell, a sparse round resolves just them, one OR of cells per
-    pair (``_sparse_resolvents``); from the first round with more, the
-    dense round counts the pairs of every cell, for good.
+    can give a fresh one. On one lattice of at least
+    ``_STRIDED_MIN_CELLS`` cells, while those pairs number at most
+    ``_SPARSE_PAIRS_PER_CELL`` per cell, a sparse round resolves just
+    them, one OR of cells per pair (``_sparse_resolvents``); from the
+    first round with more, the dense round counts the pairs of every
+    cell of every row, for good.
     """
     import numpy as np
     if n > LATTICE_MAX_ATOMS:
         raise ResourceLimitError(f"a {n}-atom component is wider than the clause lattice")
-    rounds = np.full(1 << (2 * n), _NOT_DERIVED, dtype=np.uint8)
+    size = 1 << (2 * n)
+    rounds = np.full((len(rows), size), _NOT_DERIVED, dtype=np.uint8)
+    for row, (seeds, _) in zip(rounds, rows):
+        row[np.array(seeds, dtype=np.int64)] = 0
+    counts = [len(seeds) for seeds, _ in rows]
+    refusals: "list[Optional[ResourceLimitError]]" = [None] * len(rows)
+    # The rows still growing. A full lattice leaves no clause to derive:
+    # no empty round confirms it. A row that stops keeps its cells, and
+    # later rounds find nothing new in it, except in a refused row,
+    # whose cells are dropped with it.
+    live = [k for k, count in enumerate(counts) if count < size]
     # ``new`` holds the cells derived in the last round, at first the
     # seeds (distinct by construction), and ``old`` the cells before;
     # only sparse rounds read them, so a dense round drops them.
-    new = np.array(seeds, dtype=np.int64)
+    sparse = len(rows) == 1 and size >= _STRIDED_MIN_CELLS
+    new = np.array(rows[0][0], dtype=np.int64)
     old = new[:0]
-    rounds[new] = 0
-    sparse = rounds.size >= _STRIDED_MIN_CELLS
-    count = len(seeds)
     rnd = 0
-    # A full lattice leaves no clause to derive: no empty round confirms it.
-    while count < rounds.size:
+    while live:
         rnd += 1
-        sparse = sparse and _semi_naive_pairs(old, new, n) <= _SPARSE_PAIRS_PER_CELL * rounds.size
+        sparse = sparse and _semi_naive_pairs(old, new, n) <= _SPARSE_PAIRS_PER_CELL * size
         underived = rounds == _NOT_DERIVED
         if sparse:
-            fresh = _sparse_resolvents(old, new, n)
+            fresh = _sparse_resolvents(old, new, n)[None]
         else:
             old = new = None
             # Each pivot's union product counts resolvable pairs and is
@@ -785,20 +813,28 @@ def _saturate_lattice(
             # of their supports.
             fresh = _subset_transform(_pair_counts(~underived, n), 2 * n, -1) != 0
         fresh &= underived
-        found = int(np.count_nonzero(fresh))
-        if not found:
-            break
-        if rnd >= _NOT_DERIVED:
-            raise ResourceLimitError(
-                f"closure needs more than {_NOT_DERIVED - 1} resolution rounds"
-            )
-        count += found
-        if count > max_clauses:
-            raise _OverCap(f"closure exceeded {max_clauses} clauses")
+        growing = []
+        for k in live:
+            found = int(np.count_nonzero(fresh[k]))
+            if not found:
+                continue
+            counts[k] += found
+            if rnd >= _NOT_DERIVED:
+                refusals[k] = ResourceLimitError(
+                    f"closure needs more than {_NOT_DERIVED - 1} resolution rounds"
+                )
+            elif counts[k] > max_clauses:
+                refusals[k] = _OverCap(f"closure exceeded {max_clauses} clauses")
+            elif counts[k] < size:
+                growing.append(k)
         rounds[fresh] = rnd
+        live = growing
         if sparse:
             old, new = np.concatenate((old, new)), np.flatnonzero(fresh)
-    return _LatticePart(n, rounds, seeds, inputs)
+    return [
+        refusal or _LatticePart(n, row, seeds, inputs)
+        for row, refusal, (seeds, inputs) in zip(rounds, refusals, rows)
+    ]
 
 
 def _saturate_pairwise(
@@ -853,8 +889,8 @@ _live_parts: "weakref.WeakValueDictionary[tuple, _LatticePart]" = weakref.WeakVa
 def _shared_lattice(
     n: int, seeds: "tuple[int, ...]", inputs: int, max_clauses: int
 ) -> _LatticePart:
-    """``_saturate_lattice``, or the part a live closure already holds for
-    the same component.
+    """The part a live closure holds for this component, or
+    ``_saturate_lattice`` of it alone.
 
     A shared part is refused exactly where saturating it again would be:
     its rounds only add clauses, so some round passes the budget when
@@ -863,7 +899,10 @@ def _shared_lattice(
     key = (n, inputs, seeds)
     part = _live_parts.get(key)
     if part is None:
-        part = _live_parts[key] = _saturate_lattice(n, seeds, inputs, max_clauses)
+        (part,) = _saturate_lattice(n, [(seeds, inputs)], max_clauses)
+        if isinstance(part, ResourceLimitError):
+            raise part
+        _live_parts[key] = part
     elif part.resolves and part.count > max_clauses:
         raise _OverCap(f"closure exceeded {max_clauses} clauses")
     return part
@@ -910,16 +949,36 @@ def saturate(theory: ClausalTheory, max_clauses: int = DEFAULT_MAX_CLAUSES) -> C
     lattice from 4 to ``LATTICE_MAX_ATOMS`` atoms, so numpy loads only
     for such a component, and by semi-naive rounds over clause pairs
     otherwise. A lattice component that a live closure already holds
-    takes that closure's part. Raises :class:`ResourceLimitError` once
+    takes that closure's part. The other lattices smaller than
+    ``_STRIDED_MIN_CELLS`` (4 and 5 atoms) are saturated first, all
+    those of one width in one ``_saturate_lattice`` call, and then taken
+    in order as shared parts, so each is refused on its own budget as
+    when saturated alone. Raises :class:`ResourceLimitError` once
     the whole closure, all components together, would exceed
     ``max_clauses`` clauses, unless it resolves nothing, or a component
     wider than ``LATTICE_MAX_ATOMS`` would resolve more than
     ``_PAIRS_PER_CLAUSE`` clause pairs per clause of the budget left.
     """
     u = Universe(theory.universe)
+    components = _components(theory, u)
+    # Small lattices first, each key once. A part refused here is not
+    # kept: the loop below refuses it again, alone, when it reaches its
+    # component, on that component's budget.
+    batches: "dict[int, dict[tuple, None]]" = {}
+    for atoms, seeds, inputs in components:
+        n = len(atoms)
+        small = 3 < n <= LATTICE_MAX_ATOMS and 4**n < _STRIDED_MIN_CELLS
+        if small and (n, inputs, seeds) not in _live_parts:
+            batches.setdefault(n, {})[seeds, inputs] = None
+    made = []  # keeps the new parts alive until the loop below takes them
+    for n, rows in batches.items():
+        for (seeds, inputs), part in zip(rows, _saturate_lattice(n, list(rows), max_clauses)):
+            if isinstance(part, _LatticePart):
+                _live_parts[n, inputs, seeds] = part
+                made.append(part)
     nonempty = 0  # the nonempty clauses of the parts so far
     parts = []
-    for atoms, seeds, inputs in _components(theory, u):
+    for atoms, seeds, inputs in components:
         n = len(atoms)
         # A component of at most 3 atoms has at most 64 cells, whose
         # pairs cost less than loading numpy for its lattice.

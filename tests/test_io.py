@@ -359,3 +359,19 @@ def test_unordered_sets_order_by_their_json_text():
     atoms = frozenset({"b", "a'", "a", "a_1", "A", "a0"})
     assert sorted(atoms, key=json.dumps) == sorted(atoms)
     assert io.to_json(atoms) == io.to_json(sorted(atoms))
+
+
+def test_a_closure_listing_skips_the_plainness_check(our_closure, monkeypatch):
+    # Clause texts are built from universe names, " ", "~" and "[]", so
+    # the writer checks the names, not the joined listing; any other
+    # array of strings is still checked.
+    texts = our_closure.clause_texts()
+    checked = []
+    real = io._plain_strings
+    monkeypatch.setattr(io, "_plain_strings", lambda value: checked.append(value) or real(value))
+    assert io.to_json(our_closure, "c") == envelope(texts)
+    assert texts not in checked
+    assert io.to_json(texts, "c") == envelope(texts)
+    assert texts in checked
+    empty = kl.saturate(kl.ClausalTheory(frozenset(), ()))
+    assert io.to_json(empty, "c") == envelope([])

@@ -88,6 +88,15 @@ def whole_closure(saturator, t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
     return kl.Closure(u, [(tuple(range(n)), part)])
 
 
+def lattice_alone(n, seeds, inputs, max_clauses):
+    """``_saturate_lattice`` of one component: its part, or its refusal
+    raised."""
+    (part,) = resolution._saturate_lattice(n, [(seeds, inputs)], max_clauses)
+    if isinstance(part, kl.ResourceLimitError):
+        raise part
+    return part
+
+
 def lattice_saturate(t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
     """``saturate`` with every component of at most 3 atoms closed on its
     clause lattice instead of pairwise; the other components take their
@@ -95,7 +104,7 @@ def lattice_saturate(t, max_clauses=resolution.DEFAULT_MAX_CLAUSES):
     pairwise = resolution._saturate_pairwise
 
     def route(n, *args):
-        return (resolution._saturate_lattice if n <= 3 else pairwise)(n, *args)
+        return (lattice_alone if n <= 3 else pairwise)(n, *args)
 
     with mock.patch.object(resolution, "_saturate_pairwise", route):
         return kl.saturate(t, max_clauses)
@@ -790,7 +799,7 @@ def test_split_matches_whole_lattice():
     stream = splitmix64(5151)
     for _ in range(40):
         t = split_theory(stream)
-        whole = whole_closure(resolution._saturate_lattice, t)
+        whole = whole_closure(lattice_alone, t)
         closure = kl.saturate(t)
         assert dict(closure.entries()) == dict(whole.entries())
         for c in sorted(whole.derived, key=kl.clause_sort_key):
@@ -822,7 +831,7 @@ def component_theories(draw):
 def test_saturation_paths_match_brute_closure(t):
     expected = kl.brute_closure(t)
     for closure in (
-        whole_closure(resolution._saturate_lattice, t),
+        whole_closure(lattice_alone, t),
         whole_closure(resolution._saturate_pairwise, t),
         kl.saturate(t),
     ):
@@ -865,7 +874,7 @@ def test_lattice_rounds_match_layered_fixpoint(t):
     # Proofs search strictly earlier rounds for parents, so the round of
     # every clause must be exact, not only the clause set.
     expected = layered_closure(t)
-    assert rounds_by_clause(whole_closure(resolution._saturate_lattice, t)) == expected
+    assert rounds_by_clause(whole_closure(lattice_alone, t)) == expected
     assert rounds_by_clause(whole_closure(resolution._saturate_pairwise, t)) == expected
     assert rounds_by_clause(kl.saturate(t)) == expected
 
@@ -875,7 +884,7 @@ def test_pairwise_path_matches_the_lattice_entry_for_entry(t):
     # Both paths enter seeds, then each round by cell, and proofs come
     # from one parent search over that order: the whole-universe
     # closures agree on ordered entries and on every proof text.
-    lattice = whole_closure(resolution._saturate_lattice, t)
+    lattice = whole_closure(lattice_alone, t)
     pairwise = whole_closure(resolution._saturate_pairwise, t)
     assert list(pairwise.entries()) == list(lattice.entries())
     for c in sorted(lattice.derived, key=kl.clause_sort_key):
@@ -1188,7 +1197,7 @@ def test_lattice_width_is_bounded_by_lattice_max_atoms(n):
     tracemalloc.start()
     try:
         with pytest.raises(kl.ResourceLimitError, match="wider than"):
-            whole_closure(resolution._saturate_lattice, t, 10)
+            whole_closure(lattice_alone, t, 10)
         assert tracemalloc.get_traced_memory()[1] < 4**n
     finally:
         tracemalloc.stop()
@@ -1241,14 +1250,18 @@ def test_mixed_lattice_and_pairwise_closure(empty, monkeypatch):
     # exactly as when that component is saturated alone.
     t = kl.ClausalTheory(clauses(*MIXED_TEXTS, *(["[]"] if empty else [])))
     paths = []
-    for name in ("_saturate_lattice", "_saturate_pairwise"):
-        real = getattr(resolution, name)
+    lattice, pairwise = resolution._saturate_lattice, resolution._saturate_pairwise
 
-        def spy(n, seeds, inputs, max_clauses, real=real, name=name):
-            paths.append((name, n))
-            return real(n, seeds, inputs, max_clauses)
+    def spy_lattice(n, rows, max_clauses):
+        paths.extend(("_saturate_lattice", n) for _ in rows)
+        return lattice(n, rows, max_clauses)
 
-        monkeypatch.setattr(resolution, name, spy)
+    def spy_pairwise(n, seeds, inputs, max_clauses):
+        paths.append(("_saturate_pairwise", n))
+        return pairwise(n, seeds, inputs, max_clauses)
+
+    monkeypatch.setattr(resolution, "_saturate_lattice", spy_lattice)
+    monkeypatch.setattr(resolution, "_saturate_pairwise", spy_pairwise)
     # A live closure elsewhere may hold the liar's part; without the
     # table every component is saturated here.
     resolution._live_parts.clear()
@@ -1357,7 +1370,7 @@ def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
     # sentinel's round is refused instead of wrapping, by either kind
     # of round.
     t = kl.ClausalTheory(clauses("a", "~a b", "~b c", "~c d", "~d e", "~e"))
-    last = max(rnd for _, (_, rnd) in whole_closure(resolution._saturate_lattice, t).entries())
+    last = max(rnd for _, (_, rnd) in whole_closure(lattice_alone, t).entries())
     assert last >= 2
     calls = spy_rounds(monkeypatch)
     for kind in ("dense", "sparse"):
@@ -1367,7 +1380,7 @@ def test_lattice_rounds_stop_before_the_sentinel(monkeypatch):
         assert rounds_by_clause(kl.saturate(t)) == layered_closure(t)
         monkeypatch.setattr(resolution, "_NOT_DERIVED", last)
         refusal = f"more than {last - 1} resolution rounds"
-        for run in (lambda: whole_closure(resolution._saturate_lattice, t), lambda: kl.saturate(t)):
+        for run in (lambda: whole_closure(lattice_alone, t), lambda: kl.saturate(t)):
             with pytest.raises(kl.ResourceLimitError, match=refusal):
                 run()
         assert set(calls) == {kind}
@@ -1548,7 +1561,7 @@ def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
     ((atoms, seeds, inputs),) = resolution._components(t, kl.Universe(t.universe))
     n = len(atoms)
     calls = spy_rounds(monkeypatch)
-    part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+    part = lattice_alone(n, seeds, inputs, 4**n + 1)
     started = []
     twin = plain_saturate_lattice(n, seeds, 4**n + 1, started)
     assert np.array_equal(part.rounds, twin)
@@ -1566,7 +1579,7 @@ def test_lattice_rounds_match_the_plain_round_loop(spec, full, monkeypatch):
         ran = len(calls)
         calls.clear()
         force_rounds(monkeypatch, "dense")
-        dense = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+        dense = lattice_alone(n, seeds, inputs, 4**n + 1)
         assert np.array_equal(dense.rounds, part.rounds)
         assert calls == ["dense"] * ran
 
@@ -1587,7 +1600,7 @@ def test_a_lattice_leaves_sparse_rounds_for_good(monkeypatch):
     n = len(atoms)
     assert 4**n > resolution._STRIDED_MIN_CELLS and resolution._SPARSE_PAIRS_PER_CELL == 2
     calls = spy_rounds(monkeypatch)
-    part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+    part = lattice_alone(n, seeds, inputs, 4**n + 1)
     twin = plain_saturate_lattice(n, seeds, 4**n + 1, [])
     assert np.array_equal(part.rounds, twin)
     pairs = [plain_round_pairs(twin, rnd, n) for rnd in range(1, 7)]
@@ -1613,7 +1626,7 @@ def check_sparse_rounds(t, widths):
             if n not in widths:
                 continue
             calls.clear()
-            part = resolution._saturate_lattice(n, seeds, inputs, 4**n + 1)
+            part = lattice_alone(n, seeds, inputs, 4**n + 1)
             started = []
             assert np.array_equal(part.rounds, plain_saturate_lattice(n, seeds, 4**n + 1, started))
             assert calls == ["sparse"] * len(calls) and len(calls) >= len(started) - 1
@@ -1661,7 +1674,7 @@ def test_a_sparse_round_at_its_bound_peaks_below_a_dense_round(monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(kl.ResourceLimitError, match=f"exceeded {k} clauses"):
-                resolution._saturate_lattice(n, seeds, k, k)
+                lattice_alone(n, seeds, k, k)
             peaks[kind] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1695,7 +1708,7 @@ def test_a_full_lattice_is_refused_where_the_plain_loop_refuses_it(monkeypatch):
         started = []
         outcomes = []
         for run in (
-            lambda: resolution._saturate_lattice(n, seeds, inputs, cap).rounds,
+            lambda: lattice_alone(n, seeds, inputs, cap).rounds,
             lambda: plain_saturate_lattice(n, seeds, cap, started),
         ):
             try:
@@ -1767,7 +1780,7 @@ def test_empty_clause_round_ties_go_to_the_first_component(liar):
 
 def cold(run):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "_shared_lattice", resolution._saturate_lattice)
+        mp.setattr(resolution, "_shared_lattice", lattice_alone)
         return run()
 
 
@@ -1796,9 +1809,9 @@ def test_assumptions_resaturate_only_the_touched_components(monkeypatch):
     widths = []
     real = resolution._saturate_lattice
 
-    def spy(n, seeds, inputs, max_clauses):
-        widths.append(n)
-        return real(n, seeds, inputs, max_clauses)
+    def spy(n, rows, max_clauses):
+        widths.extend(n for _ in rows)
+        return real(n, rows, max_clauses)
 
     monkeypatch.setattr(resolution, "_saturate_lattice", spy)
     resolution._live_parts.clear()
@@ -1855,6 +1868,15 @@ def test_assumptions_with_a_live_base_closure_match_the_cold_path(drawn):
     assert len(base) <= len(twin)
 
 
+# A 13-atom implication chain, refused on its pair bound at small caps,
+# ahead of a 4-atom square that saturates on its lattice.
+CHAIN_SQUARE = (
+    "a00",
+    *(f"~a{i:02d} a{i + 1:02d}" for i in range(12)),
+    *("z1 z2 z3 z4", "~z1 ~z2", "~z2 ~z3", "~z3 ~z4", "~z1 ~z4"),
+)
+
+
 @pytest.mark.parametrize(
     "texts",
     [
@@ -1864,6 +1886,7 @@ def test_assumptions_with_a_live_base_closure_match_the_cold_path(drawn):
         ("[]", "x", "~x", "y", "~y"),
         # A 4-atom component takes a lattice part, which can be shared.
         SQUARE + ("x", "~x", "y ~z"),
+        CHAIN_SQUARE,
     ],
 )
 def test_a_shared_part_is_refused_as_a_cold_one(tmp_path, capsys, texts):
@@ -1891,7 +1914,7 @@ def test_a_shared_part_is_refused_as_a_cold_one(tmp_path, capsys, texts):
     base = kl.saturate(t)
     caps = range(len(base) + 1)
     for k in caps:
-        assert trial(k, shared) == trial(k, resolution._saturate_lattice)
+        assert trial(k, shared) == trial(k, lattice_alone)
     assert trial(len(base), shared)[0] == len(base)
 
     path = tmp_path / "capped.clauses"
@@ -1906,3 +1929,150 @@ def test_a_shared_part_is_refused_as_a_cold_one(tmp_path, capsys, texts):
     if any(part.resolves for _, part in base._parts):
         code, out, err = cli_run(len(base) - 1)
         assert code == 3 and out == "" and f"exceeded {len(base) - 1} clauses" in err
+
+
+# ---------------------------------------------------------------------------
+# Small lattices saturated together: one ``_saturate_lattice`` call per
+# width, each component a row of one round array.
+
+
+def check_batch_rows(t, max_clauses):
+    """Hold each row of ``_saturate_lattice`` over the components of
+    ``t`` of one width, all in one call, to that component saturated
+    alone: the same rounds and seeds, or the same refusal. The rows."""
+    widths = {}
+    for atoms, seeds, inputs in resolution._components(t, kl.Universe(t.universe)):
+        widths.setdefault(len(atoms), []).append((seeds, inputs))
+    for n, rows in widths.items():
+        for (seeds, inputs), got in zip(rows, resolution._saturate_lattice(n, rows, max_clauses)):
+            try:
+                want = lattice_alone(n, seeds, inputs, max_clauses)
+            except kl.ResourceLimitError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+            else:
+                assert np.array_equal(got.rounds, want.rounds)
+                assert (got.seeds, got.inputs, got.count) == (want.seeds, want.inputs, want.count)
+    return [row for rows in widths.values() for row in rows]
+
+
+@given(component_theories(), st.integers(0, 70))
+def test_batch_rows_match_their_components_alone(t, cap):
+    check_batch_rows(t, cap)
+
+
+@st.composite
+def repeated_unions(draw):
+    """2-5 copies, each under its own names, of two random clause sets
+    over 4 or 5 atoms, the first at least twice: components that repeat,
+    among others."""
+    local = st.builds(Literal, st.sampled_from("abcde"[: draw(st.integers(4, 5))]), st.booleans())
+    shapes = [
+        draw(st.lists(st.frozensets(local, min_size=1, max_size=4), min_size=1, max_size=6))
+        for _ in range(2)
+    ]
+    cls = set()
+    for k, pick in enumerate([0, 0] + draw(st.lists(st.integers(0, 1), max_size=3))):
+        for c in shapes[pick]:
+            cls.add(Clause(Literal(f"{lit.atom}{k}", lit.negated) for lit in c))
+    return kl.ClausalTheory(frozenset(cls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(repeated_unions(), st.integers(0, 4**5 + 1))
+def test_batch_rows_of_repeated_components_match_them_alone(t, cap):
+    rows = check_batch_rows(t, cap)
+    assert len(set(rows)) < len(rows)
+
+
+def spy_batches(monkeypatch):
+    """Patch ``_saturate_lattice`` to log each call as its width and
+    number of rows."""
+    calls = []
+    real = resolution._saturate_lattice
+
+    def spy(n, rows, max_clauses):
+        calls.append((n, len(rows)))
+        return real(n, rows, max_clauses)
+
+    monkeypatch.setattr(resolution, "_saturate_lattice", spy)
+    return calls
+
+
+PENTAGON = ("a b c d e", "~a ~b", "~b ~c", "~c ~d", "~d ~e", "~a ~e")
+HEXAGON = ("a b c d e f", "~a ~b", "~b ~c", "~c ~d", "~d ~e", "~e ~f", "~a ~f")
+
+
+def test_small_lattices_saturate_in_one_call_per_width(monkeypatch):
+    # components-wide's shape, two 5-atom and six 4-atom components, all
+    # distinct, plus two 6-atom ones, which saturate one per call.
+    extras = [(), ("~a",), ("~b",), ("~a ~c",), ("b ~d",), ("c",)]
+    texts = [c for k, extra in enumerate(extras) for c in renamed(SQUARE + extra, k)]
+    texts += renamed(PENTAGON, "p") + renamed(PENTAGON + ("~e",), "q")
+    texts += renamed(HEXAGON, "h") + renamed(HEXAGON + ("~a",), "i")
+    t = kl.ClausalTheory(clauses(*texts))
+    calls = spy_batches(monkeypatch)
+    resolution._live_parts.clear()
+    closure = kl.saturate(t)
+    assert sorted(calls) == [(4, 6), (5, 2), (6, 1), (6, 1)]
+    monkeypatch.undo()
+    assert list(closure.entries()) == list(cold(lambda: kl.saturate(t)).entries())
+
+
+def test_a_denial_over_two_copies_saturates_them_in_one_call(monkeypatch):
+    # Two copies of one component are one row; denying a clause over
+    # both makes them differ, and both saturate again in one call.
+    t = kl.ClausalTheory(clauses(*(c for k in range(2) for c in renamed(SQUARE, k))))
+    calls = spy_batches(monkeypatch)
+    resolution._live_parts.clear()
+    base = kl.saturate(t)
+    assert calls == [(4, 1)]
+    assumed = kl.closure_with_assumptions(t, clause("a0 ~b1"))
+    assert calls == [(4, 1), (4, 2)]
+    assert not any(mine is theirs for (_, mine), (_, theirs) in zip(assumed._parts, base._parts))
+    monkeypatch.undo()
+    twin = cold(lambda: kl.closure_with_assumptions(t, clause("a0 ~b1")))
+    assert list(assumed.entries()) == list(twin.entries())
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        CHAIN_SQUARE,
+        # A positive-only component resolves nothing, so its seeds alone
+        # may pass the cap; the square beside it is refused.
+        ("a b c d", *renamed(SQUARE, 1)),
+    ],
+)
+def test_batched_saturation_refuses_as_the_sequential_twin(tmp_path, capsys, monkeypatch, texts):
+    # With no live part, saturate runs the small lattices first, together
+    # at the whole cap, and keeps no part a row refuses there. Under
+    # every cap the library and the CLI answer and refuse as when each
+    # component is saturated alone, in order, on its own budget.
+    t = kl.ClausalTheory(clauses(*texts))
+    path = tmp_path / "t.clauses"
+    path.write_text("\n".join(texts) + "\n")
+
+    def outcome(k):
+        resolution._live_parts.clear()
+        try:
+            size = len(kl.saturate(t, max_clauses=k))
+        except kl.ResourceLimitError as exc:
+            size = str(exc)
+        resolution._live_parts.clear()
+        code = cli.main(["closure", str(path), "--max-clauses", str(k)])
+        return (size, code, *capsys.readouterr())
+
+    caps = range(len(kl.saturate(t)) + 1)
+    calls = spy_batches(monkeypatch)
+    batched = [outcome(k) for k in caps]
+    # Each saturate runs one batch of its 4-atom components; a component
+    # refused there is saturated alone again, on its budget.
+    rows = [a for a, _, _ in resolution._components(t, kl.Universe(t.universe)) if len(a) == 4]
+    assert calls[0] == (4, len(rows)) and set(calls) <= {(4, len(rows)), (4, 1)}
+    assert batched == cold(lambda: [outcome(k) for k in caps])
+    assert batched[-1][:2] == (len(caps) - 1, 0)
+    if texts == CHAIN_SQUARE:
+        for k in (1, 2):
+            size, code, out, err = batched[k]
+            refusal = f"closure of a 13-atom component would resolve more than {16 * k} clause pairs"
+            assert (size, code, out) == (refusal, 3, "") and refusal in err
